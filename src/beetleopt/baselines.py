@@ -3,8 +3,11 @@ particle-swarm (pso), grey-wolf (gwo), sperm-swarm (sso), chernobyl-disaster
 (cdo), bermuda-triangle (bto) and gravitational-search (gsa).
 
 Each algorithm keeps its documented per-agent draw order so that seeded runs
-are bit-reproducible.  All of them evaluate the objective exactly N times
-per iteration.  The gravitational-search internals follow the standard
+are bit-reproducible.  An agent fetches all draws between two evaluations as
+one ``RandomStream.uniform`` block, which consumes the stream exactly like the
+scalar draws it stands for, so a noisy objective's own draw still falls
+between two agents' blocks.  All of them evaluate the objective exactly N
+times per iteration.  The gravitational-search internals follow the standard
 formulation of that algorithm (only its two tuning constants are shared with
 the rest of the suite); the grey-wolf coefficient mechanics likewise use the
 standard encircling coefficients.
@@ -12,6 +15,7 @@ standard encircling coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -31,7 +35,7 @@ from .core import (
     RunConfig,
     SearchSpace,
     bind_objective,
-    clamp_to_bounds,
+    bound_position,
     initialize_population,
     update_best,
 )
@@ -47,6 +51,18 @@ PSO_INERTIA_END = 0.4
 # SSO draw ranges for pH and temperature.
 SSO_PH_RANGE = (7.0, 14.0)
 SSO_TEMPERATURE_RANGE = (35.1, 38.5)
+# Per-draw ranges of one SSO velocity block: damping, pH1, pH2,
+# temperature1, pH3, temperature2.
+_SSO_DRAW_RANGES = (
+    (0.0, 1.0),
+    SSO_PH_RANGE,
+    SSO_PH_RANGE,
+    SSO_TEMPERATURE_RANGE,
+    SSO_PH_RANGE,
+    SSO_TEMPERATURE_RANGE,
+)
+_SSO_DRAW_LOW = np.array([low for low, _ in _SSO_DRAW_RANGES])
+_SSO_DRAW_HIGH = np.array([high for _, high in _SSO_DRAW_RANGES])
 
 # CDO particle-speed draw ceilings (gamma, beta, alpha).
 CDO_SPEED_GAMMA = 300_000.0
@@ -140,9 +156,12 @@ def pso_velocity(
     inertia: float,
     rng: RandomStream,
 ) -> Array:
-    """Inertia plus cognitive and social pulls, one random pair per dimension."""
-    r1 = rng.uniform(size=position.size)
-    r2 = rng.uniform(size=position.size)
+    """Inertia plus cognitive and social pulls, one random pair per dimension
+    (all r1 draws, then all r2 draws, as one block)."""
+    dim = position.size
+    u = rng.uniform(size=2 * dim)
+    r1 = u[:dim]
+    r2 = u[dim:]
     return (
         inertia * velocity
         + PSO_COGNITIVE * r1 * (personal_best - position)
@@ -154,6 +173,7 @@ def pso_step(state: PSOState, objective: Objective, space: SearchSpace, rng: Ran
     t = state.iteration + 1
     span = max(state.max_iterations - 1, 1)
     inertia = state.inertia_start - (state.inertia_start - state.inertia_end) * (t - 1) / span
+    lower, upper, mode = space.lower, space.upper, state.bound_mode
     pop = state.population
     for i, agent in enumerate(pop.agents):
         v = pso_velocity(
@@ -165,7 +185,7 @@ def pso_step(state: PSOState, objective: Objective, space: SearchSpace, rng: Ran
             rng,
         )
         state.velocities[i] = v
-        moved = Agent(clamp_to_bounds(agent.position + v, space, state.bound_mode))
+        moved = Agent(bound_position(agent.position + v, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         if moved.fitness < state.personal_best[i].fitness:
@@ -217,12 +237,8 @@ def sso_velocity(
     drawn values are validated against their documented ranges so a broken
     stream is flagged instead of silently skewing the log factors.
     """
-    damping = rng.uniform()
-    ph1 = rng.uniform(*SSO_PH_RANGE)
-    ph2 = rng.uniform(*SSO_PH_RANGE)
-    temp1 = rng.uniform(*SSO_TEMPERATURE_RANGE)
-    ph3 = rng.uniform(*SSO_PH_RANGE)
-    temp2 = rng.uniform(*SSO_TEMPERATURE_RANGE)
+    draws = _sso_draws(rng)
+    damping, ph1, ph2, temp1, ph3, temp2 = draws
     if not 0.0 <= damping <= 1.0:
         raise ContractViolation(f"damping draw out of [0, 1]: {damping!r}")
     for name, value in (("pH", ph1), ("pH", ph2), ("pH", ph3)):
@@ -231,6 +247,17 @@ def sso_velocity(
     for value in (temp1, temp2):
         if not SSO_TEMPERATURE_RANGE[0] <= value <= SSO_TEMPERATURE_RANGE[1]:
             raise ContractViolation(f"temperature draw out of {SSO_TEMPERATURE_RANGE}: {value!r}")
+    return _sso_pull(velocity, position, personal_best, global_best, draws)
+
+
+def _sso_draws(rng: RandomStream) -> list:
+    """One velocity block: damping, pH1, pH2, temperature1, pH3, temperature2."""
+    return rng.uniform(_SSO_DRAW_LOW, _SSO_DRAW_HIGH, size=len(_SSO_DRAW_RANGES)).tolist()
+
+
+def _sso_pull(velocity: Array, position: Array, personal_best: Array, global_best: Array, draws) -> Array:
+    """Unchecked core of :func:`sso_velocity` for a block the stream drew in range."""
+    damping, ph1, ph2, temp1, ph3, temp2 = draws
     return (
         damping * velocity * math.log10(ph1)
         + math.log10(ph2) * math.log10(temp1) * (personal_best - position)
@@ -239,17 +266,18 @@ def sso_velocity(
 
 
 def sso_step(state: SSOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> SSOState:
+    lower, upper, mode = space.lower, space.upper, state.bound_mode
     pop = state.population
     for i, agent in enumerate(pop.agents):
-        v = sso_velocity(
+        v = _sso_pull(
             state.velocities[i],
             agent.position,
             state.personal_best[i].position,
             pop.best.position,
-            rng,
+            _sso_draws(rng),
         )
         state.velocities[i] = v
-        moved = Agent(clamp_to_bounds(agent.position + v, space, state.bound_mode))
+        moved = Agent(bound_position(agent.position + v, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         if moved.fitness < state.personal_best[i].fitness:
@@ -297,14 +325,13 @@ def gwo_candidate(
 ) -> Array:
     """Mean of the three leader-guided positions under the standard
     encircling coefficients A = 2a*r1 - a and C = 2*r2 (fresh per dimension,
-    leaders consumed in alpha/beta/delta order)."""
-    guided = []
-    for leader in (alpha, beta, delta):
-        r1 = rng.uniform(size=position.size)
-        r2 = rng.uniform(size=position.size)
-        a_coef = 2.0 * coefficient * r1 - coefficient
-        c_coef = 2.0 * r2
-        guided.append(leader - a_coef * np.abs(c_coef * leader - position))
+    leaders consumed in alpha/beta/delta order: r1 then r2 per leader, drawn
+    as one block and applied to the three leaders at once)."""
+    draws = rng.uniform(size=6 * position.size).reshape(3, 2, position.size)
+    leaders = np.array((alpha, beta, delta))
+    a_coef = 2.0 * coefficient * draws[:, 0] - coefficient
+    c_coef = 2.0 * draws[:, 1]
+    guided = leaders - a_coef * np.abs(c_coef * leaders - position)
     return (guided[0] + guided[1] + guided[2]) / 3.0
 
 
@@ -314,6 +341,7 @@ def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: Ran
         raise ConfigurationError("grey-wolf needs a population of at least 3")
     t = state.iteration + 1
     coefficient = 2.0 - (t - 1) * 2.0 / state.max_iterations
+    lower, upper, mode = space.lower, space.upper, state.bound_mode
     for i, agent in enumerate(pop.agents):
         x = gwo_candidate(
             agent.position,
@@ -323,7 +351,7 @@ def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: Ran
             coefficient,
             rng,
         )
-        moved = Agent(clamp_to_bounds(x, space, state.bound_mode))
+        moved = Agent(bound_position(x, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         _insert_leader(state.leaders, moved)
@@ -384,33 +412,45 @@ def cdo_candidate(
     one propagation area shared by the three distance terms, then per
     particle class a log-speed draw and a walking-speed jitter draw
     (gamma, beta, alpha order).
+
+    All ``8 * dim`` draws come as one block and the three classes are
+    updated at once; the class weights 1, 0.5 and 0.25 scale the speed and
+    the descent term, and a weight of 1 leaves a value unchanged, bit for bit.
     """
     dim = position.size
-    region = rng.uniform(size=dim) ** 2 * np.pi
-    area = rng.uniform(size=dim) ** 2 * np.pi
+    low, high = _cdo_draw_bounds(dim)
+    draws = rng.uniform(low, high, size=8 * dim).reshape(8, dim)
+    region = draws[0] ** 2 * np.pi
+    area = draws[1] ** 2 * np.pi
+    speed = np.log(draws[2::2])  # gamma, beta, alpha
+    jitter = draws[3::2]
+    leaders = np.array((gamma, beta, alpha))
+    rho = region / (_CDO_WEIGHTS * speed) - walk_speed * jitter
+    delta = np.abs(area * leaders - position)
+    v = _CDO_WEIGHTS * (leaders - rho * delta)
+    return (v[0] + v[1] + v[2]) / 3.0
 
-    speed = np.log(rng.uniform(1.0, CDO_SPEED_GAMMA, size=dim))
-    rho_gamma = region / speed - walk_speed * rng.uniform(size=dim)
-    delta_gamma = np.abs(area * gamma - position)
-    v_gamma = gamma - rho_gamma * delta_gamma
 
-    speed = np.log(rng.uniform(1.0, CDO_SPEED_BETA, size=dim))
-    rho_beta = region / (0.5 * speed) - walk_speed * rng.uniform(size=dim)
-    delta_beta = np.abs(area * beta - position)
-    v_beta = 0.5 * (beta - rho_beta * delta_beta)
+#: Class weights of the gamma, beta and alpha terms, as a column.
+_CDO_WEIGHTS = np.array([[1.0], [0.5], [0.25]])
 
-    speed = np.log(rng.uniform(1.0, CDO_SPEED_ALPHA, size=dim))
-    rho_alpha = region / (0.25 * speed) - walk_speed * rng.uniform(size=dim)
-    delta_alpha = np.abs(area * alpha - position)
-    v_alpha = 0.25 * (alpha - rho_alpha * delta_alpha)
 
-    return (v_gamma + v_beta + v_alpha) / 3.0
+@functools.lru_cache(maxsize=None)
+def _cdo_draw_bounds(dim: int):
+    """Read-only per-draw ``(low, high)`` of one ``cdo_candidate`` block:
+    region, area, then a speed and a jitter row per class."""
+    low = np.repeat([0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0], dim)
+    high = np.repeat([1.0, 1.0, CDO_SPEED_GAMMA, 1.0, CDO_SPEED_BETA, 1.0, CDO_SPEED_ALPHA, 1.0], dim)
+    low.flags.writeable = False
+    high.flags.writeable = False
+    return low, high
 
 
 def cdo_step(state: CDOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> CDOState:
     pop = state.population
     t = state.iteration + 1
     walk_speed = cdo_walk_speed(t - 1, state.max_iterations)
+    lower, upper, mode = space.lower, space.upper, state.bound_mode
     for i, agent in enumerate(pop.agents):
         x = cdo_candidate(
             agent.position,
@@ -420,7 +460,7 @@ def cdo_step(state: CDOState, objective: Objective, space: SearchSpace, rng: Ran
             walk_speed,
             rng,
         )
-        moved = Agent(clamp_to_bounds(x, space, state.bound_mode))
+        moved = Agent(bound_position(x, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         _insert_leader(state.leaders, moved)
@@ -473,7 +513,12 @@ def bto_acc(iteration: int, max_iterations: int, rng: RandomStream) -> float:
     """Current acceleration ``r * exp(-20 * iteration / max_iterations)``."""
     if max_iterations < 1:
         raise ConfigurationError("max_iterations must be >= 1")
-    return rng.uniform() * math.exp(-20.0 * iteration / max_iterations)
+    return rng.uniform() * bto_decay(iteration, max_iterations)
+
+
+def bto_decay(iteration: int, max_iterations: int) -> float:
+    """The draw-free factor ``exp(-20 * iteration / max_iterations)`` of :func:`bto_acc`."""
+    return math.exp(-20.0 * iteration / max_iterations)
 
 
 def _bto_force_probability(iteration: int, max_iterations: int, gforce: float) -> float:
@@ -498,7 +543,8 @@ def bto_step(state: BTOState, objective: Objective, space: SearchSpace, rng: Ran
     """One sweep of gravity-pulled jumps around the best solution.
 
     Per agent: advance the chaos map (no draws), then draw the two masses
-    and their distance, the acceleration factor and the prescience value.
+    and their distance, the acceleration factor and the prescience value
+    (one block of five).
     Prescience above 0.5 selects the triangle area (strong pull), otherwise
     the surrounding ring area; either way the position is replaced outright
     and only the best-so-far is tracked greedily.
@@ -506,23 +552,25 @@ def bto_step(state: BTOState, objective: Objective, space: SearchSpace, rng: Ran
     pop = state.population
     t0 = state.iteration
     zone = bto_zone(t0, state.max_iterations)
+    decay = bto_decay(t0, state.max_iterations)
     anchor = space.width * zone + space.lower
+    lower, upper, mode = space.lower, space.upper, state.bound_mode
+    step_map, guard = kernels.chaos_map(state.chaos.map_id)
+    chaos = state.chaos.value
     for i in range(len(pop)):
-        state.chaos = kernels.chaos_next(state.chaos)
-        mass_center = rng.uniform()
-        mass_pulled = rng.uniform()
-        distance = rng.uniform()
+        chaos = kernels.advance_chaos(step_map, guard, chaos)
+        mass_center, mass_pulled, distance, acceleration_draw, prescience = rng.uniform(size=5).tolist()
         numerator = BTO_GRAVITATION * mass_center * mass_pulled
         gforce = numerator / (distance * distance) if distance > 0.0 else math.inf
         probability = _bto_force_probability(t0, state.max_iterations, gforce)
-        acceleration = bto_acc(t0, state.max_iterations, rng)
-        prescience = rng.uniform()
+        acceleration = acceleration_draw * decay
         area = state.triangle_area if prescience > 0.5 else state.ring_area
-        pulled = state.chaos.value * area * acceleration * pop.best.position - probability
-        moved = Agent(clamp_to_bounds(pulled * anchor, space, state.bound_mode))
+        pulled = chaos * area * acceleration * pop.best.position - probability
+        moved = Agent(bound_position(pulled * anchor, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         _consider_best(pop, moved)
+    state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + len(pop))
     state.iteration = t0 + 1
     return state
 
@@ -580,33 +628,52 @@ def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: Ran
 
     Forces come from the k best agents of the iteration-start snapshot
     (k shrinking linearly from N to 1), with one random vector per attracting
-    pair; then each agent draws one damping vector for its velocity update.
+    pair, drawn agent by agent in attractor order, one block per agent; then
+    each agent draws one damping vector for its velocity update.  The force
+    sweep runs attractor by attractor across all agents at once, so each
+    agent still sums its pulls in attractor order.
     """
     pop = state.population
     n = len(pop)
+    dim = space.dim
     t0 = state.iteration
     gravity = gsa_gravity(t0, state.max_iterations)
     fitness = pop.fitness_values()
     masses = gsa_masses(fitness)
     kbest = _gsa_kbest(n, t0, state.max_iterations)
-    attractors = np.argsort(fitness, kind="stable")[:kbest]
+    attractors = np.argsort(fitness, kind="stable")[:kbest].tolist()
     positions = pop.positions()
+    lower, upper, mode = space.lower, space.upper, state.bound_mode
 
-    accelerations = np.zeros((n, space.dim))
+    # pulls[i, k] is agent i's random vector for attractor k; an attractor
+    # pulls on every agent but itself, so its own slot stays unused.
+    slot = {j: k for k, j in enumerate(attractors)}
+    pulls = np.zeros((n, kbest, dim))
     for i in range(n):
-        for j in attractors:
-            if j == i:
-                continue
-            pull = rng.uniform(size=space.dim)
-            offset = positions[j] - positions[i]
-            distance = float(np.linalg.norm(offset))
-            accelerations[i] += pull * gravity * masses[j] * offset / (distance + _GSA_EPS)
+        k = slot.get(i)
+        if k is None:
+            pulls[i] = rng.uniform(size=kbest * dim).reshape(kbest, dim)
+        else:
+            draws = rng.uniform(size=(kbest - 1) * dim).reshape(kbest - 1, dim)
+            pulls[i, :k] = draws[:k]
+            pulls[i, k + 1 :] = draws[k:]
+
+    accelerations = np.zeros((n, dim))
+    for k, j in enumerate(attractors):
+        offset = positions[j] - positions
+        # the batched row products round exactly like np.linalg.norm per row
+        distance = np.sqrt(offset[:, None, :] @ offset[:, :, None])[:, 0]
+        pull = pulls[:, k] * gravity * masses[j] * offset / (distance + _GSA_EPS)
+        # adding +0.0 leaves every sum unchanged (it starts at +0.0, so it is
+        # never -0.0); this also drops a non-finite self term
+        pull[j] = 0.0
+        accelerations += pull
 
     for i in range(n):
-        damping = rng.uniform(size=space.dim)
+        damping = rng.uniform(size=dim)
         velocity = damping * state.velocities[i] + accelerations[i]
         state.velocities[i] = velocity
-        moved = Agent(clamp_to_bounds(positions[i] + velocity, space, state.bound_mode))
+        moved = Agent(bound_position(positions[i] + velocity, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         _consider_best(pop, moved)

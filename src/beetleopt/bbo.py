@@ -5,7 +5,10 @@ exploitation) over every agent, both gated by greedy replacement.
 Draw order per agent, fixed for reproducibility: circle radii and center
 distance (3 draws), chemical-reaction factors (2 draws), predator index
 (1 draw, random-agent mode only), defense evaluation, lift parameters
-(4 draws), one sign per dimension, escape evaluation.  The chaos state
+(4 draws), one sign per dimension, escape evaluation.  Each stretch between
+two evaluations is fetched as one block (5 or 6 draws, then ``4 + dim``),
+which consumes the stream exactly like the scalar draws it replaces, so a
+noisy objective's own draw still falls between the blocks.  The chaos state
 advances once per agent and consumes no draws.
 """
 
@@ -28,9 +31,11 @@ from .core import (
     RunConfig,
     SearchSpace,
     bind_objective,
-    clamp_to_bounds,
+    bound_position,
     greedy_replace,
+    index_from_uniform,
     initialize_population,
+    signs_from_uniform,
     update_best,
 )
 from .stats import RunRecord
@@ -46,6 +51,11 @@ def chemical_reaction(rng: RandomStream) -> float:
     """
     oxygen = rng.uniform()
     benzoquinone = rng.uniform()
+    return reaction_intensity(oxygen, benzoquinone)
+
+
+def reaction_intensity(oxygen: float, benzoquinone: float) -> float:
+    """``100 * oxygen * p-benzoquinone`` for already drawn factors."""
     return HOT_WATER_VAPOR * oxygen * benzoquinone
 
 
@@ -64,6 +74,17 @@ def defense_update(
         raise ContractViolation(f"spray value below floor: {spray_value!r}")
     if intersection_area < 0.0:
         raise ValueError("intersection area must be >= 0")
+    return defense_proposal(position, predator_position, intersection_area, reaction, spray_value)
+
+
+def defense_proposal(
+    position: Array,
+    predator_position: Array,
+    intersection_area: float,
+    reaction: float,
+    spray_value: float,
+) -> Array:
+    """Unchecked core of :func:`defense_update` for inputs the loop keeps valid."""
     return (position + predator_position * intersection_area * reaction * position) / spray_value
 
 
@@ -99,37 +120,46 @@ def bbo_iteration(
         raise ConfigurationError("run already finished")
     pop = state.population
     n = len(pop)
+    lower, upper, width = space.lower, space.upper, space.width
+    mode = state.bound_mode
+    step_map, guard = kernels.chaos_map(state.chaos.map_id)
+    chaos = state.chaos.value
+    growth = kernels.spray_growth(t, state.max_iterations)
+    random_predator = state.predator_mode != "global-best"
+    defense_draws = 6 if random_predator else 5
+    escape_draws = 4 + space.dim
 
     for i in range(n):
         agent = pop.agents[i]
 
         # Defense: spray scaled by the threat-circle overlap and reaction.
-        pair = kernels.CirclePair(rng.uniform(), rng.uniform(), rng.uniform())
-        area = kernels.circle_intersection_area(pair)
-        reaction = chemical_reaction(rng)
-        state.chaos = kernels.chaos_next(state.chaos)
-        spray_value = kernels.spray(state.chaos.value, t, state.max_iterations)
-        if state.predator_mode == "global-best":
-            predator = pop.best.position
+        u = rng.uniform(size=defense_draws).tolist()
+        area = kernels.lens_area(u[0], u[1], u[2])
+        reaction = reaction_intensity(u[3], u[4])
+        chaos = kernels.advance_chaos(step_map, guard, chaos)
+        spray_value = kernels.spray_divisor(chaos, growth)
+        if random_predator:
+            predator = pop.agents[index_from_uniform(u[5], n)].position
         else:
-            predator = pop.agents[rng.index(n)].position
-        proposal = defense_update(agent.position, predator, area, reaction, spray_value)
-        candidate = Agent(clamp_to_bounds(proposal, space, state.bound_mode))
+            predator = pop.best.position
+        proposal = defense_proposal(agent.position, predator, area, reaction, spray_value)
+        candidate = Agent(bound_position(proposal, lower, upper, mode))
         candidate.fitness = objective(candidate.position)
         agent = greedy_replace(agent, candidate)
         pop.agents[i] = agent
         _consider_best(pop, agent)
 
         # Escape: signed per-dimension hop whose size decays with time.
-        params = kernels.LiftParams(rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform())
-        hop = kernels.escape_step(kernels.lift(params), space, t)
-        signs = rng.sign(size=space.dim)
-        candidate = Agent(clamp_to_bounds(agent.position + hop * signs, space, state.bound_mode))
+        u = rng.uniform(size=escape_draws)
+        hop = kernels.escape_hop(kernels.lift_magnitude(*u[:4].tolist()), width, t)
+        signs = signs_from_uniform(u[4:])
+        candidate = Agent(bound_position(agent.position + hop * signs, lower, upper, mode))
         candidate.fitness = objective(candidate.position)
         agent = greedy_replace(agent, candidate)
         pop.agents[i] = agent
         _consider_best(pop, agent)
 
+    state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + n)
     state.iteration = t
     return state
 

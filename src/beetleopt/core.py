@@ -45,9 +45,18 @@ class RandomStream:
         self.seed = int(seed)
         self._gen = np.random.default_rng(self.seed)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        """Uniform draw(s) in ``[low, high)``."""
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """Uniform draw(s) in ``[low, high)``; ``low``/``high`` may be arrays
+        matching ``size``, bounding each draw of a block separately.
+
+        ``Generator.random(k)`` yields the same doubles as ``k`` scalar draws,
+        so one block draw consumes the stream exactly like ``k`` scalar calls.
+        The unit range returns the raw draws, which ``0.0 + 1.0 * u`` would
+        reproduce bit for bit.
+        """
         u = self._gen.random(size)
+        if isinstance(low, float) and isinstance(high, float) and low == 0.0 and high == 1.0:
+            return u
         return low + (high - low) * u
 
     def sign(self, size=None):
@@ -55,13 +64,23 @@ class RandomStream:
         u = self._gen.random(size)
         if size is None:
             return 1.0 if u < 0.5 else -1.0
-        return np.where(u < 0.5, 1.0, -1.0)
+        return signs_from_uniform(u)
 
     def index(self, n: int) -> int:
         """Uniform integer in ``[0, n)`` from a single [0, 1) draw."""
         if n <= 0:
             raise ConfigurationError("index() needs n >= 1")
-        return min(int(self._gen.random() * n), n - 1)
+        return index_from_uniform(self._gen.random(), n)
+
+
+def signs_from_uniform(u: Array) -> Array:
+    """+1.0 where a [0, 1) draw is < 0.5, else -1.0 (``RandomStream.sign``)."""
+    return np.where(u < 0.5, 1.0, -1.0)
+
+
+def index_from_uniform(u: float, n: int) -> int:
+    """Integer in ``[0, n)`` from one [0, 1) draw (``RandomStream.index``)."""
+    return min(int(u * n), n - 1)
 
 
 @dataclass(frozen=True)
@@ -182,13 +201,23 @@ def clamp_to_bounds(position: Array, space: SearchSpace, mode: str = "clamp") ->
     x = np.asarray(position, dtype=float)
     if x.shape != (space.dim,):
         raise ValueError(f"position has shape {x.shape}, expected ({space.dim},)")
-    if mode == "clamp":
-        return np.clip(x, space.lower, space.upper)
+    return bound_position(x, space.lower, space.upper, mode)
+
+
+def bound_position(x: Array, lower: Array, upper: Array, mode: str) -> Array:
+    """Core of :func:`clamp_to_bounds` for the optimizers' loops, which pass
+    the box's bounds and a position of the right shape.
+
+    ``np.minimum(np.maximum(x, lower), upper)`` returns the bytes of
+    ``np.clip(x, lower, upper)``, signed zeros and NaN included, without
+    ``np.clip``'s Python-level dispatch.
+    """
     if mode == "reflect":
-        mirrored = np.where(x > space.upper, space.upper - (x - space.upper), x)
-        mirrored = np.where(x < space.lower, space.lower + (space.lower - x), mirrored)
-        return np.clip(mirrored, space.lower, space.upper)
-    raise ConfigurationError(f"unknown bound mode {mode!r}")
+        mirrored = np.where(x > upper, upper - (x - upper), x)
+        x = np.where(x < lower, lower + (lower - x), mirrored)
+    elif mode != "clamp":
+        raise ConfigurationError(f"unknown bound mode {mode!r}")
+    return np.minimum(np.maximum(x, lower), upper)
 
 
 def greedy_replace(old: Agent, candidate: Agent) -> Agent:

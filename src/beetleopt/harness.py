@@ -17,6 +17,7 @@ function, run) before emission, and number formatting is fixed.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -192,13 +193,22 @@ def _execute_args(args) -> RunRecord:
     return execute_run(algorithm, function, config)
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``jobs`` requested over ``tasks`` runs.
+
+    Never more than the CPUs or the runs there are; 1 means the serial path.
+    """
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+
+
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     """Execute every cell x run of the plan.
 
     Cells are independent, so ``jobs > 1`` fans runs out to worker
-    processes; results are merged by (algorithm, function, run) and are
-    identical regardless of scheduling.  A failing run is recorded and
-    skipped rather than aborting the experiment.
+    processes (at most :func:`worker_count` of them); results are merged by
+    (algorithm, function, run) and are identical regardless of scheduling.
+    A failing run is recorded and skipped rather than aborting the
+    experiment.
     """
     tasks = [
         (algorithm, function, plan.config_for(algorithm, function, run_index))
@@ -208,7 +218,8 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     records: List[RunRecord] = []
     failures: List[Tuple[str, str, int, str]] = []
 
-    if jobs <= 1:
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
         outcomes = []
         for task in tasks:
             try:
@@ -216,7 +227,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
             except Exception as exc:  # recorded, not fatal
                 outcomes.append(exc)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_args, task) for task in tasks]
             outcomes = []
             for future in futures:
@@ -372,13 +383,14 @@ def run_and_emit(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
         emit_convergence(result.records, plan.out_dir)
         emit_summary(result.records, plan.out_dir, plan.rank_statistic)
     if result.failures:
-        lines = [
-            f"{algorithm},{function},{run_index},{message}"
-            for algorithm, function, run_index, message in result.failures
-        ]
+        # imported here: only an experiment with failures needs it
+        import csv
+
         failures_path = Path(plan.out_dir) / "failures.csv"
         failures_path.parent.mkdir(parents=True, exist_ok=True)
-        failures_path.write_text(
-            "algorithm,function,run,error\n" + "\n".join(lines) + "\n", encoding="utf-8"
-        )
+        with failures_path.open("w", encoding="utf-8", newline="") as fh:
+            # quoting keeps a message with commas or newlines in one field
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("algorithm", "function", "run", "error"))
+            writer.writerows(result.failures)
     return result

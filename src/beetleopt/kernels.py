@@ -51,7 +51,12 @@ def circle_intersection_area(pair: CirclePair) -> float:
     arguments and the root are clipped against rounding at the case
     boundaries.
     """
-    big, small, d = pair.radius_a, pair.radius_b, pair.distance
+    return lens_area(pair.radius_a, pair.radius_b, pair.distance)
+
+
+def lens_area(big: float, small: float, d: float) -> float:
+    """Unchecked core of :func:`circle_intersection_area` for radii and a
+    distance already known to be finite and >= 0."""
     if d >= big + small:
         return 0.0
     if d <= abs(big - small):
@@ -79,7 +84,7 @@ def sinusoidal_map(x):
 
 
 def chebyshev_map(x):
-    return np.cos(4.0 * np.arccos(np.clip(x, -1.0, 1.0)))
+    return np.cos(4.0 * np.arccos(np.minimum(np.maximum(x, -1.0), 1.0)))
 
 
 def circle_map(x):
@@ -100,7 +105,8 @@ def gauss_mouse_map(x):
 
 
 def tent_map(x):
-    out = np.where(np.asarray(x) < 0.7, np.asarray(x) / 0.7, (10.0 / 3.0) * (1.0 - np.asarray(x)))
+    x = np.asarray(x)
+    out = np.where(x < 0.7, x / 0.7, (10.0 / 3.0) * (1.0 - x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -111,14 +117,18 @@ def iterative_map(x):
     return float(out) if out.ndim == 0 else out
 
 
+# np.minimum(np.maximum(x, low), high) is np.clip(x, low, high) without its
+# Python-level dispatch, which dominates the cost of a scalar step.
+
+
 def guard_unit(x):
     """Pin a unit-interval iterate into [guard, 1 - guard]."""
-    return np.clip(x, CHAOS_DOMAIN_GUARD, 1.0 - CHAOS_DOMAIN_GUARD)
+    return np.minimum(np.maximum(x, CHAOS_DOMAIN_GUARD), 1.0 - CHAOS_DOMAIN_GUARD)
 
 
 def guard_signed(x):
     """Pin a signed iterate into [-1, 1], lifting exact zeros off the origin."""
-    x = np.clip(x, -1.0, 1.0)
+    x = np.minimum(np.maximum(x, -1.0), 1.0)
     out = np.where(np.abs(np.asarray(x)) < CHAOS_DOMAIN_GUARD, CHAOS_DOMAIN_GUARD, x)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -144,21 +154,30 @@ class ChaosState:
     steps: int = 0
 
 
-def make_chaos(map_id: str, initial: float) -> ChaosState:
-    """Start a chaos trajectory, guarding the seed into the map's domain."""
+def chaos_map(map_id: str):
+    """The (step function, guard) pair of a named map."""
     if map_id not in CHAOS_MAPS:
         raise ConfigurationError(f"unknown chaos map {map_id!r}; known: {sorted(CHAOS_MAPS)}")
-    _, guard, _ = CHAOS_MAPS[map_id]
+    fn, guard, _ = CHAOS_MAPS[map_id]
+    return fn, guard
+
+
+def make_chaos(map_id: str, initial: float) -> ChaosState:
+    """Start a chaos trajectory, guarding the seed into the map's domain."""
+    _, guard = chaos_map(map_id)
     return ChaosState(map_id, float(guard(initial)), 0)
+
+
+def advance_chaos(fn, guard, value: float) -> float:
+    """One guarded step of a map taken from :func:`chaos_map`."""
+    # float64 in, so scalar steps round exactly like vectorized ones
+    return float(guard(fn(np.float64(value))))
 
 
 def chaos_next(state: ChaosState) -> ChaosState:
     """Advance the map one step; the iterate stays inside its domain."""
-    if state.map_id not in CHAOS_MAPS:
-        raise ConfigurationError(f"unknown chaos map {state.map_id!r}")
-    fn, guard, _ = CHAOS_MAPS[state.map_id]
-    # float64 in, so scalar steps round exactly like vectorized ones
-    return ChaosState(state.map_id, float(guard(fn(np.float64(state.value)))), state.steps + 1)
+    fn, guard = chaos_map(state.map_id)
+    return ChaosState(state.map_id, advance_chaos(fn, guard, state.value), state.steps + 1)
 
 
 def spray(chaos_value: float, iteration: int, max_iterations: int, exponent_sign: float = 1.0) -> float:
@@ -172,7 +191,17 @@ def spray(chaos_value: float, iteration: int, max_iterations: int, exponent_sign
         raise ConfigurationError("max_iterations must be >= 1")
     if not 1 <= iteration <= max_iterations:
         raise ConfigurationError(f"iteration must be in [1, {max_iterations}], got {iteration}")
-    growth = SPRAY_BASE ** (exponent_sign * SPRAY_EXPONENT_SCALE * iteration / max_iterations)
+    return spray_divisor(chaos_value, spray_growth(iteration, max_iterations, exponent_sign))
+
+
+def spray_growth(iteration: int, max_iterations: int, exponent_sign: float = 1.0) -> float:
+    """The schedule factor ``2.7**(100 * iteration / max_iterations)`` of :func:`spray`,
+    shared by every agent of one iteration."""
+    return SPRAY_BASE ** (exponent_sign * SPRAY_EXPONENT_SCALE * iteration / max_iterations)
+
+
+def spray_divisor(chaos_value: float, growth: float) -> float:
+    """``|chaos| * growth`` floored at ``SPRAY_FLOOR`` (see :func:`spray`)."""
     return max(abs(chaos_value) * growth, SPRAY_FLOOR)
 
 
@@ -196,7 +225,12 @@ class LiftParams:
 
 def lift(p: LiftParams) -> float:
     """Lift magnitude ``LC * 0.5 * rho * V**2 * A``."""
-    return p.coefficient * 0.5 * p.air_density * p.velocity ** 2 * p.wing_area
+    return lift_magnitude(p.coefficient, p.air_density, p.velocity, p.wing_area)
+
+
+def lift_magnitude(coefficient: float, air_density: float, velocity: float, wing_area: float) -> float:
+    """Unchecked core of :func:`lift` for inputs known to be finite and >= 0."""
+    return coefficient * 0.5 * air_density * velocity ** 2 * wing_area
 
 
 def escape_step(lift_value: float, space: SearchSpace, iteration: int) -> Array:
@@ -207,4 +241,10 @@ def escape_step(lift_value: float, space: SearchSpace, iteration: int) -> Array:
     """
     if iteration < 1:
         raise ConfigurationError("escape_step needs iteration >= 1")
-    return lift_value * space.width / iteration
+    return escape_hop(lift_value, space.width, iteration)
+
+
+def escape_hop(lift_value: float, width: Array, iteration: int) -> Array:
+    """Unchecked core of :func:`escape_step`, given the box width."""
+    # this order of operations is part of the seeded results
+    return lift_value * width / iteration

@@ -8,6 +8,7 @@ are then summed and averaged across a block of functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -79,14 +80,16 @@ def rank_functions(
     """Rank algorithms on one function; equal statistics share a dense rank.
 
     Rank 1 goes to the smallest value of the chosen statistic; ties share
-    the rank and the next distinct value gets the next integer.
+    the rank and the next distinct value gets the next integer.  Non-finite
+    statistics (NaN, +-inf) rank after every finite one and share that last
+    rank.
     """
     if statistic not in RANK_STATISTICS:
         raise ValueError(f"rank statistic must be one of {RANK_STATISTICS}, got {statistic!r}")
     values = {algo: getattr(row, statistic) for algo, row in summaries.items()}
-    distinct = sorted(set(values.values()))
+    distinct = sorted({v for v in values.values() if math.isfinite(v)})
     position = {v: i + 1 for i, v in enumerate(distinct)}
-    ranks = {algo: position[v] for algo, v in values.items()}
+    ranks = {algo: position.get(v, len(distinct) + 1) for algo, v in values.items()}
     for algo, row in summaries.items():
         row.rank = ranks[algo]
     return ranks

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from beetleopt.harness import (
     run_and_emit,
     run_experiment,
     summarize_cells,
+    worker_count,
 )
 
 
@@ -135,6 +138,53 @@ class TestRunExperiment:
         assert len(result.failures) == 2  # pso seed-8 run on both functions
         assert len(result.records) == 6
         assert all(message == "boom" for *_key, message in result.failures)
+
+    def test_failure_message_with_comma_and_newline_stays_one_field(self, tmp_path, monkeypatch):
+        import beetleopt.harness as harness
+
+        real = harness.execute_run
+
+        def failing_bbo(algorithm, function, config):
+            if algorithm == "bbo":
+                raise ValueError("a,b\nc")
+            return real(algorithm, function, config)
+
+        monkeypatch.setattr(harness, "execute_run", failing_bbo)
+        run_and_emit(tiny_plan(out_dir=str(tmp_path)))
+        with open(tmp_path / "failures.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["algorithm", "function", "run", "error"],
+            ["bbo", "f1", "0", "a,b\nc"],
+            ["bbo", "f1", "1", "a,b\nc"],
+            ["bbo", "f16", "0", "a,b\nc"],
+            ["bbo", "f16", "1", "a,b\nc"],
+        ]
+
+
+class TestWorkerCount:
+    def test_bounded_by_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert worker_count(2, 21) == 2
+        assert worker_count(64, 21) == 2
+        assert worker_count(64, 1) == 1
+        assert worker_count(1, 21) == 1
+        assert worker_count(0, 21) == 1
+        assert worker_count(2, 0) == 1
+
+    def test_unknown_cpu_count_means_serial(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert worker_count(8, 21) == 1
+
+    def test_single_worker_takes_the_serial_path(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        result = run_experiment(tiny_plan(algorithms=("pso",), functions=("f1",), runs=1), jobs=64)
+        assert len(result.records) == 1 and not result.failures
 
 
 class TestEmission:

@@ -168,6 +168,14 @@ class TestRankFunctions:
             assert aggregate[algo]["sum_rank"] == total
             assert aggregate[algo]["mean_rank"] == pytest.approx(total / 5)
 
+    def test_non_finite_values_rank_last_as_one_tie(self):
+        nan = float("nan")
+        rows = {
+            algo: SummaryRow(best=v, mean=v, worst=v, std=0.0)
+            for algo, v in {"a": nan, "b": 1.0, "c": nan, "d": 0.5, "e": math.inf}.items()
+        }
+        assert rank_functions(rows, "best") == {"a": 3, "b": 2, "c": 3, "d": 1, "e": 3}
+
     def test_mismatched_algorithms_rejected(self):
         with pytest.raises(ValueError):
             aggregate_ranks({"f1": {"a": 1}, "f2": {"b": 1}})
