@@ -18,26 +18,26 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from . import kernels
 from .core import (
+    MIN_POPULATION,
     Agent,
     Array,
     ConfigurationError,
     ContractViolation,
-    EvalCounter,
     Objective,
     Population,
     RandomStream,
     RunConfig,
     SearchSpace,
-    bind_objective,
     bound_position,
-    initialize_population,
-    update_best,
+    consider_best,
+    drive,
+    prepare_run,
 )
 from .stats import RunRecord
 
@@ -82,37 +82,6 @@ BTO_RING_AREA = BTO_TRIANGLE_AREA - math.pi / 4.0
 GSA_G0 = 1.0
 GSA_ALPHA = 20.0
 _GSA_EPS = 1e-12
-
-
-def _prepare(config: RunConfig, objective, space: Optional[SearchSpace]):
-    """Common run prologue: stream, bound objective, evaluated population."""
-    if space is None and hasattr(objective, "space"):
-        space = objective.space()
-    if space is None:
-        raise ConfigurationError("a search space is required for a plain objective")
-    rng = RandomStream(config.seed)
-    counter = EvalCounter(bind_objective(objective, rng))
-    pop = initialize_population(space, config.population, rng)
-    for agent in pop.agents:
-        agent.fitness = counter(agent.position)
-    update_best(pop)
-    return space, rng, counter, pop
-
-
-def _record(algorithm: str, config: RunConfig, trace: Array, counter: EvalCounter) -> RunRecord:
-    return RunRecord(
-        algorithm=algorithm,
-        benchmark=config.benchmark or "custom",
-        seed=config.seed,
-        trace=trace,
-        final_best=float(trace[-1]),
-        evaluations=counter.n,
-    )
-
-
-def _consider_best(pop: Population, agent: Agent) -> None:
-    if pop.best is None or agent.fitness < pop.best.fitness:
-        pop.best = agent.copy()
 
 
 def _three_leaders(pop: Population) -> List[Agent]:
@@ -190,13 +159,13 @@ def pso_step(state: PSOState, objective: Objective, space: SearchSpace, rng: Ran
         pop.agents[i] = moved
         if moved.fitness < state.personal_best[i].fitness:
             state.personal_best[i] = moved.copy()
-        _consider_best(pop, moved)
+        consider_best(pop, moved)
     state.iteration = t
     return state
 
 
 def run_pso(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = _prepare(config, objective, space)
+    space, rng, counter, pop = prepare_run("pso", config, objective, space)
     state = PSOState(
         population=pop,
         velocities=[np.zeros(space.dim) for _ in pop.agents],
@@ -204,11 +173,7 @@ def run_pso(config: RunConfig, objective, space: SearchSpace = None) -> RunRecor
         max_iterations=config.iterations,
         bound_mode=config.bound_mode,
     )
-    trace = np.empty(config.iterations, dtype=float)
-    for t in range(config.iterations):
-        pso_step(state, counter, space, rng)
-        trace[t] = pop.best.fitness
-    return _record("pso", config, trace, counter)
+    return drive("pso", config, pso_step, state, counter, space, rng)
 
 
 # --- sperm swarm ------------------------------------------------------------
@@ -282,13 +247,13 @@ def sso_step(state: SSOState, objective: Objective, space: SearchSpace, rng: Ran
         pop.agents[i] = moved
         if moved.fitness < state.personal_best[i].fitness:
             state.personal_best[i] = moved.copy()
-        _consider_best(pop, moved)
+        consider_best(pop, moved)
     state.iteration += 1
     return state
 
 
 def run_sso(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = _prepare(config, objective, space)
+    space, rng, counter, pop = prepare_run("sso", config, objective, space)
     state = SSOState(
         population=pop,
         velocities=[np.zeros(space.dim) for _ in pop.agents],
@@ -296,11 +261,7 @@ def run_sso(config: RunConfig, objective, space: SearchSpace = None) -> RunRecor
         max_iterations=config.iterations,
         bound_mode=config.bound_mode,
     )
-    trace = np.empty(config.iterations, dtype=float)
-    for t in range(config.iterations):
-        sso_step(state, counter, space, rng)
-        trace[t] = pop.best.fitness
-    return _record("sso", config, trace, counter)
+    return drive("sso", config, sso_step, state, counter, space, rng)
 
 
 # --- grey wolf --------------------------------------------------------------
@@ -337,8 +298,8 @@ def gwo_candidate(
 
 def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> GWOState:
     pop = state.population
-    if len(pop) < 3:
-        raise ConfigurationError("grey-wolf needs a population of at least 3")
+    if len(pop) < MIN_POPULATION["gwo"]:
+        raise ConfigurationError(f"gwo needs a population of at least {MIN_POPULATION['gwo']}")
     t = state.iteration + 1
     coefficient = 2.0 - (t - 1) * 2.0 / state.max_iterations
     lower, upper, mode = space.lower, space.upper, state.bound_mode
@@ -355,26 +316,20 @@ def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: Ran
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         _insert_leader(state.leaders, moved)
-        _consider_best(pop, moved)
+        consider_best(pop, moved)
     state.iteration = t
     return state
 
 
 def run_gwo(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    if config.population < 3:
-        raise ConfigurationError("grey-wolf needs a population of at least 3")
-    space, rng, counter, pop = _prepare(config, objective, space)
+    space, rng, counter, pop = prepare_run("gwo", config, objective, space)
     state = GWOState(
         population=pop,
         leaders=_three_leaders(pop),
         max_iterations=config.iterations,
         bound_mode=config.bound_mode,
     )
-    trace = np.empty(config.iterations, dtype=float)
-    for t in range(config.iterations):
-        gwo_step(state, counter, space, rng)
-        trace[t] = pop.best.fitness
-    return _record("gwo", config, trace, counter)
+    return drive("gwo", config, gwo_step, state, counter, space, rng)
 
 
 # --- chernobyl disaster -----------------------------------------------------
@@ -464,26 +419,20 @@ def cdo_step(state: CDOState, objective: Objective, space: SearchSpace, rng: Ran
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         _insert_leader(state.leaders, moved)
-        _consider_best(pop, moved)
+        consider_best(pop, moved)
     state.iteration = t
     return state
 
 
 def run_cdo(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    if config.population < 3:
-        raise ConfigurationError("chernobyl-disaster needs a population of at least 3")
-    space, rng, counter, pop = _prepare(config, objective, space)
+    space, rng, counter, pop = prepare_run("cdo", config, objective, space)
     state = CDOState(
         population=pop,
         leaders=_three_leaders(pop),
         max_iterations=config.iterations,
         bound_mode=config.bound_mode,
     )
-    trace = np.empty(config.iterations, dtype=float)
-    for t in range(config.iterations):
-        cdo_step(state, counter, space, rng)
-        trace[t] = pop.best.fitness
-    return _record("cdo", config, trace, counter)
+    return drive("cdo", config, cdo_step, state, counter, space, rng)
 
 
 # --- bermuda triangle -------------------------------------------------------
@@ -569,25 +518,21 @@ def bto_step(state: BTOState, objective: Objective, space: SearchSpace, rng: Ran
         moved = Agent(bound_position(pulled * anchor, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
-        _consider_best(pop, moved)
+        consider_best(pop, moved)
     state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + len(pop))
     state.iteration = t0 + 1
     return state
 
 
 def run_bto(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = _prepare(config, objective, space)
+    space, rng, counter, pop = prepare_run("bto", config, objective, space)
     state = BTOState(
         population=pop,
         chaos=kernels.make_chaos(config.chaos_map, rng.uniform()),
         max_iterations=config.iterations,
         bound_mode=config.bound_mode,
     )
-    trace = np.empty(config.iterations, dtype=float)
-    for t in range(config.iterations):
-        bto_step(state, counter, space, rng)
-        trace[t] = pop.best.fitness
-    return _record("bto", config, trace, counter)
+    return drive("bto", config, bto_step, state, counter, space, rng)
 
 
 # --- gravitational search ---------------------------------------------------
@@ -676,21 +621,17 @@ def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: Ran
         moved = Agent(bound_position(positions[i] + velocity, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
-        _consider_best(pop, moved)
+        consider_best(pop, moved)
     state.iteration = t0 + 1
     return state
 
 
 def run_gsa(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = _prepare(config, objective, space)
+    space, rng, counter, pop = prepare_run("gsa", config, objective, space)
     state = GSAState(
         population=pop,
         velocities=[np.zeros(space.dim) for _ in pop.agents],
         max_iterations=config.iterations,
         bound_mode=config.bound_mode,
     )
-    trace = np.empty(config.iterations, dtype=float)
-    for t in range(config.iterations):
-        gsa_step(state, counter, space, rng)
-        trace[t] = pop.best.fitness
-    return _record("gsa", config, trace, counter)
+    return drive("gsa", config, gsa_step, state, counter, space, rng)

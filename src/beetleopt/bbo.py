@@ -16,27 +16,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 from .core import (
     Agent,
     Array,
     ConfigurationError,
     ContractViolation,
-    EvalCounter,
     Objective,
     Population,
     RandomStream,
     RunConfig,
     SearchSpace,
-    bind_objective,
     bound_position,
+    consider_best,
+    drive,
     greedy_replace,
     index_from_uniform,
-    initialize_population,
+    prepare_run,
     signs_from_uniform,
-    update_best,
 )
 from .stats import RunRecord
 
@@ -101,11 +98,6 @@ class BBOState:
     bound_mode: str = "clamp"
 
 
-def _consider_best(pop: Population, agent: Agent) -> None:
-    if pop.best is None or agent.fitness < pop.best.fitness:
-        pop.best = agent.copy()
-
-
 def bbo_iteration(
     state: BBOState, objective: Objective, space: SearchSpace, rng: RandomStream
 ) -> BBOState:
@@ -147,7 +139,7 @@ def bbo_iteration(
         candidate.fitness = objective(candidate.position)
         agent = greedy_replace(agent, candidate)
         pop.agents[i] = agent
-        _consider_best(pop, agent)
+        consider_best(pop, agent)
 
         # Escape: signed per-dimension hop whose size decays with time.
         u = rng.uniform(size=escape_draws)
@@ -157,7 +149,7 @@ def bbo_iteration(
         candidate.fitness = objective(candidate.position)
         agent = greedy_replace(agent, candidate)
         pop.agents[i] = agent
-        _consider_best(pop, agent)
+        consider_best(pop, agent)
 
     state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + n)
     state.iteration = t
@@ -172,19 +164,7 @@ def bbo_run(config: RunConfig, objective, space: SearchSpace = None) -> RunRecor
     on top of the ``N`` initial ones.  The chaos trajectory is seeded with
     one uniform draw taken right after the initial evaluations.
     """
-    if space is None and hasattr(objective, "space"):
-        space = objective.space()
-    if space is None:
-        raise ConfigurationError("a search space is required for a plain objective")
-
-    rng = RandomStream(config.seed)
-    counter = EvalCounter(bind_objective(objective, rng))
-
-    pop = initialize_population(space, config.population, rng)
-    for agent in pop.agents:
-        agent.fitness = counter(agent.position)
-    update_best(pop)
-
+    space, rng, counter, pop = prepare_run("bbo", config, objective, space)
     state = BBOState(
         population=pop,
         chaos=kernels.make_chaos(config.chaos_map, rng.uniform()),
@@ -192,17 +172,4 @@ def bbo_run(config: RunConfig, objective, space: SearchSpace = None) -> RunRecor
         predator_mode=config.predator_mode,
         bound_mode=config.bound_mode,
     )
-
-    trace = np.empty(config.iterations, dtype=float)
-    for t in range(config.iterations):
-        bbo_iteration(state, counter, space, rng)
-        trace[t] = pop.best.fitness
-
-    return RunRecord(
-        algorithm="bbo",
-        benchmark=config.benchmark or "custom",
-        seed=config.seed,
-        trace=trace,
-        final_best=float(trace[-1]),
-        evaluations=counter.n,
-    )
+    return drive("bbo", config, bbo_iteration, state, counter, space, rng)

@@ -8,6 +8,11 @@ uniform noise per evaluation, drawn from the owning run's stream.
 ``REPORTED_OPTIMA`` keeps the rounded target values commonly quoted for
 these functions; ``known_optimum`` returns the sharper value obtained by
 evaluating each function at its recorded argmin.
+
+Each function takes one 1-D float vector.  Reductions call the ufunc loops
+directly (``np.add.reduce``, ``np.multiply.reduce``, ``np.maximum.reduce``):
+for a vector these are the loops ``np.sum``, ``np.prod`` and ``np.max`` run,
+so the values are the same bits, without those functions' Python wrappers.
 """
 
 from __future__ import annotations
@@ -29,50 +34,50 @@ def penalty_u(z, a: float, k: float, m_exp: float):
 
 
 def sphere(z):
-    return float(np.sum(z * z))
+    return float(np.add.reduce(z * z))
 
 
 def schwefel_222(z):
     a = np.abs(z)
-    return float(np.sum(a) + np.prod(a))
+    return float(np.add.reduce(a) + np.multiply.reduce(a))
 
 
 def schwefel_12(z):
     c = np.cumsum(z)
-    return float(np.sum(c * c))
+    return float(np.add.reduce(c * c))
 
 
 def schwefel_221(z):
-    return float(np.max(np.abs(z)))
+    return float(np.maximum.reduce(np.abs(z)))
 
 
 def rosenbrock(z):
-    return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (z[:-1] - 1.0) ** 2))
+    return float(np.add.reduce(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (z[:-1] - 1.0) ** 2))
 
 
 def step(z):
-    return float(np.sum(np.floor(z + 0.5) ** 2))
+    return float(np.add.reduce(np.floor(z + 0.5) ** 2))
 
 
 def quartic(z):
     """Weighted quartic without its noise term (the registry entry adds it)."""
     i = np.arange(1, z.size + 1)
-    return float(np.sum(i * z ** 4))
+    return float(np.add.reduce(i * z ** 4))
 
 
 def schwefel(z):
-    return float(np.sum(-z * np.sin(np.sqrt(np.abs(z)))))
+    return float(np.add.reduce(-z * np.sin(np.sqrt(np.abs(z)))))
 
 
 def rastrigin(z):
-    return float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0))
+    return float(np.add.reduce(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0))
 
 
 def ackley(z):
     d = z.size
     return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(z * z) / d))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * z)) / d)
+        -20.0 * np.exp(-0.2 * np.sqrt(np.add.reduce(z * z) / d))
+        - np.exp(np.add.reduce(np.cos(2.0 * np.pi * z)) / d)
         + 20.0
         + np.e
     )
@@ -80,23 +85,23 @@ def ackley(z):
 
 def griewank(z):
     i = np.arange(1, z.size + 1)
-    return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / np.sqrt(i))) + 1.0)
+    return float(np.add.reduce(z * z) / 4000.0 - np.multiply.reduce(np.cos(z / np.sqrt(i))) + 1.0)
 
 
 def penalized_1(z):
     d = z.size
     y = 1.0 + (z + 1.0) / 4.0
     core = 10.0 * np.sin(np.pi * y[0]) ** 2
-    core += np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
+    core += np.add.reduce((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
     core += (y[-1] - 1.0) ** 2
-    return float(np.pi / d * core + np.sum(penalty_u(z, 10.0, 100.0, 4.0)))
+    return float(np.pi / d * core + np.add.reduce(penalty_u(z, 10.0, 100.0, 4.0)))
 
 
 def penalized_2(z):
     core = np.sin(3.0 * np.pi * z[0]) ** 2
-    core += np.sum((z[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[1:]) ** 2))
+    core += np.add.reduce((z[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[1:]) ** 2))
     core += (z[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * z[-1]) ** 2)
-    return float(0.1 * core + np.sum(penalty_u(z, 5.0, 100.0, 4.0)))
+    return float(0.1 * core + np.add.reduce(penalty_u(z, 5.0, 100.0, 4.0)))
 
 
 _FOXHOLES_A = np.array(
@@ -110,7 +115,7 @@ _FOXHOLES_A = np.array(
 
 def foxholes(z):
     sixth = (z[0] - _FOXHOLES_A[0]) ** 6 + (z[1] - _FOXHOLES_A[1]) ** 6
-    return float(1.0 / (1.0 / 500.0 + np.sum(1.0 / (np.arange(1, 26) + sixth))))
+    return float(1.0 / (1.0 / 500.0 + np.add.reduce(1.0 / (np.arange(1, 26) + sixth))))
 
 
 _KOWALIK_A = np.array(
@@ -121,7 +126,7 @@ _KOWALIK_B = 1.0 / np.array([0.25, 0.5, 1, 2, 4, 6, 8, 10, 12, 14, 16], dtype=fl
 
 def kowalik(z):
     model = z[0] * (_KOWALIK_B ** 2 + _KOWALIK_B * z[1]) / (_KOWALIK_B ** 2 + _KOWALIK_B * z[2] + z[3])
-    return float(np.sum((_KOWALIK_A - model) ** 2))
+    return float(np.add.reduce((_KOWALIK_A - model) ** 2))
 
 
 def six_hump_camel(z):
@@ -175,13 +180,13 @@ _HARTMAN6_P = np.array(
 
 
 def hartman_3(z):
-    inner = np.sum(_HARTMAN3_A * (z - _HARTMAN3_P) ** 2, axis=1)
-    return float(-np.sum(_HARTMAN_C * np.exp(-inner)))
+    inner = np.add.reduce(_HARTMAN3_A * (z - _HARTMAN3_P) ** 2, axis=1)
+    return float(-np.add.reduce(_HARTMAN_C * np.exp(-inner)))
 
 
 def hartman_6(z):
-    inner = np.sum(_HARTMAN6_A * (z - _HARTMAN6_P) ** 2, axis=1)
-    return float(-np.sum(_HARTMAN_C * np.exp(-inner)))
+    inner = np.add.reduce(_HARTMAN6_A * (z - _HARTMAN6_P) ** 2, axis=1)
+    return float(-np.add.reduce(_HARTMAN_C * np.exp(-inner)))
 
 
 _SHEKEL_A = np.array(
@@ -204,7 +209,7 @@ _SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
 
 def _shekel(z, m: int):
     diff = z - _SHEKEL_A[:m]
-    return float(-np.sum(1.0 / (np.sum(diff * diff, axis=1) + _SHEKEL_C[:m])))
+    return float(-np.add.reduce(1.0 / (np.add.reduce(diff * diff, axis=1) + _SHEKEL_C[:m])))
 
 
 def shekel_5(z):
@@ -245,6 +250,42 @@ class BenchmarkSpec:
 
     def evaluate(self, position: Array, rng: Optional[RandomStream] = None) -> float:
         return evaluate(self, position, rng)
+
+    def bind(self, rng: RandomStream) -> "BoundEvaluator":
+        """This function bound to one run's stream, counting its calls."""
+        return BoundEvaluator(self, rng)
+
+
+class BoundEvaluator:
+    """``f(x) -> float`` over one run's loop, with ``n`` counting the calls.
+
+    Same values and draws as :func:`evaluate`, in one Python frame: the
+    optimizers pass float64 positions they built themselves, so only the
+    shape check stays (a tuple compare) and ``np.asarray`` is skipped.  A
+    noisy function adds one ``rng.uniform()`` draw after its value, in the
+    slot :func:`evaluate` takes it.
+    """
+
+    __slots__ = ("n", "_id", "_shape", "_evaluator", "_rng")
+
+    def __init__(self, spec: BenchmarkSpec, rng: RandomStream):
+        if spec.noisy and rng is None:
+            raise ValueError(f"{spec.id} is noisy and needs the run's random stream")
+        self.n = 0
+        self._id = spec.id
+        self._shape = (spec.dim,)
+        self._evaluator = spec.evaluator
+        self._rng = rng if spec.noisy else None
+
+    def __call__(self, x: Array) -> float:
+        if x.shape != self._shape:
+            raise ValueError(
+                f"{self._id} expects a vector of length {self._shape[0]}, got shape {x.shape}"
+            )
+        self.n += 1
+        if self._rng is None:
+            return self._evaluator(x)
+        return float(self._evaluator(x) + self._rng.uniform())
 
 
 def evaluate(spec: BenchmarkSpec, position: Array, rng: Optional[RandomStream] = None) -> float:

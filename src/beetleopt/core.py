@@ -14,12 +14,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .stats import RunRecord
+
 Array = np.ndarray
 Objective = Callable[[Array], float]
 
 #: Experiment defaults shared by all algorithms.
 DEFAULT_POPULATION = 30
 DEFAULT_ITERATIONS = 1000
+
+#: Smallest population each algorithm runs with: gwo and cdo steer every
+#: agent by the three best, the others need two agents.
+MIN_POPULATION = {"cdo": 3, "sso": 2, "gsa": 2, "pso": 2, "bto": 2, "gwo": 3, "bbo": 2}
 
 BOUND_MODES = ("clamp", "reflect")
 PREDATOR_MODES = ("global-best", "random-agent")
@@ -244,6 +250,60 @@ def update_best(pop: Population) -> Population:
     if pop.best is None or leader.fitness < pop.best.fitness:
         pop.best = leader.copy()
     return pop
+
+
+def consider_best(pop: Population, agent: Agent) -> None:
+    """Make ``agent`` the best-so-far if it strictly improves on it."""
+    if pop.best is None or agent.fitness < pop.best.fitness:
+        pop.best = agent.copy()
+
+
+def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[SearchSpace]):
+    """Common run prologue: the stream, the counted objective and the
+    evaluated initial population, as ``(space, rng, counter, population)``.
+
+    A benchmark spec supplies the space when none is given.  A spec with
+    ``bind`` counts its own calls in one frame; anything else (a plain
+    callable, or an object with only ``evaluate(x, rng)``) is wrapped in an
+    :class:`EvalCounter`.  Either way the counter has ``n``.
+    """
+    minimum = MIN_POPULATION[algorithm]
+    if config.population < minimum:
+        raise ConfigurationError(f"{algorithm} needs a population of at least {minimum}")
+    if space is None and hasattr(objective, "space"):
+        space = objective.space()
+    if space is None:
+        raise ConfigurationError("a search space is required for a plain objective")
+    rng = RandomStream(config.seed)
+    if hasattr(objective, "bind"):
+        counter = objective.bind(rng)
+    else:
+        counter = EvalCounter(bind_objective(objective, rng))
+    pop = initialize_population(space, config.population, rng)
+    for agent in pop.agents:
+        agent.fitness = counter(agent.position)
+    update_best(pop)
+    return space, rng, counter, pop
+
+
+def drive(
+    algorithm: str, config: RunConfig, step, state, counter, space: SearchSpace, rng: RandomStream
+) -> RunRecord:
+    """Run ``step(state, counter, space, rng)`` once per iteration, recording
+    the best-so-far after each, and return the run's record."""
+    pop = state.population
+    trace = np.empty(config.iterations, dtype=float)
+    for t in range(config.iterations):
+        step(state, counter, space, rng)
+        trace[t] = pop.best.fitness
+    return RunRecord(
+        algorithm=algorithm,
+        benchmark=config.benchmark or "custom",
+        seed=config.seed,
+        trace=trace,
+        final_best=float(trace[-1]),
+        evaluations=counter.n,
+    )
 
 
 def bind_objective(objective, rng: RandomStream) -> Objective:

@@ -29,6 +29,7 @@ from .core import (
     BOUND_MODES,
     DEFAULT_ITERATIONS,
     DEFAULT_POPULATION,
+    MIN_POPULATION,
     PREDATOR_MODES,
     ConfigurationError,
     RunConfig,
@@ -112,9 +113,11 @@ def _parse_list(value: str, known: Sequence[str], what: str) -> Tuple[str, ...]:
     items = tuple(tok for tok in value.replace(",", " ").split() if tok)
     if not items:
         raise ValueError(f"empty {what} list")
-    for item in items:
+    for index, item in enumerate(items):
         if item not in known:
             raise ValueError(f"unknown {what} id {item!r}")
+        if item in items[:index]:
+            raise ValueError(f"duplicate {what} id {item!r}")
     return items
 
 
@@ -140,10 +143,12 @@ def parse_config(text: str) -> ExperimentPlan:
     Unknown keys, malformed values and unknown ids are all collected and
     reported together, each with its line number.  Keys left out keep their
     defaults (all algorithms, all functions, 10 runs of 30 agents for 1000
-    iterations).
+    iterations).  A population below an algorithm's ``MIN_POPULATION`` is
+    reported on the ``population`` line, whichever line lists the algorithms.
     """
     plan = ExperimentPlan()
     errors = []
+    population_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,7 +167,9 @@ def parse_config(text: str) -> ExperimentPlan:
             elif key == "runs":
                 plan.runs = _parse_positive_int(value, 1, "runs")
             elif key == "population":
-                plan.population = _parse_positive_int(value, 2, "population")
+                floor = min(MIN_POPULATION.values())
+                plan.population = _parse_positive_int(value, floor, "population")
+                population_line = lineno
             elif key == "iterations":
                 plan.iterations = _parse_positive_int(value, 1, "iterations")
             elif key == "chaos_map":
@@ -177,6 +184,13 @@ def parse_config(text: str) -> ExperimentPlan:
                 errors.append(f"line {lineno}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
+    short = [a for a in plan.algorithms if plan.population < MIN_POPULATION[a]]
+    if short:  # only a population line can go below the default
+        minimum = max(MIN_POPULATION[a] for a in short)
+        errors.append(
+            f"line {population_line}: population must be >= {minimum} for {' '.join(short)}, "
+            f"got {plan.population}"
+        )
     if errors:
         raise ConfigurationError("\n".join(errors))
     return plan
@@ -307,13 +321,21 @@ def _function_order(functions) -> List[str]:
 
 
 def emit_summary(records: Sequence[RunRecord], out_dir, rank_statistic: str = "best") -> List[Path]:
-    """Write the block summary tables (csv + aligned text) and ranks.csv."""
+    """Write the block summary tables (csv + aligned text) and ranks.csv.
+
+    Every algorithm with a record gets a column for every function with a
+    record; a cell without one prints ``NA`` and ranks last.
+    """
     if not records:
         raise ValueError("no records to emit")
     root = Path(out_dir) / "summary"
     root.mkdir(parents=True, exist_ok=True)
     table = summarize_cells(records)
     algorithms = _algorithms_in(records)
+    for rows in table.values():
+        for algorithm in algorithms:
+            # every run of this cell failed: NA statistics, ranked last
+            rows.setdefault(algorithm, SummaryRow(None, None, None, None))
 
     ranks_by_function: Dict[str, Dict[str, int]] = {}
     for function, rows in table.items():
@@ -379,9 +401,6 @@ def _write_block(root, block_name, functions, table, ranks_by_function, algorith
 def run_and_emit(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     """Execute the plan and write all artifacts under ``plan.out_dir``."""
     result = run_experiment(plan, jobs=jobs)
-    if result.records:
-        emit_convergence(result.records, plan.out_dir)
-        emit_summary(result.records, plan.out_dir, plan.rank_statistic)
     if result.failures:
         # imported here: only an experiment with failures needs it
         import csv
@@ -393,4 +412,7 @@ def run_and_emit(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("algorithm", "function", "run", "error"))
             writer.writerows(result.failures)
+    if result.records:
+        emit_convergence(result.records, plan.out_dir)
+        emit_summary(result.records, plan.out_dir, plan.rank_statistic)
     return result

@@ -170,8 +170,20 @@ def make_chaos(map_id: str, initial: float) -> ChaosState:
 
 def advance_chaos(fn, guard, value: float) -> float:
     """One guarded step of a map taken from :func:`chaos_map`."""
+    if fn is tent_map and guard is guard_unit:
+        return tent_step(value)
     # float64 in, so scalar steps round exactly like vectorized ones
     return float(guard(fn(np.float64(value))))
+
+
+def tent_step(value: float) -> float:
+    """``guard_unit(tent_map(value))`` in Python floats, the same bits.
+
+    ``max`` before ``min``, each with the iterate first, passes NaN through
+    as ``np.maximum`` and ``np.minimum`` do.
+    """
+    y = value / 0.7 if value < 0.7 else (10.0 / 3.0) * (1.0 - value)
+    return min(max(y, CHAOS_DOMAIN_GUARD), 1.0 - CHAOS_DOMAIN_GUARD)
 
 
 def chaos_next(state: ChaosState) -> ChaosState:

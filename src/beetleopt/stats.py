@@ -31,11 +31,14 @@ class RunRecord:
 
 @dataclass
 class SummaryRow:
-    """Statistics of one cell's repeated runs, plus its rank once assigned."""
+    """Statistics of one cell's repeated runs, plus its rank once assigned.
 
-    best: float
-    mean: float
-    worst: float
+    A cell with no completed run has ``None`` for every statistic.
+    """
+
+    best: Optional[float]
+    mean: Optional[float]
+    worst: Optional[float]
     std: Optional[float]
     rank: Optional[int] = None
 
@@ -81,13 +84,13 @@ def rank_functions(
 
     Rank 1 goes to the smallest value of the chosen statistic; ties share
     the rank and the next distinct value gets the next integer.  Non-finite
-    statistics (NaN, +-inf) rank after every finite one and share that last
-    rank.
+    statistics (NaN, +-inf) and missing ones (``None``) rank after every
+    finite one and share that last rank.
     """
     if statistic not in RANK_STATISTICS:
         raise ValueError(f"rank statistic must be one of {RANK_STATISTICS}, got {statistic!r}")
     values = {algo: getattr(row, statistic) for algo, row in summaries.items()}
-    distinct = sorted({v for v in values.values() if math.isfinite(v)})
+    distinct = sorted({v for v in values.values() if v is not None and math.isfinite(v)})
     position = {v: i + 1 for i, v in enumerate(distinct)}
     ranks = {algo: position.get(v, len(distinct) + 1) for algo, v in values.items()}
     for algo, row in summaries.items():

@@ -173,3 +173,51 @@ class TestEvaluatorContracts:
         samples = spec.lower + rng.random((200, spec.dim)) * (spec.upper - spec.lower)
         for x in samples:
             assert np.isfinite(spec.evaluator(x))
+
+
+def _bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+class TestBoundEvaluator:
+    @pytest.mark.parametrize("fid", ALL_IDS)
+    def test_matches_evaluate_bit_for_bit(self, fid):
+        spec = BENCHMARKS[fid]
+        bound_stream, plain_stream = RandomStream(19), RandomStream(19)
+        bound = spec.bind(bound_stream)
+        rng = np.random.default_rng(int(fid[1:]))
+        for x in spec.lower + rng.random((200, spec.dim)) * (spec.upper - spec.lower):
+            got = bound(x)
+            assert type(got) is float
+            assert _bits(got) == _bits(spec.evaluate(x, plain_stream))
+        # f7 drew once per call from each stream; the others never drew
+        assert bound_stream.uniform() == plain_stream.uniform()
+        assert bound.n == 200
+
+    @pytest.mark.parametrize("fid", ["f1", "f7", "f14", "f21"])
+    def test_wrong_shape_rejected_and_not_counted(self, fid):
+        spec = BENCHMARKS[fid]
+        bound = spec.bind(RandomStream(0))
+        for bad in (np.zeros(spec.dim + 1), np.zeros((1, spec.dim)), np.zeros(())):
+            with pytest.raises(ValueError, match=fid):
+                bound(bad)
+        assert bound.n == 0
+
+    def test_counts_every_call(self):
+        bound = BENCHMARKS["f16"].bind(RandomStream(0))
+        x = np.array([0.5, -0.25])
+        for expected in range(1, 8):
+            bound(x)
+            assert bound.n == expected
+
+    def test_noise_comes_from_the_bound_stream(self):
+        x = np.full(30, 0.3)
+        stub = StubStream([0.25, 0.5])
+        bound = BENCHMARKS["f7"].bind(stub)
+        assert bound(x) == benchmarks.quartic(x) + 0.25
+        assert bound(x) == benchmarks.quartic(x) + 0.5
+
+    def test_noisy_function_needs_a_stream(self):
+        with pytest.raises(ValueError, match="f7"):
+            BENCHMARKS["f7"].bind(None)
+        assert BENCHMARKS["f1"].bind(None)(np.zeros(30)) == 0.0

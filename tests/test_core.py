@@ -222,3 +222,67 @@ class TestRunConfig:
             RunConfig(algorithm="bbo", bound_mode="wrap")
         with pytest.raises(ConfigurationError):
             RunConfig(algorithm="bbo", predator_mode="self")
+
+
+class EvaluateOnly:
+    """A spec proxy with ``space`` and ``evaluate`` but no ``bind``, shaped
+    like a timing proxy that wraps a registry entry."""
+
+    def __init__(self, spec):
+        self._spec = spec
+        self.calls = 0
+
+    def space(self):
+        return self._spec.space()
+
+    def evaluate(self, position, rng=None):
+        self.calls += 1
+        return self._spec.evaluate(position, rng)
+
+
+class TestRunPrologue:
+    @pytest.mark.parametrize("fid", ["f7", "f15"])
+    def test_evaluate_only_objects_give_identical_records(self, fid):
+        from beetleopt.benchmarks import BENCHMARKS
+        from beetleopt.harness import ALGORITHMS
+
+        spec = BENCHMARKS[fid]
+        for algorithm, run in ALGORITHMS.items():
+            cfg = RunConfig(algorithm=algorithm, benchmark=fid, population=5, iterations=4, seed=9)
+            proxy = EvaluateOnly(spec)
+            direct, routed = run(cfg, spec), run(cfg, proxy)
+            assert direct.trace.tobytes() == routed.trace.tobytes(), algorithm
+            assert direct.final_best == routed.final_best
+            assert direct.evaluations == routed.evaluations == proxy.calls
+
+    def test_plain_callable_is_counted(self):
+        from beetleopt.baselines import run_pso
+
+        calls = []
+
+        def sphere(x):
+            calls.append(1)
+            return float(np.add.reduce(x * x))
+
+        cfg = RunConfig(algorithm="pso", population=4, iterations=3, seed=2)
+        record = run_pso(cfg, sphere, cube())
+        assert record.evaluations == len(calls) == 4 * (1 + 3)
+
+    @pytest.mark.parametrize("algorithm", ["gwo", "cdo"])
+    def test_three_leader_algorithms_reject_two_agents(self, algorithm):
+        from beetleopt.benchmarks import BENCHMARKS
+        from beetleopt.harness import ALGORITHMS
+
+        cfg = RunConfig(algorithm=algorithm, population=2, iterations=2, seed=1)
+        with pytest.raises(ConfigurationError, match="at least 3"):
+            ALGORITHMS[algorithm](cfg, BENCHMARKS["f1"])
+
+    def test_runs_read_the_population_table(self, monkeypatch):
+        from beetleopt import core
+        from beetleopt.benchmarks import BENCHMARKS
+        from beetleopt.harness import ALGORITHMS
+
+        monkeypatch.setitem(core.MIN_POPULATION, "pso", 5)
+        cfg = RunConfig(algorithm="pso", population=4, iterations=2, seed=1)
+        with pytest.raises(ConfigurationError, match="at least 5"):
+            ALGORITHMS["pso"](cfg, BENCHMARKS["f1"])

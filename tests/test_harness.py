@@ -17,6 +17,7 @@ from beetleopt.harness import (
     summarize_cells,
     worker_count,
 )
+from beetleopt.stats import rank_functions
 
 
 class TestParseConfig:
@@ -325,3 +326,66 @@ class TestCLI:
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "nope.txt")]) == 2
+
+
+class TestPlanEdges:
+    def test_duplicate_ids_rejected_with_line_number(self):
+        with pytest.raises(ConfigurationError, match="line 1: duplicate algorithm id 'bbo'"):
+            parse_config("algorithms = bbo pso bbo\nfunctions = f1\n")
+        with pytest.raises(ConfigurationError, match="line 2: duplicate function id 'f1'"):
+            parse_config("algorithms = bbo\nfunctions = f1, f1\nruns = 2\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "population = 2\n",
+            "algorithms = gwo bbo\npopulation = 2\n",
+            "population = 2\nalgorithms = pso cdo\n",
+        ],
+    )
+    def test_population_below_an_algorithms_minimum_rejected(self, text):
+        lineno = text.splitlines().index("population = 2") + 1
+        with pytest.raises(ConfigurationError, match=f"line {lineno}: population must be >= 3"):
+            parse_config(text)
+
+    def test_population_two_allowed_without_three_leader_algorithms(self):
+        plan = parse_config("population = 2\nalgorithms = bbo pso sso gsa bto\n")
+        assert plan.population == 2
+        result = run_experiment(
+            tiny_plan(algorithms=plan.algorithms, functions=("f16",), population=2, iterations=2)
+        )
+        assert not result.failures
+
+    def test_partial_failure_emits_na_cells_and_failures(self, tmp_path, monkeypatch):
+        import beetleopt.harness as harness
+
+        real = harness.execute_run
+
+        def bbo_fails_on_f1(algorithm, function, config):
+            if algorithm == "bbo" and function == "f1":
+                raise RuntimeError("boom")
+            return real(algorithm, function, config)
+
+        monkeypatch.setattr(harness, "execute_run", bbo_fails_on_f1)
+        result = run_and_emit(tiny_plan(out_dir=str(tmp_path)))
+        assert len(result.records) == 6 and len(result.failures) == 2
+
+        with open(tmp_path / "failures.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [["bbo", "f1", "0", "boom"], ["bbo", "f1", "1", "boom"]]
+
+        table = (tmp_path / "summary" / "f1-f7.csv").read_text(encoding="utf-8").splitlines()
+        assert table[0] == "function,statistic,pso,bbo"
+        for statistic in ("best", "mean", "worst", "std"):
+            (row,) = [line for line in table if line.startswith(f"f1,{statistic},")]
+            assert row.endswith(",NA") and row.count("NA") == 1
+        assert "f1,rank,1,2" in table
+
+        f16 = rank_functions(summarize_cells(result.records)["f16"], "best")
+        sum_ranks = {
+            line.split(",")[0]: int(line.split(",")[1])
+            for line in (tmp_path / "ranks.csv").read_text(encoding="utf-8").splitlines()[1:]
+        }
+        assert sum_ranks == {"pso": 1 + f16["pso"], "bbo": 2 + f16["bbo"]}
+        assert (tmp_path / "convergence" / "pso_f1.csv").exists()
+        assert not (tmp_path / "convergence" / "bbo_f1.csv").exists()

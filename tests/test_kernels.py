@@ -237,3 +237,40 @@ class TestEscapeStep:
     def test_iteration_zero_rejected(self):
         with pytest.raises(ConfigurationError):
             escape_step(1.0, self.space(), 0)
+
+
+class TestTentStep:
+    @staticmethod
+    def _reference(x):
+        return float(kernels.guard_unit(kernels.tent_map(np.float64(x))))
+
+    def test_matches_guarded_array_map_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        edges = [
+            0.7,
+            np.nextafter(0.7, 0.0),
+            np.nextafter(0.7, 1.0),
+            CHAOS_DOMAIN_GUARD,
+            1.0 - CHAOS_DOMAIN_GUARD,
+            0.0,
+            -0.0,
+            1.0,
+            # iterates that land next to and on the guards
+            CHAOS_DOMAIN_GUARD * 0.7,
+            1.0 - CHAOS_DOMAIN_GUARD * 0.3,
+            0.7 * (1.0 - CHAOS_DOMAIN_GUARD),
+        ]
+        inputs = [*rng.random(100_000).tolist(), *edges, -0.5, 1.5, math.inf, -math.inf]
+        for x in inputs:
+            got, want = np.float64(kernels.tent_step(float(x))), np.float64(self._reference(x))
+            assert got.view(np.uint64) == want.view(np.uint64), x
+
+    def test_nan_passes_through_like_the_array_map(self):
+        assert math.isnan(kernels.tent_step(math.nan))
+        assert math.isnan(self._reference(math.nan))
+
+    def test_advance_chaos_takes_the_scalar_step(self):
+        fn, guard = kernels.chaos_map("tent")
+        for x in (0.1, 0.7, 0.95, CHAOS_DOMAIN_GUARD):
+            assert kernels.advance_chaos(fn, guard, x) == kernels.tent_step(x)
+        assert chaos_next(make_chaos("tent", 0.7)).value == 1.0 - CHAOS_DOMAIN_GUARD

@@ -179,3 +179,15 @@ class TestRankFunctions:
     def test_mismatched_algorithms_rejected(self):
         with pytest.raises(ValueError):
             aggregate_ranks({"f1": {"a": 1}, "f2": {"b": 1}})
+
+
+class TestMissingCells:
+    def test_missing_cell_ranks_last_with_non_finite(self):
+        rows = {
+            "a": SummaryRow(best=2.0, mean=2.0, worst=2.0, std=None),
+            "b": SummaryRow(best=None, mean=None, worst=None, std=None),
+            "c": SummaryRow(best=1.0, mean=1.0, worst=1.0, std=None),
+            "d": SummaryRow(best=float("nan"), mean=float("nan"), worst=float("nan"), std=None),
+        }
+        assert rank_functions(rows, "best") == {"a": 2, "b": 3, "c": 1, "d": 3}
+        assert rows["b"].rank == 3
