@@ -504,10 +504,10 @@ def bto_step(state: BTOState, objective: Objective, space: SearchSpace, rng: Ran
     decay = bto_decay(t0, state.max_iterations)
     anchor = space.width * zone + space.lower
     lower, upper, mode = space.lower, space.upper, state.bound_mode
-    step_map, guard = kernels.chaos_map(state.chaos.map_id)
+    next_chaos = kernels.chaos_step(state.chaos.map_id)
     chaos = state.chaos.value
     for i in range(len(pop)):
-        chaos = kernels.advance_chaos(step_map, guard, chaos)
+        chaos = next_chaos(chaos)
         mass_center, mass_pulled, distance, acceleration_draw, prescience = rng.uniform(size=5).tolist()
         numerator = BTO_GRAVITATION * mass_center * mass_pulled
         gforce = numerator / (distance * distance) if distance > 0.0 else math.inf

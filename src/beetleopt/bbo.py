@@ -114,7 +114,7 @@ def bbo_iteration(
     n = len(pop)
     lower, upper, width = space.lower, space.upper, space.width
     mode = state.bound_mode
-    step_map, guard = kernels.chaos_map(state.chaos.map_id)
+    next_chaos = kernels.chaos_step(state.chaos.map_id)
     chaos = state.chaos.value
     growth = kernels.spray_growth(t, state.max_iterations)
     random_predator = state.predator_mode != "global-best"
@@ -128,7 +128,7 @@ def bbo_iteration(
         u = rng.uniform(size=defense_draws).tolist()
         area = kernels.lens_area(u[0], u[1], u[2])
         reaction = reaction_intensity(u[3], u[4])
-        chaos = kernels.advance_chaos(step_map, guard, chaos)
+        chaos = next_chaos(chaos)
         spray_value = kernels.spray_divisor(chaos, growth)
         if random_predator:
             predator = pop.agents[index_from_uniform(u[5], n)].position

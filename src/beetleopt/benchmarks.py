@@ -59,9 +59,16 @@ def step(z):
     return float(np.add.reduce(np.floor(z + 0.5) ** 2))
 
 
+# Per-call constants of the registry's dimension 30, built once; any other
+# length rebuilds them as before.  An integer index times a float vector
+# casts the index to float64 first, so float indices give the same bits.
+_INDEX_30 = np.arange(1.0, 31.0)
+_ROOT_INDEX_30 = np.sqrt(np.arange(1, 31))
+
+
 def quartic(z):
     """Weighted quartic without its noise term (the registry entry adds it)."""
-    i = np.arange(1, z.size + 1)
+    i = _INDEX_30 if z.size == 30 else np.arange(1, z.size + 1)
     return float(np.add.reduce(i * z ** 4))
 
 
@@ -84,8 +91,8 @@ def ackley(z):
 
 
 def griewank(z):
-    i = np.arange(1, z.size + 1)
-    return float(np.add.reduce(z * z) / 4000.0 - np.multiply.reduce(np.cos(z / np.sqrt(i))) + 1.0)
+    root_i = _ROOT_INDEX_30 if z.size == 30 else np.sqrt(np.arange(1, z.size + 1))
+    return float(np.add.reduce(z * z) / 4000.0 - np.multiply.reduce(np.cos(z / root_i)) + 1.0)
 
 
 def penalized_1(z):
@@ -111,21 +118,23 @@ _FOXHOLES_A = np.array(
     ],
     dtype=float,
 )
+_FOXHOLES_J = np.arange(1.0, 26.0)
 
 
 def foxholes(z):
     sixth = (z[0] - _FOXHOLES_A[0]) ** 6 + (z[1] - _FOXHOLES_A[1]) ** 6
-    return float(1.0 / (1.0 / 500.0 + np.add.reduce(1.0 / (np.arange(1, 26) + sixth))))
+    return float(1.0 / (1.0 / 500.0 + np.add.reduce(1.0 / (_FOXHOLES_J + sixth))))
 
 
 _KOWALIK_A = np.array(
     [0.1957, 0.1947, 0.1735, 0.16, 0.0844, 0.0627, 0.0456, 0.0342, 0.0323, 0.0235, 0.0246]
 )
 _KOWALIK_B = 1.0 / np.array([0.25, 0.5, 1, 2, 4, 6, 8, 10, 12, 14, 16], dtype=float)
+_KOWALIK_B2 = _KOWALIK_B ** 2
 
 
 def kowalik(z):
-    model = z[0] * (_KOWALIK_B ** 2 + _KOWALIK_B * z[1]) / (_KOWALIK_B ** 2 + _KOWALIK_B * z[2] + z[3])
+    model = z[0] * (_KOWALIK_B2 + _KOWALIK_B * z[1]) / (_KOWALIK_B2 + _KOWALIK_B * z[2] + z[3])
     return float(np.add.reduce((_KOWALIK_A - model) ** 2))
 
 
@@ -207,9 +216,14 @@ _SHEKEL_A = np.array(
 _SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
 
 
+#: m -> the first m rows of the Shekel data
+_SHEKEL_ROWS = {m: (_SHEKEL_A[:m], _SHEKEL_C[:m]) for m in (5, 7, 10)}
+
+
 def _shekel(z, m: int):
-    diff = z - _SHEKEL_A[:m]
-    return float(-np.add.reduce(1.0 / (np.add.reduce(diff * diff, axis=1) + _SHEKEL_C[:m])))
+    a, c = _SHEKEL_ROWS[m]
+    diff = z - a
+    return float(-np.add.reduce(1.0 / (np.add.reduce(diff * diff, axis=1) + c)))
 
 
 def shekel_5(z):
@@ -243,7 +257,17 @@ class BenchmarkSpec:
     noisy: bool = False
 
     def space(self) -> SearchSpace:
-        return SearchSpace.cube(self.dim, self.lower, self.upper)
+        """The function's box, built on the first call and shared by every
+        later one; its bounds are read-only."""
+        space = self.__dict__.get("_space")
+        if space is None:
+            space = SearchSpace.cube(self.dim, self.lower, self.upper)
+            space.lower.flags.writeable = False
+            space.upper.flags.writeable = False
+            # a frozen dataclass: the cache is not a field and takes no part
+            # in comparisons
+            object.__setattr__(self, "_space", space)
+        return space
 
     def argmin_array(self) -> Array:
         return np.asarray(self.argmin, dtype=float)

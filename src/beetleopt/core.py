@@ -191,11 +191,10 @@ def initialize_population(space: SearchSpace, n: int, rng: RandomStream) -> Popu
     """
     if n < 1:
         raise ConfigurationError("population size must be >= 1")
-    agents = []
-    for _ in range(n):
-        u = rng.uniform(size=space.dim)
-        agents.append(Agent(space.lower + u * space.width))
-    return Population(agents=agents, best=None)
+    # one block of n * dim draws is the agent-major sequence of n draws of dim
+    u = rng.uniform(size=n * space.dim).reshape(n, space.dim)
+    positions = space.lower + u * space.width
+    return Population(agents=[Agent(p) for p in positions], best=None)
 
 
 def clamp_to_bounds(position: Array, space: SearchSpace, mode: str = "clamp") -> Array:
@@ -217,13 +216,25 @@ def bound_position(x: Array, lower: Array, upper: Array, mode: str) -> Array:
     ``np.minimum(np.maximum(x, lower), upper)`` returns the bytes of
     ``np.clip(x, lower, upper)``, signed zeros and NaN included, without
     ``np.clip``'s Python-level dispatch.
+
+    ``reflect`` returns the bytes of mirroring every element beyond a bound
+    (``upper - (x - upper)``, ``lower + (lower - x)``) and clamping the
+    result.  When the clamp leaves every byte of ``x`` as it was, no element
+    lay outside and the clamp is that result.  Otherwise the clamp holds the
+    violated bound ``b`` wherever ``x`` moved, and ``b + (b - x)`` there is
+    the mirror's value bit for bit (``x - b`` is exactly ``-(b - x)``).
     """
-    if mode == "reflect":
-        mirrored = np.where(x > upper, upper - (x - upper), x)
-        x = np.where(x < lower, lower + (lower - x), mirrored)
-    elif mode != "clamp":
+    clamped = np.minimum(np.maximum(x, lower), upper)
+    if mode == "clamp":
+        return clamped
+    if mode != "reflect":
         raise ConfigurationError(f"unknown bound mode {mode!r}")
-    return np.minimum(np.maximum(x, lower), upper)
+    if clamped.tobytes() == x.tobytes():
+        return clamped
+    np.add(clamped, clamped - x, out=clamped, where=clamped != x)
+    # clamping an element twice keeps its first clamp's bytes
+    np.maximum(clamped, lower, out=clamped)
+    return np.minimum(clamped, upper, out=clamped)
 
 
 def greedy_replace(old: Agent, candidate: Agent) -> Agent:

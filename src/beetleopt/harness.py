@@ -308,8 +308,8 @@ def summarize_cells(records: Sequence[RunRecord]) -> Dict[str, Dict[str, Summary
     return table
 
 
-def _algorithms_in(records: Sequence[RunRecord]) -> List[str]:
-    present = {r.algorithm for r in records}
+def _algorithms_in(records: Sequence[RunRecord], planned: Sequence[str] = ()) -> List[str]:
+    present = {r.algorithm for r in records}.union(planned)
     ordered = [a for a in ALGORITHMS if a in present]
     ordered.extend(sorted(present - set(ALGORITHMS)))
     return ordered
@@ -320,18 +320,22 @@ def _function_order(functions) -> List[str]:
     return sorted(functions, key=lambda f: (known.get(f, len(known)), f))
 
 
-def emit_summary(records: Sequence[RunRecord], out_dir, rank_statistic: str = "best") -> List[Path]:
+def emit_summary(
+    records: Sequence[RunRecord], out_dir, rank_statistic: str = "best", algorithms: Sequence[str] = ()
+) -> List[Path]:
     """Write the block summary tables (csv + aligned text) and ranks.csv.
 
-    Every algorithm with a record gets a column for every function with a
-    record; a cell without one prints ``NA`` and ranks last.
+    Every algorithm with a record, and every one named in ``algorithms``
+    (the plan's, so one whose runs all failed stays in the tables), gets a
+    column for every function with a record; a cell without one prints
+    ``NA`` and ranks last.
     """
     if not records:
         raise ValueError("no records to emit")
     root = Path(out_dir) / "summary"
     root.mkdir(parents=True, exist_ok=True)
     table = summarize_cells(records)
-    algorithms = _algorithms_in(records)
+    algorithms = _algorithms_in(records, algorithms)
     for rows in table.values():
         for algorithm in algorithms:
             # every run of this cell failed: NA statistics, ranked last
@@ -414,5 +418,5 @@ def run_and_emit(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
             writer.writerows(result.failures)
     if result.records:
         emit_convergence(result.records, plan.out_dir)
-        emit_summary(result.records, plan.out_dir, plan.rank_statistic)
+        emit_summary(result.records, plan.out_dir, plan.rank_statistic, plan.algorithms)
     return result

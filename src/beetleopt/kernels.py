@@ -168,28 +168,90 @@ def make_chaos(map_id: str, initial: float) -> ChaosState:
     return ChaosState(map_id, float(guard(initial)), 0)
 
 
-def advance_chaos(fn, guard, value: float) -> float:
-    """One guarded step of a map taken from :func:`chaos_map`."""
-    if fn is tent_map and guard is guard_unit:
-        return tent_step(value)
-    # float64 in, so scalar steps round exactly like vectorized ones
-    return float(guard(fn(np.float64(value))))
+# --- scalar steps -------------------------------------------------------------
+#
+# Each step below is ``float(guard(fn(np.float64(x))))`` of its map in Python
+# floats, the same bits: the arithmetic is spelled in the map's order, the
+# guards take ``max`` before ``min`` with the iterate first (so NaN passes as
+# through ``np.maximum``/``np.minimum``), and the transcendental calls stay
+# NumPy's own, because ``math.sin``/``math.cos``/``math.acos`` round
+# differently from NumPy's vectorized loops on some inputs.
+
+_UNIT_HIGH = 1.0 - CHAOS_DOMAIN_GUARD
+_CIRCLE_GAIN = 0.5 / (2.0 * np.pi)
+
+
+def _signed(y: float) -> float:
+    """:func:`guard_signed` for one Python float."""
+    y = min(max(y, -1.0), 1.0)
+    return CHAOS_DOMAIN_GUARD if abs(y) < CHAOS_DOMAIN_GUARD else y
+
+
+def sinusoidal_step(x: float) -> float:
+    y = 2.3 * x * x * float(np.sin(np.pi * x))
+    return min(max(y, CHAOS_DOMAIN_GUARD), _UNIT_HIGH)
+
+
+def chebyshev_step(x: float) -> float:
+    angle = 4.0 * float(np.arccos(min(max(x, -1.0), 1.0)))
+    return _signed(float(np.cos(angle)))
+
+
+def circle_step(x: float) -> float:
+    # Python's float ``%`` is np.mod's fmod-and-adjust rule
+    y = (x + 0.2 - _CIRCLE_GAIN * float(np.sin(2.0 * np.pi * x))) % 1.0
+    return min(max(y, CHAOS_DOMAIN_GUARD), _UNIT_HIGH)
+
+
+def singer_step(x: float) -> float:
+    x2 = x * x
+    y = 1.07 * (7.86 * x - 23.31 * x2 + 28.75 * x2 * x - 13.302875 * x2 * x2)
+    return min(max(y, CHAOS_DOMAIN_GUARD), _UNIT_HIGH)
+
+
+def gauss_mouse_step(x: float) -> float:
+    y = 0.0 if x == 0.0 else (1.0 / x) % 1.0
+    return min(max(y, CHAOS_DOMAIN_GUARD), _UNIT_HIGH)
 
 
 def tent_step(value: float) -> float:
-    """``guard_unit(tent_map(value))`` in Python floats, the same bits.
-
-    ``max`` before ``min``, each with the iterate first, passes NaN through
-    as ``np.maximum`` and ``np.minimum`` do.
-    """
+    """``guard_unit(tent_map(value))`` in Python floats, the same bits."""
     y = value / 0.7 if value < 0.7 else (10.0 / 3.0) * (1.0 - value)
-    return min(max(y, CHAOS_DOMAIN_GUARD), 1.0 - CHAOS_DOMAIN_GUARD)
+    return min(max(y, CHAOS_DOMAIN_GUARD), _UNIT_HIGH)
+
+
+def iterative_step(x: float) -> float:
+    safe = CHAOS_DOMAIN_GUARD if abs(x) < CHAOS_DOMAIN_GUARD else x
+    return _signed(float(np.sin(0.7 * np.pi / safe)))
+
+
+#: map function -> its guarded scalar step
+SCALAR_STEPS = {
+    sinusoidal_map: sinusoidal_step,
+    chebyshev_map: chebyshev_step,
+    circle_map: circle_step,
+    singer_map: singer_step,
+    gauss_mouse_map: gauss_mouse_step,
+    tent_map: tent_step,
+    iterative_map: iterative_step,
+}
+
+
+def chaos_step(map_id: str):
+    """The guarded scalar step ``value -> next value`` of a named map."""
+    fn, _ = chaos_map(map_id)
+    return SCALAR_STEPS[fn]
+
+
+def advance_chaos(fn, guard, value: float) -> float:
+    """One guarded step of a ``(fn, guard)`` pair taken from :func:`chaos_map`;
+    the map's scalar step applies its guard."""
+    return SCALAR_STEPS[fn](value)
 
 
 def chaos_next(state: ChaosState) -> ChaosState:
     """Advance the map one step; the iterate stays inside its domain."""
-    fn, guard = chaos_map(state.map_id)
-    return ChaosState(state.map_id, advance_chaos(fn, guard, state.value), state.steps + 1)
+    return ChaosState(state.map_id, chaos_step(state.map_id)(state.value), state.steps + 1)
 
 
 def spray(chaos_value: float, iteration: int, max_iterations: int, exponent_sign: float = 1.0) -> float:

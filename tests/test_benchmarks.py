@@ -221,3 +221,89 @@ class TestBoundEvaluator:
         with pytest.raises(ValueError, match="f7"):
             BENCHMARKS["f7"].bind(None)
         assert BENCHMARKS["f1"].bind(None)(np.zeros(30)) == 0.0
+
+
+# The expressions the hoisted objectives replaced, constants rebuilt per call.
+def _quartic_reference(z):
+    i = np.arange(1, z.size + 1)
+    return float(np.add.reduce(i * z ** 4))
+
+
+def _griewank_reference(z):
+    i = np.arange(1, z.size + 1)
+    return float(np.add.reduce(z * z) / 4000.0 - np.multiply.reduce(np.cos(z / np.sqrt(i))) + 1.0)
+
+
+def _foxholes_reference(z):
+    a = benchmarks._FOXHOLES_A
+    sixth = (z[0] - a[0]) ** 6 + (z[1] - a[1]) ** 6
+    return float(1.0 / (1.0 / 500.0 + np.add.reduce(1.0 / (np.arange(1, 26) + sixth))))
+
+
+def _kowalik_reference(z):
+    b = benchmarks._KOWALIK_B
+    model = z[0] * (b ** 2 + b * z[1]) / (b ** 2 + b * z[2] + z[3])
+    return float(np.add.reduce((benchmarks._KOWALIK_A - model) ** 2))
+
+
+def _shekel_reference(m):
+    def shekel(z):
+        diff = z - benchmarks._SHEKEL_A[:m]
+        return float(-np.add.reduce(1.0 / (np.add.reduce(diff * diff, axis=1) + benchmarks._SHEKEL_C[:m])))
+
+    return shekel
+
+
+HOISTED = {
+    "f7": _quartic_reference,
+    "f11": _griewank_reference,
+    "f14": _foxholes_reference,
+    "f15": _kowalik_reference,
+    "f21": _shekel_reference(5),
+    "f22": _shekel_reference(7),
+    "f23": _shekel_reference(10),
+}
+
+
+class TestHoistedConstants:
+    @pytest.mark.parametrize("fid", sorted(HOISTED))
+    def test_matches_the_per_call_expression(self, fid):
+        spec = BENCHMARKS[fid]
+        rng = np.random.default_rng(int(fid[1:]) + 100)
+        points = spec.lower + rng.random((3000, spec.dim)) * (spec.upper - spec.lower)
+        for x in [*points, spec.argmin_array(), np.zeros(spec.dim)]:
+            assert _bits(spec.evaluator(x)) == _bits(HOISTED[fid](x))
+
+    @pytest.mark.parametrize("evaluator, reference", [
+        (benchmarks.quartic, _quartic_reference),
+        (benchmarks.griewank, _griewank_reference),
+    ])
+    def test_other_lengths_rebuild_the_constants(self, evaluator, reference):
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 10, 29, 31):
+            for x in rng.uniform(-5.0, 5.0, (50, dim)):
+                assert _bits(evaluator(x)) == _bits(reference(x))
+
+
+class TestCachedSpace:
+    @pytest.mark.parametrize("fid", ALL_IDS)
+    def test_one_read_only_space_per_spec(self, fid):
+        spec = BENCHMARKS[fid]
+        space = spec.space()
+        assert spec.space() is space
+        dim, lower, upper = EXPECTED_DOMAINS[fid]
+        assert space.dim == dim
+        assert np.array_equal(space.lower, np.full(dim, float(lower)))
+        assert np.array_equal(space.upper, np.full(dim, float(upper)))
+        with pytest.raises(ValueError):
+            space.lower[0] = 0.0
+        with pytest.raises(ValueError):
+            space.upper[...] = 1.0
+
+    def test_cache_takes_no_part_in_equality(self):
+        spec = BENCHMARKS["f16"]
+        spec.space()
+        fresh = benchmarks.BenchmarkSpec(
+            spec.id, spec.dim, spec.lower, spec.upper, spec.known_optimum, spec.evaluator, spec.argmin
+        )
+        assert fresh == spec and hash(fresh) == hash(spec)

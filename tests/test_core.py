@@ -286,3 +286,88 @@ class TestRunPrologue:
         cfg = RunConfig(algorithm="pso", population=4, iterations=2, seed=1)
         with pytest.raises(ConfigurationError, match="at least 5"):
             ALGORITHMS["pso"](cfg, BENCHMARKS["f1"])
+
+
+def _reflect_reference(x, lower, upper):
+    """The reflect formula without the in-box shortcut: mirror, then clamp."""
+    mirrored = np.where(x > upper, upper - (x - upper), x)
+    x = np.where(x < lower, lower + (lower - x), mirrored)
+    return np.minimum(np.maximum(x, lower), upper)
+
+
+class TestReflectMatchesReference:
+    SPECIALS = [
+        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+        5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308,
+    ]
+
+    @staticmethod
+    def _boxes(dim, rng):
+        cubes = [(-100.0, 100.0), (0.0, 1.0), (-1.0, 0.0), (-0.0, 1.0), (-1.0, -0.0), (0.0, 5e-324), (-5.12, 5.12)]
+        for lo, hi in cubes:
+            yield np.full(dim, lo), np.full(dim, hi)
+        lower = rng.uniform(-10.0, 0.0, dim)
+        yield lower, lower + rng.uniform(0.1, 10.0, dim)
+
+    def _points(self, lower, upper, rng, count):
+        dim = lower.size
+        width = upper - lower
+        edges = np.array(
+            self.SPECIALS
+            + [*lower, *upper, *np.nextafter(lower, -np.inf), *np.nextafter(upper, np.inf)]
+            + [*np.nextafter(lower, np.inf), *np.nextafter(upper, -np.inf), *(2 * upper - lower)]
+        )
+        for _ in range(count):
+            inside = lower + rng.random(dim) * width
+            yield inside
+            yield lower + rng.uniform(-1.5, 2.5, dim) * width
+            yield rng.choice(edges, dim)
+            mixed = inside.copy()
+            picks = rng.random(dim) < 0.3
+            mixed[picks] = rng.choice(edges, int(picks.sum()))
+            yield mixed
+        yield lower.copy()
+        yield upper.copy()
+
+    @pytest.mark.parametrize("dim", [2, 4, 30])
+    def test_bytes_equal_the_reference(self, dim):
+        from beetleopt.core import bound_position
+
+        rng = np.random.default_rng(dim)
+        with np.errstate(all="ignore"):
+            for lower, upper in self._boxes(dim, rng):
+                for x in self._points(lower, upper, rng, 300):
+                    before = x.tobytes()
+                    want = _reflect_reference(x, lower, upper)
+                    got = bound_position(x, lower, upper, "reflect")
+                    assert got.tobytes() == want.tobytes(), (x, lower, upper)
+                    assert x.tobytes() == before
+                    assert got is not x
+
+    def test_clamp_to_bounds_reflects_through_the_same_path(self):
+        space = cube(30, -100.0, 100.0)
+        rng = np.random.default_rng(17)
+        for x in rng.uniform(-150.0, 150.0, (200, 30)):
+            got = clamp_to_bounds(x, space, "reflect")
+            assert got.tobytes() == _reflect_reference(x, space.lower, space.upper).tobytes()
+
+
+class TestInitializePopulationBlock:
+    @pytest.mark.parametrize("dim, n", [(1, 5), (2, 30), (30, 7)])
+    def test_matches_the_per_agent_loop(self, dim, n):
+        space = SearchSpace(dim, np.linspace(-3.0, -1.0, dim), np.linspace(2.0, 9.0, dim))
+        block_stream, loop_stream = RandomStream(41), RandomStream(41)
+        pop = initialize_population(space, n, block_stream)
+        want = [space.lower + loop_stream.uniform(size=dim) * space.width for _ in range(n)]
+        assert len(pop) == n
+        for agent, position in zip(pop.agents, want):
+            assert agent.position.tobytes() == position.tobytes()
+            assert agent.fitness is None
+        # both streams consumed the same draws
+        assert block_stream.uniform() == loop_stream.uniform()
+
+    def test_agents_own_separate_rows(self):
+        pop = initialize_population(cube(3), 4, RandomStream(2))
+        before = pop.agents[1].position.copy()
+        pop.agents[0].position[:] = 0.0
+        assert np.array_equal(pop.agents[1].position, before)

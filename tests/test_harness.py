@@ -389,3 +389,35 @@ class TestPlanEdges:
         assert sum_ranks == {"pso": 1 + f16["pso"], "bbo": 2 + f16["bbo"]}
         assert (tmp_path / "convergence" / "pso_f1.csv").exists()
         assert not (tmp_path / "convergence" / "bbo_f1.csv").exists()
+
+    def test_algorithm_whose_every_run_fails_keeps_its_column_and_rank(self, tmp_path, monkeypatch):
+        import beetleopt.harness as harness
+
+        real = harness.execute_run
+
+        def bbo_always_fails(algorithm, function, config):
+            if algorithm == "bbo":
+                raise RuntimeError("boom")
+            return real(algorithm, function, config)
+
+        monkeypatch.setattr(harness, "execute_run", bbo_always_fails)
+        result = run_and_emit(tiny_plan(out_dir=str(tmp_path)))
+        assert len(result.records) == 4 and len(result.failures) == 4
+
+        table = (tmp_path / "summary" / "f1-f7.csv").read_text(encoding="utf-8").splitlines()
+        assert table[0] == "function,statistic,pso,bbo"
+        for statistic in ("best", "mean", "worst", "std"):
+            (row,) = [line for line in table if line.startswith(f"f1,{statistic},")]
+            assert row.endswith(",NA") and row.count("NA") == 1
+        assert "f1,rank,1,2" in table
+
+        ranks = (tmp_path / "ranks.csv").read_text(encoding="utf-8").splitlines()
+        assert ranks == ["algorithm,sum_rank,mean_rank", "pso,2,1.00", "bbo,4,2.00"]
+
+    def test_complete_plan_summary_unchanged_by_the_plans_algorithms(self, tmp_path):
+        plan = tiny_plan(out_dir=str(tmp_path / "with"))
+        result = run_experiment(plan)
+        emit_summary(result.records, tmp_path / "with", plan.rank_statistic, plan.algorithms)
+        emit_summary(result.records, tmp_path / "without", plan.rank_statistic)
+        for name in ("ranks.csv", "summary/f1-f7.csv", "summary/f14-f23.csv", "summary/f14-f23.txt"):
+            assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()

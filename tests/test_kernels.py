@@ -274,3 +274,47 @@ class TestTentStep:
         for x in (0.1, 0.7, 0.95, CHAOS_DOMAIN_GUARD):
             assert kernels.advance_chaos(fn, guard, x) == kernels.tent_step(x)
         assert chaos_next(make_chaos("tent", 0.7)).value == 1.0 - CHAOS_DOMAIN_GUARD
+
+
+class TestScalarChaosSteps:
+    """Every map's scalar step against ``guard(fn(np.float64(x)))``."""
+
+    EDGES = [
+        0.0, -0.0, 1.0, -1.0, 0.5, 0.7, 0.25, 0.75,
+        CHAOS_DOMAIN_GUARD, -CHAOS_DOMAIN_GUARD, 1.0 - CHAOS_DOMAIN_GUARD,
+        CHAOS_DOMAIN_GUARD * 0.5, -CHAOS_DOMAIN_GUARD * 0.5,
+        np.nextafter(CHAOS_DOMAIN_GUARD, 0.0), np.nextafter(1.0 - CHAOS_DOMAIN_GUARD, 1.0),
+        5e-324, -5e-324, 2.2e-308, 1.5, -1.5, 1e300, -1e300,
+        math.inf, -math.inf, math.nan, -math.nan,
+    ]
+
+    @pytest.mark.parametrize("map_id", sorted(kernels.CHAOS_MAPS))
+    def test_bits_match_the_guarded_array_map(self, map_id):
+        fn, guard, (low, high) = kernels.CHAOS_MAPS[map_id]
+        step = kernels.chaos_step(map_id)
+        rng = np.random.default_rng(len(map_id))
+        inputs = [*rng.uniform(low, high, 100_000).tolist(), *rng.uniform(-3.0, 3.0, 1000).tolist(), *self.EDGES]
+        with np.errstate(all="ignore"):
+            for x in inputs:
+                got = step(float(x))
+                want = guard(fn(np.float64(x)))
+                assert type(got) is float
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), x
+
+    @pytest.mark.parametrize("map_id", sorted(kernels.CHAOS_MAPS))
+    def test_every_map_dispatches_through_the_table(self, map_id):
+        fn, guard = kernels.chaos_map(map_id)
+        step = kernels.chaos_step(map_id)
+        assert kernels.SCALAR_STEPS[fn] is step
+        state = make_chaos(map_id, 0.37)
+        for _ in range(20):
+            following = chaos_next(state)
+            assert following.value == step(state.value) == kernels.advance_chaos(fn, guard, state.value)
+            state = following
+
+    def test_table_covers_every_map(self):
+        assert set(kernels.SCALAR_STEPS) == {fn for fn, _, _ in kernels.CHAOS_MAPS.values()}
+
+    def test_unknown_map_rejected(self):
+        with pytest.raises(ConfigurationError):
+            kernels.chaos_step("logistic")
