@@ -3,14 +3,18 @@ particle-swarm (pso), grey-wolf (gwo), sperm-swarm (sso), chernobyl-disaster
 (cdo), bermuda-triangle (bto) and gravitational-search (gsa).
 
 Each algorithm keeps its documented per-agent draw order so that seeded runs
-are bit-reproducible.  An agent fetches all draws between two evaluations as
-one ``RandomStream.uniform`` block, which consumes the stream exactly like the
-scalar draws it stands for, so a noisy objective's own draw still falls
-between two agents' blocks.  All of them evaluate the objective exactly N
-times per iteration.  The gravitational-search internals follow the standard
-formulation of that algorithm (only its two tuning constants are shared with
-the rest of the suite); the grey-wolf coefficient mechanics likewise use the
-standard encircling coefficients.
+are bit-reproducible.  An iteration takes all its draws as one stream
+reservation, a row per agent (gsa: every agent's pulls first, then a row of
+damping per agent), which consumes the stream exactly like the scalar draws
+it stands for; the ``e`` noise slots after each row go to a noisy
+objective's own draw during that agent's evaluation.  Every term that reads
+only the draws and the iteration's start is computed for all agents before
+the agent loop; the public per-agent helpers call the same cores for one
+agent.  All of them evaluate the objective exactly N times per iteration.
+The gravitational-search internals follow the standard formulation of that
+algorithm (only its two tuning constants are shared with the rest of the
+suite); the grey-wolf coefficient mechanics likewise use the standard
+encircling coefficients.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from .core import (
     consider_best,
     drive,
     prepare_run,
+    reserve,
+    settle,
 )
 from .stats import RunRecord
 
@@ -63,6 +69,7 @@ _SSO_DRAW_RANGES = (
 )
 _SSO_DRAW_LOW = np.array([low for low, _ in _SSO_DRAW_RANGES])
 _SSO_DRAW_HIGH = np.array([high for _, high in _SSO_DRAW_RANGES])
+_SSO_DRAW_SPAN = _SSO_DRAW_HIGH - _SSO_DRAW_LOW
 
 # CDO particle-speed draw ceilings (gamma, beta, alpha).
 CDO_SPEED_GAMMA = 300_000.0
@@ -89,8 +96,9 @@ def _three_leaders(pop: Population) -> List[Agent]:
     return [ordered[0].copy(), ordered[1].copy(), ordered[2].copy()]
 
 
-def _insert_leader(leaders: List[Agent], candidate: Agent) -> None:
-    """Shift-insert so the triple stays the three best evaluations seen."""
+def _insert_leader(leaders: List[Agent], candidate: Agent) -> bool:
+    """Shift-insert so the triple stays the three best evaluations seen;
+    True when the triple changed."""
     if candidate.fitness < leaders[0].fitness:
         leaders[2] = leaders[1]
         leaders[1] = leaders[0]
@@ -100,6 +108,14 @@ def _insert_leader(leaders: List[Agent], candidate: Agent) -> None:
         leaders[1] = candidate.copy()
     elif candidate.fitness < leaders[2].fitness:
         leaders[2] = candidate.copy()
+    else:
+        return False
+    return True
+
+
+def _leader_positions(leaders: List[Agent]) -> Array:
+    """The three leaders' positions as rows, best first."""
+    return np.array((leaders[0].position, leaders[1].position, leaders[2].position))
 
 
 # --- particle swarm ---------------------------------------------------------
@@ -129,13 +145,19 @@ def pso_velocity(
     (all r1 draws, then all r2 draws, as one block)."""
     dim = position.size
     u = rng.uniform(size=2 * dim)
-    r1 = u[:dim]
-    r2 = u[dim:]
-    return (
-        inertia * velocity
-        + PSO_COGNITIVE * r1 * (personal_best - position)
-        + PSO_SOCIAL * r2 * (global_best - position)
-    )
+    memory = _pso_memory(inertia, velocity, u[:dim], personal_best, position)
+    return _pso_social(memory, u[dim:], global_best, position)
+
+
+def _pso_memory(inertia: float, velocity: Array, r1: Array, personal_best: Array, position: Array) -> Array:
+    """Inertia plus cognitive pull, the part of a velocity that does not read
+    the live global best; rows of agents or one agent alike."""
+    return inertia * velocity + PSO_COGNITIVE * r1 * (personal_best - position)
+
+
+def _pso_social(memory: Array, r2: Array, global_best: Array, position: Array) -> Array:
+    """Add the social pull toward the global best to :func:`_pso_memory`."""
+    return memory + PSO_SOCIAL * r2 * (global_best - position)
 
 
 def pso_step(state: PSOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> PSOState:
@@ -144,22 +166,22 @@ def pso_step(state: PSOState, objective: Objective, space: SearchSpace, rng: Ran
     inertia = state.inertia_start - (state.inertia_start - state.inertia_end) * (t - 1) / span
     lower, upper, mode = space.lower, space.upper, state.bound_mode
     pop = state.population
-    for i, agent in enumerate(pop.agents):
-        v = pso_velocity(
-            state.velocities[i],
-            agent.position,
-            state.personal_best[i].position,
-            pop.best.position,
-            inertia,
-            rng,
-        )
+    dim = space.dim
+    (u,) = reserve(rng, len(pop), (2 * dim,))
+    positions = pop.positions()
+    personal = np.array([best.position for best in state.personal_best])
+    memory = _pso_memory(inertia, np.array(state.velocities), u[:, :dim], personal, positions)
+    r2 = u[:, dim:]
+    for i in range(len(pop)):
+        v = _pso_social(memory[i], r2[i], pop.best.position, positions[i])
         state.velocities[i] = v
-        moved = Agent(bound_position(agent.position + v, lower, upper, mode))
+        moved = Agent(bound_position(positions[i] + v, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         if moved.fitness < state.personal_best[i].fitness:
             state.personal_best[i] = moved.copy()
         consider_best(pop, moved)
+    settle(rng)
     state.iteration = t
     return state
 
@@ -212,7 +234,8 @@ def sso_velocity(
     for value in (temp1, temp2):
         if not SSO_TEMPERATURE_RANGE[0] <= value <= SSO_TEMPERATURE_RANGE[1]:
             raise ContractViolation(f"temperature draw out of {SSO_TEMPERATURE_RANGE}: {value!r}")
-    return _sso_pull(velocity, position, personal_best, global_best, draws)
+    memory, social = _sso_memory(np.array([draws]), velocity, personal_best, position)
+    return memory[0] + social[0] * (global_best - position)
 
 
 def _sso_draws(rng: RandomStream) -> list:
@@ -220,34 +243,39 @@ def _sso_draws(rng: RandomStream) -> list:
     return rng.uniform(_SSO_DRAW_LOW, _SSO_DRAW_HIGH, size=len(_SSO_DRAW_RANGES)).tolist()
 
 
-def _sso_pull(velocity: Array, position: Array, personal_best: Array, global_best: Array, draws) -> Array:
-    """Unchecked core of :func:`sso_velocity` for a block the stream drew in range."""
-    damping, ph1, ph2, temp1, ph3, temp2 = draws
-    return (
-        damping * velocity * math.log10(ph1)
-        + math.log10(ph2) * math.log10(temp1) * (personal_best - position)
-        + math.log10(ph3) * math.log10(temp2) * (global_best - position)
-    )
+def _sso_memory(draws: Array, velocity: Array, personal_best: Array, position: Array):
+    """For rows of velocity blocks drawn in range: the damped start velocity
+    plus the personal pull, and each row's global-pull factor (Python floats).
+
+    Every log factor is ``math.log10`` of one draw, as the scalar formula
+    has it.
+    """
+    rows = draws.tolist()
+    start = np.array([[math.log10(row[1])] for row in rows])
+    personal = np.array([[math.log10(row[2]) * math.log10(row[3])] for row in rows])
+    social = [math.log10(row[4]) * math.log10(row[5]) for row in rows]
+    memory = draws[:, :1] * velocity * start + personal * (personal_best - position)
+    return memory, social
 
 
 def sso_step(state: SSOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> SSOState:
     lower, upper, mode = space.lower, space.upper, state.bound_mode
     pop = state.population
-    for i, agent in enumerate(pop.agents):
-        v = _sso_pull(
-            state.velocities[i],
-            agent.position,
-            state.personal_best[i].position,
-            pop.best.position,
-            _sso_draws(rng),
-        )
+    (u,) = reserve(rng, len(pop), (len(_SSO_DRAW_RANGES),))
+    positions = pop.positions()
+    personal = np.array([best.position for best in state.personal_best])
+    draws = _SSO_DRAW_LOW + _SSO_DRAW_SPAN * u
+    memory, social = _sso_memory(draws, np.array(state.velocities), personal, positions)
+    for i in range(len(pop)):
+        v = memory[i] + social[i] * (pop.best.position - positions[i])
         state.velocities[i] = v
-        moved = Agent(bound_position(agent.position + v, lower, upper, mode))
+        moved = Agent(bound_position(positions[i] + v, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         if moved.fitness < state.personal_best[i].fitness:
             state.personal_best[i] = moved.copy()
         consider_best(pop, moved)
+    settle(rng)
     state.iteration += 1
     return state
 
@@ -288,10 +316,19 @@ def gwo_candidate(
     encircling coefficients A = 2a*r1 - a and C = 2*r2 (fresh per dimension,
     leaders consumed in alpha/beta/delta order: r1 then r2 per leader, drawn
     as one block and applied to the three leaders at once)."""
-    draws = rng.uniform(size=6 * position.size).reshape(3, 2, position.size)
-    leaders = np.array((alpha, beta, delta))
-    a_coef = 2.0 * coefficient * draws[:, 0] - coefficient
-    c_coef = 2.0 * draws[:, 1]
+    a_coef, c_coef = _gwo_coefficients(rng.uniform(size=6 * position.size)[None], coefficient)
+    return _gwo_guided(np.array((alpha, beta, delta)), a_coef[0], c_coef[0], position)
+
+
+def _gwo_coefficients(draws: Array, coefficient: float):
+    """``A = 2a*r1 - a`` and ``C = 2*r2`` for rows of ``6 * dim`` draws, each
+    as ``(rows, 3, dim)``: leader by leader, r1 then r2."""
+    draws = draws.reshape(len(draws), 3, 2, -1)
+    return 2.0 * coefficient * draws[:, :, 0] - coefficient, 2.0 * draws[:, :, 1]
+
+
+def _gwo_guided(leaders: Array, a_coef: Array, c_coef: Array, position: Array) -> Array:
+    """Mean of the three leader-guided positions for one agent."""
     guided = leaders - a_coef * np.abs(c_coef * leaders - position)
     return (guided[0] + guided[1] + guided[2]) / 3.0
 
@@ -303,20 +340,18 @@ def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: Ran
     t = state.iteration + 1
     coefficient = 2.0 - (t - 1) * 2.0 / state.max_iterations
     lower, upper, mode = space.lower, space.upper, state.bound_mode
+    (u,) = reserve(rng, len(pop), (6 * space.dim,))
+    a_coef, c_coef = _gwo_coefficients(u, coefficient)
+    leaders = _leader_positions(state.leaders)
     for i, agent in enumerate(pop.agents):
-        x = gwo_candidate(
-            agent.position,
-            state.leaders[0].position,
-            state.leaders[1].position,
-            state.leaders[2].position,
-            coefficient,
-            rng,
-        )
+        x = _gwo_guided(leaders, a_coef[i], c_coef[i], agent.position)
         moved = Agent(bound_position(x, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
-        _insert_leader(state.leaders, moved)
+        if _insert_leader(state.leaders, moved):
+            leaders = _leader_positions(state.leaders)
         consider_best(pop, moved)
+    settle(rng)
     state.iteration = t
     return state
 
@@ -372,15 +407,25 @@ def cdo_candidate(
     updated at once; the class weights 1, 0.5 and 0.25 scale the speed and
     the descent term, and a weight of 1 leaves a value unchanged, bit for bit.
     """
-    dim = position.size
-    low, high = _cdo_draw_bounds(dim)
-    draws = rng.uniform(low, high, size=8 * dim).reshape(8, dim)
-    region = draws[0] ** 2 * np.pi
-    area = draws[1] ** 2 * np.pi
-    speed = np.log(draws[2::2])  # gamma, beta, alpha
-    jitter = draws[3::2]
-    leaders = np.array((gamma, beta, alpha))
-    rho = region / (_CDO_WEIGHTS * speed) - walk_speed * jitter
+    low, high = _cdo_draw_bounds(position.size)
+    area, rho = _cdo_terms(rng.uniform(low, high, size=low.size)[None], walk_speed)
+    return _cdo_descent(np.array((gamma, beta, alpha)), area[0], rho[0], position)
+
+
+def _cdo_terms(draws: Array, walk_speed: float):
+    """For rows of ``8 * dim`` scaled draws: each row's propagation area
+    ``(rows, 1, dim)`` and its gamma/beta/alpha spread factors ``rho``
+    ``(rows, 3, dim)``."""
+    draws = draws.reshape(len(draws), 8, -1)
+    region = draws[:, :1] ** 2 * np.pi
+    area = draws[:, 1:2] ** 2 * np.pi
+    speed = np.log(draws[:, 2::2])  # gamma, beta, alpha
+    jitter = draws[:, 3::2]
+    return area, region / (_CDO_WEIGHTS * speed) - walk_speed * jitter
+
+
+def _cdo_descent(leaders: Array, area: Array, rho: Array, position: Array) -> Array:
+    """Weighted mean of the gamma/beta/alpha descent terms for one agent."""
     delta = np.abs(area * leaders - position)
     v = _CDO_WEIGHTS * (leaders - rho * delta)
     return (v[0] + v[1] + v[2]) / 3.0
@@ -406,20 +451,19 @@ def cdo_step(state: CDOState, objective: Objective, space: SearchSpace, rng: Ran
     t = state.iteration + 1
     walk_speed = cdo_walk_speed(t - 1, state.max_iterations)
     lower, upper, mode = space.lower, space.upper, state.bound_mode
+    low, high = _cdo_draw_bounds(space.dim)
+    (u,) = reserve(rng, len(pop), (low.size,))
+    area, rho = _cdo_terms(low + (high - low) * u, walk_speed)
+    leaders = _leader_positions(state.leaders)[::-1]  # gamma, beta, alpha
     for i, agent in enumerate(pop.agents):
-        x = cdo_candidate(
-            agent.position,
-            state.leaders[0].position,
-            state.leaders[1].position,
-            state.leaders[2].position,
-            walk_speed,
-            rng,
-        )
+        x = _cdo_descent(leaders, area[i], rho[i], agent.position)
         moved = Agent(bound_position(x, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
-        _insert_leader(state.leaders, moved)
+        if _insert_leader(state.leaders, moved):
+            leaders = _leader_positions(state.leaders)[::-1]
         consider_best(pop, moved)
+    settle(rng)
     state.iteration = t
     return state
 
@@ -462,12 +506,17 @@ def bto_acc(iteration: int, max_iterations: int, rng: RandomStream) -> float:
     """Current acceleration ``r * exp(-20 * iteration / max_iterations)``."""
     if max_iterations < 1:
         raise ConfigurationError("max_iterations must be >= 1")
-    return rng.uniform() * bto_decay(iteration, max_iterations)
+    return _bto_accelerations([rng.uniform()], bto_decay(iteration, max_iterations))[0]
 
 
 def bto_decay(iteration: int, max_iterations: int) -> float:
     """The draw-free factor ``exp(-20 * iteration / max_iterations)`` of :func:`bto_acc`."""
     return math.exp(-20.0 * iteration / max_iterations)
+
+
+def _bto_accelerations(draws, decay: float) -> list:
+    """Acceleration ``r * decay`` for each draw ``r``."""
+    return [r * decay for r in draws]
 
 
 def _bto_force_probability(iteration: int, max_iterations: int, gforce: float) -> float:
@@ -493,33 +542,47 @@ def bto_step(state: BTOState, objective: Objective, space: SearchSpace, rng: Ran
 
     Per agent: advance the chaos map (no draws), then draw the two masses
     and their distance, the acceleration factor and the prescience value
-    (one block of five).
+    (one row of five).
     Prescience above 0.5 selects the triangle area (strong pull), otherwise
     the surrounding ring area; either way the position is replaced outright
-    and only the best-so-far is tracked greedily.
+    and only the best-so-far is tracked greedily.  Each agent's pull scale
+    ``chaos * area * acceleration`` and force probability read only its
+    draws, so they are worked out for all agents before the first moves.
     """
     pop = state.population
+    n = len(pop)
     t0 = state.iteration
     zone = bto_zone(t0, state.max_iterations)
-    decay = bto_decay(t0, state.max_iterations)
-    anchor = space.width * zone + space.lower
-    lower, upper, mode = space.lower, space.upper, state.bound_mode
+    (u,) = reserve(rng, n, (5,))
+    rows = u.tolist()
     next_chaos = kernels.chaos_step(state.chaos.map_id)
     chaos = state.chaos.value
-    for i in range(len(pop)):
+    chaos_values = []
+    for _ in range(n):
         chaos = next_chaos(chaos)
-        mass_center, mass_pulled, distance, acceleration_draw, prescience = rng.uniform(size=5).tolist()
+        chaos_values.append(chaos)
+    accelerations = _bto_accelerations([row[3] for row in rows], bto_decay(t0, state.max_iterations))
+    scales = []
+    probabilities = []
+    for (mass_center, mass_pulled, distance, _, prescience), c, acceleration in zip(
+        rows, chaos_values, accelerations
+    ):
         numerator = BTO_GRAVITATION * mass_center * mass_pulled
         gforce = numerator / (distance * distance) if distance > 0.0 else math.inf
-        probability = _bto_force_probability(t0, state.max_iterations, gforce)
-        acceleration = acceleration_draw * decay
+        probabilities.append(_bto_force_probability(t0, state.max_iterations, gforce))
         area = state.triangle_area if prescience > 0.5 else state.ring_area
-        pulled = chaos * area * acceleration * pop.best.position - probability
+        scales.append(c * area * acceleration)
+
+    anchor = space.width * zone + space.lower
+    lower, upper, mode = space.lower, space.upper, state.bound_mode
+    for i in range(n):
+        pulled = scales[i] * pop.best.position - probabilities[i]
         moved = Agent(bound_position(pulled * anchor, lower, upper, mode))
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         consider_best(pop, moved)
-    state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + len(pop))
+    settle(rng)
+    state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + n)
     state.iteration = t0 + 1
     return state
 
@@ -541,7 +604,7 @@ def run_bto(config: RunConfig, objective, space: SearchSpace = None) -> RunRecor
 @dataclass
 class GSAState:
     population: Population
-    velocities: List[Array]
+    velocities: List[Array]  # one row per agent; a step leaves an (N, dim) array
     max_iterations: int
     iteration: int = 0
     bound_mode: str = "clamp"
@@ -573,10 +636,12 @@ def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: Ran
 
     Forces come from the k best agents of the iteration-start snapshot
     (k shrinking linearly from N to 1), with one random vector per attracting
-    pair, drawn agent by agent in attractor order, one block per agent; then
-    each agent draws one damping vector for its velocity update.  The force
+    pair, drawn agent by agent in attractor order; then each agent draws one
+    damping vector for its velocity update and is evaluated.  The force
     sweep runs attractor by attractor across all agents at once, so each
-    agent still sums its pulls in attractor order.
+    agent still sums its pulls in attractor order.  Nothing reads a live
+    evaluation, so every velocity and bounded position is computed before
+    the first evaluation.
     """
     pop = state.population
     n = len(pop)
@@ -586,42 +651,37 @@ def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: Ran
     fitness = pop.fitness_values()
     masses = gsa_masses(fitness)
     kbest = _gsa_kbest(n, t0, state.max_iterations)
-    attractors = np.argsort(fitness, kind="stable")[:kbest].tolist()
+    attractors = np.argsort(fitness, kind="stable")[:kbest]
     positions = pop.positions()
-    lower, upper, mode = space.lower, space.upper, state.bound_mode
 
-    # pulls[i, k] is agent i's random vector for attractor k; an attractor
-    # pulls on every agent but itself, so its own slot stays unused.
-    slot = {j: k for k, j in enumerate(attractors)}
-    pulls = np.zeros((n, kbest, dim))
-    for i in range(n):
-        k = slot.get(i)
-        if k is None:
-            pulls[i] = rng.uniform(size=kbest * dim).reshape(kbest, dim)
-        else:
-            draws = rng.uniform(size=(kbest - 1) * dim).reshape(kbest - 1, dim)
-            pulls[i, :k] = draws[:k]
-            pulls[i, k + 1 :] = draws[k:]
+    # agent i's vector for attractor k is row rows[i, k] of the pulls drawn
+    # agent by agent; an attractor pulls on every agent but itself, so it
+    # draws none for its own slot, whose row is another's (zeroed below)
+    drawn = np.ones((n, kbest), dtype=bool)
+    drawn[attractors, np.arange(kbest)] = False
+    rows = np.cumsum(drawn).reshape(n, kbest) - 1
+    flat, damping = reserve(rng, n, (dim,), lead=(n - 1) * kbest * dim)
+    pulls = flat.reshape(-1, dim)
 
     accelerations = np.zeros((n, dim))
-    for k, j in enumerate(attractors):
+    for k, j in enumerate(attractors.tolist()):
         offset = positions[j] - positions
         # the batched row products round exactly like np.linalg.norm per row
         distance = np.sqrt(offset[:, None, :] @ offset[:, :, None])[:, 0]
-        pull = pulls[:, k] * gravity * masses[j] * offset / (distance + _GSA_EPS)
+        pull = pulls[rows[:, k]] * gravity * masses[j] * offset / (distance + _GSA_EPS)
         # adding +0.0 leaves every sum unchanged (it starts at +0.0, so it is
         # never -0.0); this also drops a non-finite self term
         pull[j] = 0.0
         accelerations += pull
 
+    state.velocities = damping * np.array(state.velocities) + accelerations
+    moved_positions = bound_position(positions + state.velocities, space.lower, space.upper, state.bound_mode)
     for i in range(n):
-        damping = rng.uniform(size=dim)
-        velocity = damping * state.velocities[i] + accelerations[i]
-        state.velocities[i] = velocity
-        moved = Agent(bound_position(positions[i] + velocity, lower, upper, mode))
+        moved = Agent(moved_positions[i])
         moved.fitness = objective(moved.position)
         pop.agents[i] = moved
         consider_best(pop, moved)
+    settle(rng)
     state.iteration = t0 + 1
     return state
 

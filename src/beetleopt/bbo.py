@@ -5,16 +5,19 @@ exploitation) over every agent, both gated by greedy replacement.
 Draw order per agent, fixed for reproducibility: circle radii and center
 distance (3 draws), chemical-reaction factors (2 draws), predator index
 (1 draw, random-agent mode only), defense evaluation, lift parameters
-(4 draws), one sign per dimension, escape evaluation.  Each stretch between
-two evaluations is fetched as one block (5 or 6 draws, then ``4 + dim``),
-which consumes the stream exactly like the scalar draws it replaces, so a
-noisy objective's own draw still falls between the blocks.  The chaos state
+(4 draws), one sign per dimension, escape evaluation.  An iteration takes
+all of it as one stream reservation, one row per agent laid out as
+``[5 or 6 | e | 4 + dim | e]``, which consumes the stream exactly like the
+scalar draws it replaces: the ``e`` noise slots go to a noisy objective's
+own draws during the defense and escape evaluations.  The chaos state
 advances once per agent and consumes no draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import kernels
 from .core import (
@@ -33,6 +36,8 @@ from .core import (
     greedy_replace,
     index_from_uniform,
     prepare_run,
+    reserve,
+    settle,
     signs_from_uniform,
 )
 from .stats import RunRecord
@@ -105,36 +110,45 @@ def bbo_iteration(
 
     Agents update sequentially in index order; the global-best predator is
     the live best-so-far, refreshed as soon as a replacement is accepted.
-    Every proposal is bound-handled before it is evaluated.
+    Every proposal is bound-handled before it is evaluated.  What reads only
+    an agent's draws and the iteration's start is worked out for all agents
+    before the first proposal.
     """
     t = state.iteration + 1
     if t > state.max_iterations:
         raise ConfigurationError("run already finished")
     pop = state.population
     n = len(pop)
-    lower, upper, width = space.lower, space.upper, space.width
+    lower, upper = space.lower, space.upper
     mode = state.bound_mode
-    next_chaos = kernels.chaos_step(state.chaos.map_id)
-    chaos = state.chaos.value
-    growth = kernels.spray_growth(t, state.max_iterations)
     random_predator = state.predator_mode != "global-best"
-    defense_draws = 6 if random_predator else 5
-    escape_draws = 4 + space.dim
+    defense, escape = reserve(rng, n, (6 if random_predator else 5, 4 + space.dim))
+
+    # each agent's lens area, reaction, spray divisor and predator index,
+    # and its whole escape step ``lift * width / t * signs``
+    next_chaos = kernels.chaos_step(state.chaos.map_id)
+    growth = kernels.spray_growth(t, state.max_iterations)
+    chaos = state.chaos.value
+    sprays = []
+    for _ in range(n):
+        chaos = next_chaos(chaos)
+        sprays.append(kernels.spray_divisor(chaos, growth))
+    rows = defense.tolist()
+    areas = [kernels.lens_area(u[0], u[1], u[2]) for u in rows]
+    reactions = [reaction_intensity(u[3], u[4]) for u in rows]
+    predators = [index_from_uniform(u[5], n) for u in rows] if random_predator else None
+    lifts = [[kernels.lift_magnitude(*u)] for u in escape[:, :4].tolist()]
+    hops = kernels.escape_hop(np.array(lifts), space.width, t) * signs_from_uniform(escape[:, 4:])
 
     for i in range(n):
         agent = pop.agents[i]
 
         # Defense: spray scaled by the threat-circle overlap and reaction.
-        u = rng.uniform(size=defense_draws).tolist()
-        area = kernels.lens_area(u[0], u[1], u[2])
-        reaction = reaction_intensity(u[3], u[4])
-        chaos = next_chaos(chaos)
-        spray_value = kernels.spray_divisor(chaos, growth)
         if random_predator:
-            predator = pop.agents[index_from_uniform(u[5], n)].position
+            predator = pop.agents[predators[i]].position
         else:
             predator = pop.best.position
-        proposal = defense_proposal(agent.position, predator, area, reaction, spray_value)
+        proposal = defense_proposal(agent.position, predator, areas[i], reactions[i], sprays[i])
         candidate = Agent(bound_position(proposal, lower, upper, mode))
         candidate.fitness = objective(candidate.position)
         agent = greedy_replace(agent, candidate)
@@ -142,15 +156,13 @@ def bbo_iteration(
         consider_best(pop, agent)
 
         # Escape: signed per-dimension hop whose size decays with time.
-        u = rng.uniform(size=escape_draws)
-        hop = kernels.escape_hop(kernels.lift_magnitude(*u[:4].tolist()), width, t)
-        signs = signs_from_uniform(u[4:])
-        candidate = Agent(bound_position(agent.position + hop * signs, lower, upper, mode))
+        candidate = Agent(bound_position(agent.position + hops[i], lower, upper, mode))
         candidate.fitness = objective(candidate.position)
         agent = greedy_replace(agent, candidate)
         pop.agents[i] = agent
         consider_best(pop, agent)
 
+    settle(rng)
     state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + n)
     state.iteration = t
     return state

@@ -33,6 +33,13 @@ def penalty_u(z, a: float, k: float, m_exp: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _overshoot(z: Array, a: float) -> Array:
+    """:func:`penalty_u`'s overshoot for a float vector, the same bits:
+    ``|z| - a`` outside [-a, a] (``|z|`` is exactly ``z`` or ``-z``), 0.0
+    inside, at the bounds and for NaN, which ``fmax`` drops."""
+    return np.fmax(np.abs(z) - a, 0.0)
+
+
 def sphere(z):
     return float(np.add.reduce(z * z))
 
@@ -101,14 +108,14 @@ def penalized_1(z):
     core = 10.0 * np.sin(np.pi * y[0]) ** 2
     core += np.add.reduce((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
     core += (y[-1] - 1.0) ** 2
-    return float(np.pi / d * core + np.add.reduce(penalty_u(z, 10.0, 100.0, 4.0)))
+    return float(np.pi / d * core + np.add.reduce(100.0 * _overshoot(z, 10.0) ** 4.0))
 
 
 def penalized_2(z):
     core = np.sin(3.0 * np.pi * z[0]) ** 2
     core += np.add.reduce((z[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[1:]) ** 2))
     core += (z[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * z[-1]) ** 2)
-    return float(0.1 * core + np.add.reduce(penalty_u(z, 5.0, 100.0, 4.0)))
+    return float(0.1 * core + np.add.reduce(100.0 * _overshoot(z, 5.0) ** 4.0))
 
 
 _FOXHOLES_A = np.array(

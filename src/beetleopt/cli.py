@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import benchmarks
 from .core import ConfigurationError
-from .harness import ALGORITHMS, ExperimentPlan, parse_config, run_and_emit
+from .harness import ALGORITHMS, ExperimentPlan, format_plan, parse_config, run_and_emit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,16 +58,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_show_defaults() -> int:
-    plan = ExperimentPlan()
-    print(f"algorithms = {' '.join(plan.algorithms)}")
-    print(f"functions = {' '.join(plan.functions)}")
-    print(f"runs = {plan.runs}")
-    print(f"population = {plan.population}")
-    print(f"iterations = {plan.iterations}")
-    print(f"chaos_map = {plan.chaos_map}")
-    print(f"predator_mode = {plan.predator_mode}")
-    print(f"bound_mode = {plan.bound_mode}")
-    print(f"rank_statistic = {plan.rank_statistic}")
+    print(format_plan(ExperimentPlan()))
     return 0
 
 

@@ -45,11 +45,25 @@ class RandomStream:
     Every draw derives from one primitive (``Generator.random``), scaled
     affinely for bounded ranges, so the consumption order is the full
     determinism contract: same seed, same sequence of calls, same numbers.
+
+    An optimizer iteration takes all its draws at once with :meth:`reserve`.
+    A noisy objective draws from the same stream during the iteration; the
+    reservation sets aside ``gap`` slots after each segment of a row for
+    those draws, in the order they would have come from the generator.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.default_rng(self.seed)
+        self._generator = np.random.default_rng(self.seed)
+        # what the draws below read: the generator, or the noise slots of an
+        # open reservation
+        self._gen = self._generator
+        #: Draws the objective takes from this stream per evaluation, as
+        #: :meth:`measure_gap` found them.
+        self.gap = 0
+        # the measured objective's call counter, which tells the noise slots
+        # whose draw they serve
+        self._counter = None
 
     def uniform(self, low=0.0, high=1.0, size=None):
         """Uniform draw(s) in ``[low, high)``; ``low``/``high`` may be arrays
@@ -77,6 +91,148 @@ class RandomStream:
         if n <= 0:
             raise ConfigurationError("index() needs n >= 1")
         return index_from_uniform(self._gen.random(), n)
+
+    def measure_gap(self, counter, positions) -> list:
+        """Evaluate each position with ``counter`` (an objective that counts
+        its calls in ``n``) and return the values, setting :attr:`gap` to the
+        draws every evaluation took from this stream.
+
+        Every evaluation must take the same number of draws, and later
+        reservations hold each of ``counter``'s calls to its own slots.
+        """
+        drawn = _DrawCounter(self._gen)
+        self._gen = drawn
+        values = []
+        counts = set()
+        try:
+            for x in positions:
+                before = drawn.draws
+                values.append(counter(x))
+                counts.add(drawn.draws - before)
+        finally:
+            self._gen = drawn.source
+        if len(counts) > 1:
+            raise ContractViolation(
+                f"the objective took {sorted(counts)} draws on different evaluations; "
+                "it must take the same number every time"
+            )
+        self.gap = counts.pop() if counts else 0
+        self._counter = counter
+        return values
+
+    def reserve(self, rows: int, widths, lead: int = 0) -> list:
+        """Draw ``lead`` values, then ``rows`` rows, as one block.
+
+        A row holds one segment per entry of ``widths``, each followed by
+        ``gap`` noise slots: ``[widths[0] | gap | widths[1] | gap ...]``, the
+        order in which an agent draws a segment and then evaluates.  Returns
+        the ``lead`` values (when ``lead > 0``), then one ``(rows, width)``
+        array per segment.  Until :meth:`settle`, every draw from this stream
+        takes the next noise slot, so the objective's draws get the values
+        the generator would have given them; after :meth:`measure_gap`, a
+        draw outside its evaluation's ``gap`` slots raises.
+        """
+        if self._gen is not self._generator:
+            raise ContractViolation("the previous reservation was not settled")
+        gap = self.gap
+        block = self._generator.random(lead + rows * (sum(widths) + gap * len(widths)))
+        out, noise = _split_reservation(block, rows, widths, lead, gap)
+        self._gen = _NoiseSlots(noise, gap, self._counter)
+        return out
+
+    def settle(self) -> None:
+        """Close the open reservation; the objective must have taken exactly
+        its noise slots, ``gap`` per evaluation."""
+        slots = self._gen
+        if slots is self._generator:
+            raise ContractViolation("no reservation is open")
+        self._gen = self._generator
+        if not slots.used_up():
+            raise ContractViolation(
+                f"the objective took fewer than {self.gap} draws per evaluation during an iteration"
+            )
+
+
+def _split_reservation(block: Array, rows: int, widths, lead: int, gap: int):
+    """Cut a reservation's block into its parts (see :meth:`RandomStream.reserve`):
+    ``(lead values and segments, noise slot values in order)``."""
+    grid = block[lead:].reshape(rows, sum(widths) + gap * len(widths))
+    out = [block[:lead]] if lead else []
+    noise_columns = []
+    start = 0
+    for width in widths:
+        out.append(grid[:, start : start + width])
+        start += width
+        noise_columns.extend(range(start, start + gap))
+        start += gap
+    noise = grid[:, noise_columns].ravel().tolist() if gap else []
+    return out, noise
+
+
+def reserve(rng, rows: int, widths, lead: int = 0) -> list:
+    """:meth:`RandomStream.reserve` for any draw source.  Any other source
+    (a scripted stand-in) gives the same parts from one ``uniform`` block
+    and leaves no noise slots."""
+    if isinstance(rng, RandomStream):
+        return rng.reserve(rows, widths, lead)
+    block = np.asarray(rng.uniform(size=lead + rows * sum(widths)), dtype=float)
+    return _split_reservation(block, rows, widths, lead, 0)[0]
+
+
+def settle(rng) -> None:
+    """:meth:`RandomStream.settle` for any draw source."""
+    if isinstance(rng, RandomStream):
+        rng.settle()
+
+
+class _DrawCounter:
+    """Generator stand-in that counts the draws passing through it."""
+
+    __slots__ = ("source", "draws")
+
+    def __init__(self, source):
+        self.source = source
+        self.draws = 0
+
+    def random(self, size=None):
+        self.draws += 1 if size is None else int(np.prod(size))
+        return self.source.random(size)
+
+
+class _NoiseSlots:
+    """Generator stand-in during a reservation: hands out its slots in order
+    and refuses a draw beyond them.  Given the objective's call counter, it
+    also refuses a draw outside the ``gap`` slots of the evaluation under way."""
+
+    __slots__ = ("_values", "_next", "_gap", "_counter", "_before")
+
+    def __init__(self, values: list, gap: int, counter=None):
+        self._values = values
+        self._next = 0
+        self._gap = gap
+        self._counter = counter
+        self._before = None if counter is None else counter.n
+
+    def random(self, size=None):
+        start = self._next
+        stop = start + (1 if size is None else int(np.prod(size)))
+        if stop > len(self._values):
+            raise ContractViolation("the objective took more draws during an iteration than its measured gap")
+        if self._counter is not None:
+            # the k-th evaluation since the reservation (the counter counts a
+            # call before evaluating) owns slots [k * gap, (k + 1) * gap)
+            k = self._counter.n - self._before - 1
+            if start < k * self._gap or stop > (k + 1) * self._gap:
+                raise ContractViolation(
+                    f"an evaluation took other than its measured {self._gap} draws from the stream"
+                )
+        self._next = stop
+        if size is None:
+            return self._values[start]
+        return np.array(self._values[start:stop]).reshape(size)
+
+    def used_up(self) -> bool:
+        return self._next == len(self._values)
 
 
 def signs_from_uniform(u: Array) -> Array:
@@ -276,7 +432,9 @@ def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[Se
     A benchmark spec supplies the space when none is given.  A spec with
     ``bind`` counts its own calls in one frame; anything else (a plain
     callable, or an object with only ``evaluate(x, rng)``) is wrapped in an
-    :class:`EvalCounter`.  Either way the counter has ``n``.
+    :class:`EvalCounter`.  Either way the counter has ``n``.  The initial
+    evaluations also measure ``rng.gap``, the draws the objective takes from
+    the stream per evaluation, whichever route it takes.
     """
     minimum = MIN_POPULATION[algorithm]
     if config.population < minimum:
@@ -291,8 +449,9 @@ def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[Se
     else:
         counter = EvalCounter(bind_objective(objective, rng))
     pop = initialize_population(space, config.population, rng)
-    for agent in pop.agents:
-        agent.fitness = counter(agent.position)
+    values = rng.measure_gap(counter, [agent.position for agent in pop.agents])
+    for agent, value in zip(pop.agents, values):
+        agent.fitness = value
     update_best(pop)
     return space, rng, counter, pop
 

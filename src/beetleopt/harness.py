@@ -56,19 +56,6 @@ SUMMARY_BLOCKS = (
     ("f14-f23", tuple(f"f{i}" for i in range(14, 24))),
 )
 
-_CONFIG_KEYS = (
-    "algorithms",
-    "functions",
-    "runs",
-    "population",
-    "iterations",
-    "chaos_map",
-    "predator_mode",
-    "bound_mode",
-    "rank_statistic",
-)
-
-
 @dataclass
 class ExperimentPlan:
     """A batch of cells plus the shared run settings."""
@@ -137,6 +124,31 @@ def _parse_choice(value: str, choices: Sequence[str], what: str) -> str:
     return value
 
 
+#: The plan file's keys, in ``show-defaults`` order: each names the
+#: :class:`ExperimentPlan` field it sets and maps to its value's parser.
+_CONFIG_KEYS = {
+    "algorithms": lambda value: _parse_list(value, tuple(ALGORITHMS), "algorithm"),
+    "functions": lambda value: _parse_list(value, benchmarks.ids(), "function"),
+    "runs": lambda value: _parse_positive_int(value, 1, "runs"),
+    "population": lambda value: _parse_positive_int(value, min(MIN_POPULATION.values()), "population"),
+    "iterations": lambda value: _parse_positive_int(value, 1, "iterations"),
+    "chaos_map": lambda value: _parse_choice(value, sorted(kernels.CHAOS_MAPS), "chaos_map"),
+    "predator_mode": lambda value: _parse_choice(value, PREDATOR_MODES, "predator_mode"),
+    "bound_mode": lambda value: _parse_choice(value, BOUND_MODES, "bound_mode"),
+    "rank_statistic": lambda value: _parse_choice(value, RANK_STATISTICS, "rank_statistic"),
+}
+
+
+def format_plan(plan: ExperimentPlan) -> str:
+    """The plan's settings as config lines, one per key, which
+    :func:`parse_config` reads back."""
+    lines = []
+    for key in _CONFIG_KEYS:
+        value = getattr(plan, key)
+        lines.append(f"{key} = {' '.join(value) if isinstance(value, tuple) else value}")
+    return "\n".join(lines)
+
+
 def parse_config(text: str) -> ExperimentPlan:
     """Parse the line-oriented ``key = value`` plan format.
 
@@ -159,31 +171,17 @@ def parse_config(text: str) -> ExperimentPlan:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        parse = _CONFIG_KEYS.get(key)
+        if parse is None:
+            errors.append(f"line {lineno}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+            continue
         try:
-            if key == "algorithms":
-                plan.algorithms = _parse_list(value, tuple(ALGORITHMS), "algorithm")
-            elif key == "functions":
-                plan.functions = _parse_list(value, benchmarks.ids(), "function")
-            elif key == "runs":
-                plan.runs = _parse_positive_int(value, 1, "runs")
-            elif key == "population":
-                floor = min(MIN_POPULATION.values())
-                plan.population = _parse_positive_int(value, floor, "population")
-                population_line = lineno
-            elif key == "iterations":
-                plan.iterations = _parse_positive_int(value, 1, "iterations")
-            elif key == "chaos_map":
-                plan.chaos_map = _parse_choice(value, sorted(kernels.CHAOS_MAPS), "chaos_map")
-            elif key == "predator_mode":
-                plan.predator_mode = _parse_choice(value, PREDATOR_MODES, "predator_mode")
-            elif key == "bound_mode":
-                plan.bound_mode = _parse_choice(value, BOUND_MODES, "bound_mode")
-            elif key == "rank_statistic":
-                plan.rank_statistic = _parse_choice(value, RANK_STATISTICS, "rank_statistic")
-            else:
-                errors.append(f"line {lineno}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+            setattr(plan, key, parse(value))
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
+            continue
+        if key == "population":
+            population_line = lineno
     short = [a for a in plan.algorithms if plan.population < MIN_POPULATION[a]]
     if short:  # only a population line can go below the default
         minimum = max(MIN_POPULATION[a] for a in short)
@@ -321,20 +319,27 @@ def _function_order(functions) -> List[str]:
 
 
 def emit_summary(
-    records: Sequence[RunRecord], out_dir, rank_statistic: str = "best", algorithms: Sequence[str] = ()
+    records: Sequence[RunRecord],
+    out_dir,
+    rank_statistic: str = "best",
+    algorithms: Sequence[str] = (),
+    functions: Sequence[str] = (),
 ) -> List[Path]:
     """Write the block summary tables (csv + aligned text) and ranks.csv.
 
     Every algorithm with a record, and every one named in ``algorithms``
     (the plan's, so one whose runs all failed stays in the tables), gets a
-    column for every function with a record; a cell without one prints
-    ``NA`` and ranks last.
+    column for every function with a record or named in ``functions``
+    (likewise the plan's); a cell without a record prints ``NA`` and ranks
+    last, so a function without any ranks every algorithm as one tie.
     """
     if not records:
         raise ValueError("no records to emit")
     root = Path(out_dir) / "summary"
     root.mkdir(parents=True, exist_ok=True)
     table = summarize_cells(records)
+    for function in functions:
+        table.setdefault(function, {})
     algorithms = _algorithms_in(records, algorithms)
     for rows in table.values():
         for algorithm in algorithms:
@@ -418,5 +423,7 @@ def run_and_emit(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
             writer.writerows(result.failures)
     if result.records:
         emit_convergence(result.records, plan.out_dir)
-        emit_summary(result.records, plan.out_dir, plan.rank_statistic, plan.algorithms)
+        emit_summary(
+            result.records, plan.out_dir, plan.rank_statistic, plan.algorithms, plan.functions
+        )
     return result

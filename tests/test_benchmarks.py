@@ -307,3 +307,50 @@ class TestCachedSpace:
             spec.id, spec.dim, spec.lower, spec.upper, spec.known_optimum, spec.evaluator, spec.argmin
         )
         assert fresh == spec and hash(fresh) == hash(spec)
+
+
+def _penalized_1_reference(z):
+    d = z.size
+    y = 1.0 + (z + 1.0) / 4.0
+    core = 10.0 * np.sin(np.pi * y[0]) ** 2
+    core += np.add.reduce((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
+    core += (y[-1] - 1.0) ** 2
+    return float(np.pi / d * core + np.add.reduce(penalty_u(z, 10.0, 100.0, 4.0)))
+
+
+def _penalized_2_reference(z):
+    core = np.sin(3.0 * np.pi * z[0]) ** 2
+    core += np.add.reduce((z[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[1:]) ** 2))
+    core += (z[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * z[-1]) ** 2)
+    return float(0.1 * core + np.add.reduce(penalty_u(z, 5.0, 100.0, 4.0)))
+
+
+def _edge_vectors(a, dim=30):
+    """Vectors holding the penalty's edge inputs: the bounds, signed zeros,
+    the neighbours of the bounds, infinities and NaN."""
+    edges = [a, -a, 0.0, -0.0, np.nextafter(a, np.inf), np.nextafter(-a, -np.inf),
+             np.nextafter(a, 0.0), np.nextafter(-a, 0.0), np.inf, -np.inf, np.nan]
+    vectors = [np.full(dim, value) for value in edges]
+    vectors.append(np.resize(np.array(edges), dim))
+    return vectors
+
+
+class TestPenaltyOvershoot:
+    @pytest.mark.parametrize("fid, a, reference", [
+        ("f12", 10.0, _penalized_1_reference),
+        ("f13", 5.0, _penalized_2_reference),
+    ])
+    def test_penalized_functions_match_the_penalty_u_expression(self, fid, a, reference):
+        spec = BENCHMARKS[fid]
+        rng = np.random.default_rng(int(fid[1:]) + 200)
+        points = spec.lower + rng.random((3000, spec.dim)) * (spec.upper - spec.lower)
+        with np.errstate(invalid="ignore", over="ignore"):  # the infinite and NaN edges
+            for x in [*points, *_edge_vectors(a), spec.argmin_array()]:
+                assert _bits(spec.evaluator(x)) == _bits(reference(x))
+
+    @pytest.mark.parametrize("a", [10.0, 5.0])
+    def test_overshoot_matches_the_penalty_u_expression(self, a):
+        rng = np.random.default_rng(7)
+        for z in [*rng.uniform(-50.0, 50.0, (3000, 30)), *_edge_vectors(a)]:
+            old = np.where(z > a, z - a, np.where(z < -a, -z - a, 0.0))
+            assert benchmarks._overshoot(z, a).tobytes() == old.tobytes()

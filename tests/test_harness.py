@@ -421,3 +421,45 @@ class TestPlanEdges:
         emit_summary(result.records, tmp_path / "without", plan.rank_statistic)
         for name in ("ranks.csv", "summary/f1-f7.csv", "summary/f14-f23.csv", "summary/f14-f23.txt"):
             assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+
+    def test_function_whose_every_run_fails_keeps_its_rows_and_rank(self, tmp_path, monkeypatch):
+        import beetleopt.harness as harness
+
+        real = harness.execute_run
+
+        def f16_always_fails(algorithm, function, config):
+            if function == "f16":
+                raise RuntimeError("boom")
+            return real(algorithm, function, config)
+
+        monkeypatch.setattr(harness, "execute_run", f16_always_fails)
+        result = run_and_emit(tiny_plan(out_dir=str(tmp_path)))
+        assert len(result.records) == 4 and len(result.failures) == 4
+
+        f1 = rank_functions(summarize_cells(result.records)["f1"], "best")
+        table = (tmp_path / "summary" / "f14-f23.csv").read_text(encoding="utf-8").splitlines()
+        assert table == [
+            "function,statistic,pso,bbo",
+            "f16,best,NA,NA",
+            "f16,mean,NA,NA",
+            "f16,worst,NA,NA",
+            "f16,std,NA,NA",
+            "f16,rank,1,1",
+            "all,sum_rank,1,1",
+            "all,mean_rank,1.00,1.00",
+        ]
+        assert (tmp_path / "summary" / "f14-f23.txt").exists()
+        ranks = (tmp_path / "ranks.csv").read_text(encoding="utf-8").splitlines()
+        assert ranks == [
+            "algorithm,sum_rank,mean_rank",
+            f"pso,{f1['pso'] + 1},{(f1['pso'] + 1) / 2:.2f}",
+            f"bbo,{f1['bbo'] + 1},{(f1['bbo'] + 1) / 2:.2f}",
+        ]
+
+    def test_complete_plan_summary_unchanged_by_the_plans_functions(self, tmp_path):
+        plan = tiny_plan(out_dir=str(tmp_path / "with"))
+        result = run_experiment(plan)
+        emit_summary(result.records, tmp_path / "with", plan.rank_statistic, plan.algorithms, plan.functions)
+        emit_summary(result.records, tmp_path / "without", plan.rank_statistic, plan.algorithms)
+        for name in ("ranks.csv", "summary/f1-f7.csv", "summary/f14-f23.csv", "summary/f14-f23.txt"):
+            assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
