@@ -9,8 +9,10 @@ damping per agent), which consumes the stream exactly like the scalar draws
 it stands for; the ``e`` noise slots after each row go to a noisy
 objective's own draw during that agent's evaluation.  Every term that reads
 only the draws and the iteration's start is computed for all agents before
-the agent loop; the public per-agent helpers call the same cores for one
-agent.  All of them evaluate the objective exactly N times per iteration.
+the agent loop.  Each step advances a :class:`~beetleopt.core.Group` of runs
+in lockstep; the public ``run_*`` and ``*_step`` functions are groups of one
+run, and the public per-agent helpers call the same cores for one agent.
+All of them evaluate the objective exactly N times per iteration.
 The gravitational-search internals follow the standard formulation of that
 algorithm (only its two tuning constants are shared with the rest of the
 suite); the grey-wolf coefficient mechanics likewise use the standard
@@ -33,17 +35,16 @@ from .core import (
     Array,
     ConfigurationError,
     ContractViolation,
+    Group,
     Objective,
     Population,
     RandomStream,
     RunConfig,
     SearchSpace,
     bound_position,
-    consider_best,
+    by_agent,
     drive,
-    prepare_run,
-    reserve,
-    settle,
+    step_state,
 )
 from .stats import RunRecord
 
@@ -91,31 +92,59 @@ GSA_ALPHA = 20.0
 _GSA_EPS = 1e-12
 
 
+def _best_three(fitness: list) -> list:
+    """Indices of the three best values, ties in index order."""
+    return sorted(range(len(fitness)), key=fitness.__getitem__)[:3]
+
+
 def _three_leaders(pop: Population) -> List[Agent]:
-    ordered = sorted(pop.agents, key=lambda a: a.fitness)
-    return [ordered[0].copy(), ordered[1].copy(), ordered[2].copy()]
+    return [pop.agents[i].copy() for i in _best_three([a.fitness for a in pop.agents])]
 
 
-def _insert_leader(leaders: List[Agent], candidate: Agent) -> bool:
-    """Shift-insert so the triple stays the three best evaluations seen;
-    True when the triple changed."""
-    if candidate.fitness < leaders[0].fitness:
-        leaders[2] = leaders[1]
-        leaders[1] = leaders[0]
-        leaders[0] = candidate.copy()
-    elif candidate.fitness < leaders[1].fitness:
-        leaders[2] = leaders[1]
-        leaders[1] = candidate.copy()
-    elif candidate.fitness < leaders[2].fitness:
-        leaders[2] = candidate.copy()
-    else:
-        return False
-    return True
+def _leaders_init(g: Group, config: RunConfig) -> None:
+    """Each run's three best agents as its ``leaders`` ``(R, 3, dim)``, best
+    first, with their values in ``leaders_f``."""
+    best = [_best_three(fitness) for fitness in g.fitness]
+    g.leaders = np.array([x[i] for x, i in zip(g.x, best)])
+    g.leaders_f = [[fitness[k] for k in i] for fitness, i in zip(g.fitness, best)]
 
 
-def _leader_positions(leaders: List[Agent]) -> Array:
-    """The three leaders' positions as rows, best first."""
-    return np.array((leaders[0].position, leaders[1].position, leaders[2].position))
+def _insert_leaders(g: Group, i: int, values: list) -> None:
+    """Shift-insert agent ``i`` of each run into its leaders, so they stay
+    the three best evaluations seen."""
+    for r, value in enumerate(values):
+        rank = g.leaders_f[r]
+        if value < rank[0]:
+            k = 0
+        elif value < rank[1]:
+            k = 1
+        elif value < rank[2]:
+            k = 2
+        else:
+            continue
+        rank[k + 1 :] = rank[k:2]
+        rank[k] = value
+        leaders = g.leaders[r]
+        leaders[k + 1 :] = leaders[k:2]
+        leaders[k] = g.x[r, i]
+
+
+def _velocities_init(g: Group, config: RunConfig) -> None:
+    g.velocities = np.zeros_like(g.x)
+
+
+def _personal_init(g: Group, config: RunConfig) -> None:
+    """Zero velocities, and every agent as its own personal best."""
+    _velocities_init(g, config)
+    g.personal_best = g.x.copy()
+    g.personal_best_f = [list(fitness) for fitness in g.fitness]
+
+
+def _update_personal(g: Group, i: int, values: list) -> None:
+    for r, value in enumerate(values):
+        if value < g.personal_best_f[r][i]:
+            g.personal_best_f[r][i] = value
+            g.personal_best[r, i] = g.x[r, i]
 
 
 # --- particle swarm ---------------------------------------------------------
@@ -161,41 +190,34 @@ def _pso_social(memory: Array, r2: Array, global_best: Array, position: Array) -
 
 
 def pso_step(state: PSOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> PSOState:
-    t = state.iteration + 1
-    span = max(state.max_iterations - 1, 1)
-    inertia = state.inertia_start - (state.inertia_start - state.inertia_end) * (t - 1) / span
-    lower, upper, mode = space.lower, space.upper, state.bound_mode
-    pop = state.population
-    dim = space.dim
-    (u,) = reserve(rng, len(pop), (2 * dim,))
-    positions = pop.positions()
-    personal = np.array([best.position for best in state.personal_best])
-    memory = _pso_memory(inertia, np.array(state.velocities), u[:, :dim], personal, positions)
-    r2 = u[:, dim:]
-    for i in range(len(pop)):
-        v = _pso_social(memory[i], r2[i], pop.best.position, positions[i])
-        state.velocities[i] = v
-        moved = Agent(bound_position(positions[i] + v, lower, upper, mode))
-        moved.fitness = objective(moved.position)
-        pop.agents[i] = moved
-        if moved.fitness < state.personal_best[i].fitness:
-            state.personal_best[i] = moved.copy()
-        consider_best(pop, moved)
-    settle(rng)
-    state.iteration = t
+    step_state(_pso_step, state, objective, space, rng)
     return state
 
 
+def _pso_step(g: Group) -> None:
+    t = g.iteration + 1
+    span = max(g.max_iterations - 1, 1)
+    inertia = g.inertia_start - (g.inertia_start - g.inertia_end) * (t - 1) / span
+    dim = g.dim
+    (u,) = g.reserve((2 * dim,))
+    memory = by_agent(_pso_memory(inertia, g.velocities, u[..., :dim], g.personal_best, g.x))
+    velocities = by_agent(g.velocities)
+    for i, (x, r2) in enumerate(zip(g.at, by_agent(u[..., dim:]))):
+        v = _pso_social(memory[i], r2, g.best_x, x)
+        velocities[i][...] = v
+        _update_personal(g, i, g.move(i, g.bound(x + v)))
+    g.settle()
+    g.iteration = t
+
+
+def _pso_init(g: Group, config: RunConfig) -> None:
+    _personal_init(g, config)
+    g.inertia_start = PSO_INERTIA_START
+    g.inertia_end = PSO_INERTIA_END
+
+
 def run_pso(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = prepare_run("pso", config, objective, space)
-    state = PSOState(
-        population=pop,
-        velocities=[np.zeros(space.dim) for _ in pop.agents],
-        personal_best=[a.copy() for a in pop.agents],
-        max_iterations=config.iterations,
-        bound_mode=config.bound_mode,
-    )
-    return drive("pso", config, pso_step, state, counter, space, rng)
+    return drive("pso", _pso_init, _pso_step, [config], [objective], [space])[0]
 
 
 # --- sperm swarm ------------------------------------------------------------
@@ -244,52 +266,42 @@ def _sso_draws(rng: RandomStream) -> list:
 
 
 def _sso_memory(draws: Array, velocity: Array, personal_best: Array, position: Array):
-    """For rows of velocity blocks drawn in range: the damped start velocity
-    plus the personal pull, and each row's global-pull factor (Python floats).
+    """For velocity blocks drawn in range (the last axis): the damped start
+    velocity plus the personal pull, and each block's global-pull factor,
+    both shaped like the blocks with one column each.
 
     Every log factor is ``math.log10`` of one draw, as the scalar formula
     has it.
     """
-    rows = draws.tolist()
-    start = np.array([[math.log10(row[1])] for row in rows])
-    personal = np.array([[math.log10(row[2]) * math.log10(row[3])] for row in rows])
-    social = [math.log10(row[4]) * math.log10(row[5]) for row in rows]
-    memory = draws[:, :1] * velocity * start + personal * (personal_best - position)
+    shape = draws.shape[:-1] + (1,)
+    rows = draws.reshape(-1, draws.shape[-1]).tolist()
+    start = np.array([math.log10(row[1]) for row in rows]).reshape(shape)
+    personal = np.array([math.log10(row[2]) * math.log10(row[3]) for row in rows]).reshape(shape)
+    social = np.array([math.log10(row[4]) * math.log10(row[5]) for row in rows]).reshape(shape)
+    memory = draws[..., :1] * velocity * start + personal * (personal_best - position)
     return memory, social
 
 
 def sso_step(state: SSOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> SSOState:
-    lower, upper, mode = space.lower, space.upper, state.bound_mode
-    pop = state.population
-    (u,) = reserve(rng, len(pop), (len(_SSO_DRAW_RANGES),))
-    positions = pop.positions()
-    personal = np.array([best.position for best in state.personal_best])
-    draws = _SSO_DRAW_LOW + _SSO_DRAW_SPAN * u
-    memory, social = _sso_memory(draws, np.array(state.velocities), personal, positions)
-    for i in range(len(pop)):
-        v = memory[i] + social[i] * (pop.best.position - positions[i])
-        state.velocities[i] = v
-        moved = Agent(bound_position(positions[i] + v, lower, upper, mode))
-        moved.fitness = objective(moved.position)
-        pop.agents[i] = moved
-        if moved.fitness < state.personal_best[i].fitness:
-            state.personal_best[i] = moved.copy()
-        consider_best(pop, moved)
-    settle(rng)
-    state.iteration += 1
+    step_state(_sso_step, state, objective, space, rng)
     return state
 
 
+def _sso_step(g: Group) -> None:
+    (u,) = g.reserve((len(_SSO_DRAW_RANGES),))
+    draws = _SSO_DRAW_LOW + _SSO_DRAW_SPAN * u
+    memory, social = _sso_memory(draws, g.velocities, g.personal_best, g.x)
+    velocities = by_agent(g.velocities)
+    for i, (x, m, f) in enumerate(zip(g.at, by_agent(memory), by_agent(social))):
+        v = m + f * (g.best_x - x)
+        velocities[i][...] = v
+        _update_personal(g, i, g.move(i, g.bound(x + v)))
+    g.settle()
+    g.iteration += 1
+
+
 def run_sso(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = prepare_run("sso", config, objective, space)
-    state = SSOState(
-        population=pop,
-        velocities=[np.zeros(space.dim) for _ in pop.agents],
-        personal_best=[a.copy() for a in pop.agents],
-        max_iterations=config.iterations,
-        bound_mode=config.bound_mode,
-    )
-    return drive("sso", config, sso_step, state, counter, space, rng)
+    return drive("sso", _personal_init, _sso_step, [config], [objective], [space])[0]
 
 
 # --- grey wolf --------------------------------------------------------------
@@ -321,50 +333,39 @@ def gwo_candidate(
 
 
 def _gwo_coefficients(draws: Array, coefficient: float):
-    """``A = 2a*r1 - a`` and ``C = 2*r2`` for rows of ``6 * dim`` draws, each
-    as ``(rows, 3, dim)``: leader by leader, r1 then r2."""
-    draws = draws.reshape(len(draws), 3, 2, -1)
-    return 2.0 * coefficient * draws[:, :, 0] - coefficient, 2.0 * draws[:, :, 1]
+    """``A = 2a*r1 - a`` and ``C = 2*r2`` for blocks of ``6 * dim`` draws (the
+    last axis), each as ``(..., 3, dim)``: leader by leader, r1 then r2."""
+    draws = draws.reshape(draws.shape[:-1] + (3, 2, -1))
+    return 2.0 * coefficient * draws[..., 0, :] - coefficient, 2.0 * draws[..., 1, :]
 
 
 def _gwo_guided(leaders: Array, a_coef: Array, c_coef: Array, position: Array) -> Array:
-    """Mean of the three leader-guided positions for one agent."""
-    guided = leaders - a_coef * np.abs(c_coef * leaders - position)
-    return (guided[0] + guided[1] + guided[2]) / 3.0
+    """Mean of the three leader-guided positions, for one agent or for one
+    agent of every run (leading axes)."""
+    guided = leaders - a_coef * np.abs(c_coef * leaders - position[..., None, :])
+    return (guided[..., 0, :] + guided[..., 1, :] + guided[..., 2, :]) / 3.0
 
 
 def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> GWOState:
-    pop = state.population
-    if len(pop) < MIN_POPULATION["gwo"]:
-        raise ConfigurationError(f"gwo needs a population of at least {MIN_POPULATION['gwo']}")
-    t = state.iteration + 1
-    coefficient = 2.0 - (t - 1) * 2.0 / state.max_iterations
-    lower, upper, mode = space.lower, space.upper, state.bound_mode
-    (u,) = reserve(rng, len(pop), (6 * space.dim,))
-    a_coef, c_coef = _gwo_coefficients(u, coefficient)
-    leaders = _leader_positions(state.leaders)
-    for i, agent in enumerate(pop.agents):
-        x = _gwo_guided(leaders, a_coef[i], c_coef[i], agent.position)
-        moved = Agent(bound_position(x, lower, upper, mode))
-        moved.fitness = objective(moved.position)
-        pop.agents[i] = moved
-        if _insert_leader(state.leaders, moved):
-            leaders = _leader_positions(state.leaders)
-        consider_best(pop, moved)
-    settle(rng)
-    state.iteration = t
+    step_state(_gwo_step, state, objective, space, rng)
     return state
 
 
+def _gwo_step(g: Group) -> None:
+    if g.n < MIN_POPULATION["gwo"]:
+        raise ConfigurationError(f"gwo needs a population of at least {MIN_POPULATION['gwo']}")
+    t = g.iteration + 1
+    coefficient = 2.0 - (t - 1) * 2.0 / g.max_iterations
+    (u,) = g.reserve((6 * g.dim,))
+    a_coef, c_coef = _gwo_coefficients(u, coefficient)
+    for i, (x, a, c) in enumerate(zip(g.at, by_agent(a_coef), by_agent(c_coef))):
+        _insert_leaders(g, i, g.move(i, g.bound(_gwo_guided(g.leaders, a, c, x))))
+    g.settle()
+    g.iteration = t
+
+
 def run_gwo(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = prepare_run("gwo", config, objective, space)
-    state = GWOState(
-        population=pop,
-        leaders=_three_leaders(pop),
-        max_iterations=config.iterations,
-        bound_mode=config.bound_mode,
-    )
-    return drive("gwo", config, gwo_step, state, counter, space, rng)
+    return drive("gwo", _leaders_init, _gwo_step, [config], [objective], [space])[0]
 
 
 # --- chernobyl disaster -----------------------------------------------------
@@ -413,22 +414,23 @@ def cdo_candidate(
 
 
 def _cdo_terms(draws: Array, walk_speed: float):
-    """For rows of ``8 * dim`` scaled draws: each row's propagation area
-    ``(rows, 1, dim)`` and its gamma/beta/alpha spread factors ``rho``
-    ``(rows, 3, dim)``."""
-    draws = draws.reshape(len(draws), 8, -1)
-    region = draws[:, :1] ** 2 * np.pi
-    area = draws[:, 1:2] ** 2 * np.pi
-    speed = np.log(draws[:, 2::2])  # gamma, beta, alpha
-    jitter = draws[:, 3::2]
+    """For blocks of ``8 * dim`` scaled draws (the last axis): each block's
+    propagation area ``(..., 1, dim)`` and its gamma/beta/alpha spread
+    factors ``rho`` ``(..., 3, dim)``."""
+    draws = draws.reshape(draws.shape[:-1] + (8, -1))
+    region = draws[..., :1, :] ** 2 * np.pi
+    area = draws[..., 1:2, :] ** 2 * np.pi
+    speed = np.log(draws[..., 2::2, :])  # gamma, beta, alpha
+    jitter = draws[..., 3::2, :]
     return area, region / (_CDO_WEIGHTS * speed) - walk_speed * jitter
 
 
 def _cdo_descent(leaders: Array, area: Array, rho: Array, position: Array) -> Array:
-    """Weighted mean of the gamma/beta/alpha descent terms for one agent."""
-    delta = np.abs(area * leaders - position)
+    """Weighted mean of the gamma/beta/alpha descent terms, for one agent or
+    for one agent of every run (leading axes)."""
+    delta = np.abs(area * leaders - position[..., None, :])
     v = _CDO_WEIGHTS * (leaders - rho * delta)
-    return (v[0] + v[1] + v[2]) / 3.0
+    return (v[..., 0, :] + v[..., 1, :] + v[..., 2, :]) / 3.0
 
 
 #: Class weights of the gamma, beta and alpha terms, as a column.
@@ -447,36 +449,25 @@ def _cdo_draw_bounds(dim: int):
 
 
 def cdo_step(state: CDOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> CDOState:
-    pop = state.population
-    t = state.iteration + 1
-    walk_speed = cdo_walk_speed(t - 1, state.max_iterations)
-    lower, upper, mode = space.lower, space.upper, state.bound_mode
-    low, high = _cdo_draw_bounds(space.dim)
-    (u,) = reserve(rng, len(pop), (low.size,))
-    area, rho = _cdo_terms(low + (high - low) * u, walk_speed)
-    leaders = _leader_positions(state.leaders)[::-1]  # gamma, beta, alpha
-    for i, agent in enumerate(pop.agents):
-        x = _cdo_descent(leaders, area[i], rho[i], agent.position)
-        moved = Agent(bound_position(x, lower, upper, mode))
-        moved.fitness = objective(moved.position)
-        pop.agents[i] = moved
-        if _insert_leader(state.leaders, moved):
-            leaders = _leader_positions(state.leaders)[::-1]
-        consider_best(pop, moved)
-    settle(rng)
-    state.iteration = t
+    step_state(_cdo_step, state, objective, space, rng)
     return state
 
 
+def _cdo_step(g: Group) -> None:
+    t = g.iteration + 1
+    walk_speed = cdo_walk_speed(t - 1, g.max_iterations)
+    low, high = _cdo_draw_bounds(g.dim)
+    (u,) = g.reserve((low.size,))
+    area, rho = _cdo_terms(low + (high - low) * u, walk_speed)
+    leaders = g.leaders[:, ::-1]  # gamma, beta, alpha; a view of the live leaders
+    for i, (x, a, p) in enumerate(zip(g.at, by_agent(area), by_agent(rho))):
+        _insert_leaders(g, i, g.move(i, g.bound(_cdo_descent(leaders, a, p, x))))
+    g.settle()
+    g.iteration = t
+
+
 def run_cdo(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = prepare_run("cdo", config, objective, space)
-    state = CDOState(
-        population=pop,
-        leaders=_three_leaders(pop),
-        max_iterations=config.iterations,
-        bound_mode=config.bound_mode,
-    )
-    return drive("cdo", config, cdo_step, state, counter, space, rng)
+    return drive("cdo", _leaders_init, _cdo_step, [config], [objective], [space])[0]
 
 
 # --- bermuda triangle -------------------------------------------------------
@@ -549,53 +540,51 @@ def bto_step(state: BTOState, objective: Objective, space: SearchSpace, rng: Ran
     ``chaos * area * acceleration`` and force probability read only its
     draws, so they are worked out for all agents before the first moves.
     """
-    pop = state.population
-    n = len(pop)
-    t0 = state.iteration
-    zone = bto_zone(t0, state.max_iterations)
-    (u,) = reserve(rng, n, (5,))
-    rows = u.tolist()
-    next_chaos = kernels.chaos_step(state.chaos.map_id)
-    chaos = state.chaos.value
-    chaos_values = []
-    for _ in range(n):
-        chaos = next_chaos(chaos)
-        chaos_values.append(chaos)
-    accelerations = _bto_accelerations([row[3] for row in rows], bto_decay(t0, state.max_iterations))
-    scales = []
-    probabilities = []
-    for (mass_center, mass_pulled, distance, _, prescience), c, acceleration in zip(
-        rows, chaos_values, accelerations
-    ):
-        numerator = BTO_GRAVITATION * mass_center * mass_pulled
-        gforce = numerator / (distance * distance) if distance > 0.0 else math.inf
-        probabilities.append(_bto_force_probability(t0, state.max_iterations, gforce))
-        area = state.triangle_area if prescience > 0.5 else state.ring_area
-        scales.append(c * area * acceleration)
-
-    anchor = space.width * zone + space.lower
-    lower, upper, mode = space.lower, space.upper, state.bound_mode
-    for i in range(n):
-        pulled = scales[i] * pop.best.position - probabilities[i]
-        moved = Agent(bound_position(pulled * anchor, lower, upper, mode))
-        moved.fitness = objective(moved.position)
-        pop.agents[i] = moved
-        consider_best(pop, moved)
-    settle(rng)
-    state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + n)
-    state.iteration = t0 + 1
+    step_state(_bto_step, state, objective, space, rng)
     return state
 
 
+def _bto_step(g: Group) -> None:
+    t0 = g.iteration
+    zone = bto_zone(t0, g.max_iterations)
+    (u,) = g.reserve((5,))
+    next_chaos = kernels.chaos_step(g.chaos_map)
+    decay = bto_decay(t0, g.max_iterations)
+    scales = []
+    probabilities = []
+    for r, rows in enumerate(u.tolist()):
+        chaos = g.chaos[r]
+        accelerations = _bto_accelerations([row[3] for row in rows], decay)
+        for (mass_center, mass_pulled, distance, _, prescience), acceleration in zip(rows, accelerations):
+            chaos = next_chaos(chaos)
+            numerator = BTO_GRAVITATION * mass_center * mass_pulled
+            gforce = numerator / (distance * distance) if distance > 0.0 else math.inf
+            probabilities.append(_bto_force_probability(t0, g.max_iterations, gforce))
+            area = g.triangle_area if prescience > 0.5 else g.ring_area
+            scales.append(chaos * area * acceleration)
+        g.chaos[r] = chaos
+    shape = (len(g.chaos), g.n, 1)
+    scales = by_agent(np.array(scales).reshape(shape))
+    probabilities = by_agent(np.array(probabilities).reshape(shape))
+
+    anchor = g.width * zone + g.lower
+    for i in range(g.n):
+        pulled = scales[i] * g.best_x - probabilities[i]
+        g.move(i, g.bound(pulled * anchor))
+    g.settle()
+    g.iteration = t0 + 1
+
+
+def _bto_init(g: Group, config: RunConfig) -> None:
+    """Seed each run's chaos trajectory with one draw of its own stream."""
+    g.chaos_map = config.chaos_map
+    g.chaos = [kernels.make_chaos(config.chaos_map, rng.uniform()).value for rng in g.rngs]
+    g.triangle_area = BTO_TRIANGLE_AREA
+    g.ring_area = BTO_RING_AREA
+
+
 def run_bto(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = prepare_run("bto", config, objective, space)
-    state = BTOState(
-        population=pop,
-        chaos=kernels.make_chaos(config.chaos_map, rng.uniform()),
-        max_iterations=config.iterations,
-        bound_mode=config.bound_mode,
-    )
-    return drive("bto", config, bto_step, state, counter, space, rng)
+    return drive("bto", _bto_init, _bto_step, [config], [objective], [space])[0]
 
 
 # --- gravitational search ---------------------------------------------------
@@ -611,14 +600,25 @@ class GSAState:
 
 
 def gsa_masses(fitness: Array) -> Array:
-    """Normalized masses from fitness; a flat population weighs 1/N each."""
-    best_f = float(np.min(fitness))
-    worst_f = float(np.max(fitness))
+    """Normalized masses from the finite fitness values; a flat population
+    weighs 1/N each.  A non-finite value weighs 0, and with none finite
+    every mass is 0."""
+    finite = np.isfinite(fitness)
+    if not finite.any():
+        return np.zeros_like(fitness)
+    best_f = float(np.min(fitness[finite]))
+    worst_f = float(np.max(fitness[finite]))
     if best_f == worst_f:
-        raw = np.ones_like(fitness)
+        raw = finite.astype(float)
     else:
-        raw = (fitness - worst_f) / (best_f - worst_f)
+        raw = np.where(finite, (fitness - worst_f) / (best_f - worst_f), 0.0)
     return raw / np.sum(raw)
+
+
+def _gsa_ranking(fitness: Array) -> Array:
+    """Agent indices best first; non-finite values rank after every finite
+    one, in index order."""
+    return np.argsort(np.where(np.isfinite(fitness), fitness, np.inf), kind="stable")
 
 
 def gsa_gravity(iteration: int, max_iterations: int) -> float:
@@ -638,60 +638,71 @@ def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: Ran
     (k shrinking linearly from N to 1), with one random vector per attracting
     pair, drawn agent by agent in attractor order; then each agent draws one
     damping vector for its velocity update and is evaluated.  The force
-    sweep runs attractor by attractor across all agents at once, so each
-    agent still sums its pulls in attractor order.  Nothing reads a live
-    evaluation, so every velocity and bounded position is computed before
-    the first evaluation.
+    sweep runs attractor by attractor across all agents (of every run of a
+    group) at once, so each agent still sums its pulls in attractor order.
+    Nothing reads a live evaluation, so every velocity and bounded position
+    is computed before the first evaluation.
     """
-    pop = state.population
-    n = len(pop)
-    dim = space.dim
-    t0 = state.iteration
-    gravity = gsa_gravity(t0, state.max_iterations)
-    fitness = pop.fitness_values()
-    masses = gsa_masses(fitness)
-    kbest = _gsa_kbest(n, t0, state.max_iterations)
-    attractors = np.argsort(fitness, kind="stable")[:kbest]
-    positions = pop.positions()
-
-    # agent i's vector for attractor k is row rows[i, k] of the pulls drawn
-    # agent by agent; an attractor pulls on every agent but itself, so it
-    # draws none for its own slot, whose row is another's (zeroed below)
-    drawn = np.ones((n, kbest), dtype=bool)
-    drawn[attractors, np.arange(kbest)] = False
-    rows = np.cumsum(drawn).reshape(n, kbest) - 1
-    flat, damping = reserve(rng, n, (dim,), lead=(n - 1) * kbest * dim)
-    pulls = flat.reshape(-1, dim)
-
-    accelerations = np.zeros((n, dim))
-    for k, j in enumerate(attractors.tolist()):
-        offset = positions[j] - positions
-        # the batched row products round exactly like np.linalg.norm per row
-        distance = np.sqrt(offset[:, None, :] @ offset[:, :, None])[:, 0]
-        pull = pulls[rows[:, k]] * gravity * masses[j] * offset / (distance + _GSA_EPS)
-        # adding +0.0 leaves every sum unchanged (it starts at +0.0, so it is
-        # never -0.0); this also drops a non-finite self term
-        pull[j] = 0.0
-        accelerations += pull
-
-    state.velocities = damping * np.array(state.velocities) + accelerations
-    moved_positions = bound_position(positions + state.velocities, space.lower, space.upper, state.bound_mode)
-    for i in range(n):
-        moved = Agent(moved_positions[i])
-        moved.fitness = objective(moved.position)
-        pop.agents[i] = moved
-        consider_best(pop, moved)
-    settle(rng)
-    state.iteration = t0 + 1
+    step_state(_gsa_step, state, objective, space, rng)
     return state
 
 
+def _gsa_step(g: Group) -> None:
+    n, dim, t0 = g.n, g.dim, g.iteration
+    gravity = gsa_gravity(t0, g.max_iterations)
+    kbest = _gsa_kbest(n, t0, g.max_iterations)
+    masses, attractors, rows = [], [], []
+    for fitness in g.fitness:
+        fitness = np.array(fitness, dtype=float)
+        masses.append(gsa_masses(fitness))
+        order = _gsa_ranking(fitness)[:kbest]
+        # agent i's vector for attractor k is row rows[i, k] of the pulls
+        # drawn agent by agent; an attractor pulls on every agent but itself,
+        # so it draws none for its own slot, whose row is another's (zeroed
+        # below)
+        drawn = np.ones((n, kbest), dtype=bool)
+        drawn[order, np.arange(kbest)] = False
+        rows.append(np.cumsum(drawn).reshape(n, kbest) - 1)
+        attractors.append(order)
+    flat, damping = g.reserve((dim,), lead=(n - 1) * kbest * dim)
+    # the runs' pulls, agents and masses each in one stack of rows, with the
+    # rows' and attractors' indices into them, attractor by attractor
+    x = g.x
+    runs = np.arange(len(flat))
+    pulls = flat.reshape(-1, dim)
+    rows = np.array(rows).transpose(2, 0, 1) + (runs * (n - 1) * kbest)[:, None]
+    selves = np.array(attractors).T + runs * n
+    attracting = x.reshape(-1, dim)[selves]
+    weights = np.array(masses).ravel()[selves][..., None, None]
+    accelerations = np.zeros_like(x)
+    for k in range(kbest):
+        offset = attracting[k][:, None] - x
+        # the batched row products round exactly like np.linalg.norm per row
+        distance = np.sqrt(offset[..., None, :] @ offset[..., :, None])[..., 0]
+        pull = pulls[rows[k]] * gravity * weights[k] * offset / (distance + _GSA_EPS)
+        # adding +0.0 leaves every sum unchanged (it starts at +0.0, so it is
+        # never -0.0); this also drops a non-finite self term
+        pull.reshape(-1, dim)[selves[k]] = 0.0
+        accelerations += pull
+
+    g.velocities = damping * g.velocities + accelerations
+    moved = bound_position(x + g.velocities, g.lower[:, None], g.upper[:, None], g.bound_mode)
+    for i, block in enumerate(by_agent(moved)):
+        g.move(i, block)
+    g.settle()
+    g.iteration = t0 + 1
+
+
 def run_gsa(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    space, rng, counter, pop = prepare_run("gsa", config, objective, space)
-    state = GSAState(
-        population=pop,
-        velocities=[np.zeros(space.dim) for _ in pop.agents],
-        max_iterations=config.iterations,
-        bound_mode=config.bound_mode,
-    )
-    return drive("gsa", config, gsa_step, state, counter, space, rng)
+    return drive("gsa", _velocities_init, _gsa_step, [config], [objective], [space])[0]
+
+
+#: algorithm id -> (init, group step) for :func:`core.drive`
+GROUP_STEPS = {
+    "cdo": (_leaders_init, _cdo_step),
+    "sso": (_personal_init, _sso_step),
+    "gsa": (_velocities_init, _gsa_step),
+    "pso": (_pso_init, _pso_step),
+    "bto": (_bto_init, _bto_step),
+    "gwo": (_leaders_init, _gwo_step),
+}

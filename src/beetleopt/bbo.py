@@ -10,7 +10,9 @@ all of it as one stream reservation, one row per agent laid out as
 ``[5 or 6 | e | 4 + dim | e]``, which consumes the stream exactly like the
 scalar draws it replaces: the ``e`` noise slots go to a noisy objective's
 own draws during the defense and escape evaluations.  The chaos state
-advances once per agent and consumes no draws.
+advances once per agent and consumes no draws.  The step advances a
+:class:`~beetleopt.core.Group` of runs in lockstep; :func:`bbo_run` and
+:func:`bbo_iteration` are groups of one run.
 """
 
 from __future__ import annotations
@@ -21,24 +23,20 @@ import numpy as np
 
 from . import kernels
 from .core import (
-    Agent,
     Array,
     ConfigurationError,
     ContractViolation,
+    Group,
     Objective,
     Population,
     RandomStream,
     RunConfig,
     SearchSpace,
-    bound_position,
-    consider_best,
+    by_agent,
     drive,
-    greedy_replace,
     index_from_uniform,
-    prepare_run,
-    reserve,
-    settle,
     signs_from_uniform,
+    step_state,
 )
 from .stats import RunRecord
 
@@ -110,62 +108,62 @@ def bbo_iteration(
 
     Agents update sequentially in index order; the global-best predator is
     the live best-so-far, refreshed as soon as a replacement is accepted.
-    Every proposal is bound-handled before it is evaluated.  What reads only
-    an agent's draws and the iteration's start is worked out for all agents
-    before the first proposal.
+    Every proposal is bound-handled before it is evaluated.
     """
-    t = state.iteration + 1
-    if t > state.max_iterations:
+    step_state(_bbo_step, state, objective, space, rng)
+    return state
+
+
+def _bbo_step(g: Group) -> None:
+    """:func:`bbo_iteration` for every run of a group.  What reads only an
+    agent's draws and the iteration's start is worked out for all agents
+    before the first proposal."""
+    t = g.iteration + 1
+    if t > g.max_iterations:
         raise ConfigurationError("run already finished")
-    pop = state.population
-    n = len(pop)
-    lower, upper = space.lower, space.upper
-    mode = state.bound_mode
-    random_predator = state.predator_mode != "global-best"
-    defense, escape = reserve(rng, n, (6 if random_predator else 5, 4 + space.dim))
+    n = g.n
+    random_predator = g.predator_mode != "global-best"
+    defense, escape = g.reserve((6 if random_predator else 5, 4 + g.dim))
 
     # each agent's lens area, reaction, spray divisor and predator index,
-    # and its whole escape step ``lift * width / t * signs``
-    next_chaos = kernels.chaos_step(state.chaos.map_id)
-    growth = kernels.spray_growth(t, state.max_iterations)
-    chaos = state.chaos.value
+    # and its whole escape step ``lift * width / t * signs``, run by run
+    next_chaos = kernels.chaos_step(g.chaos_map)
+    growth = kernels.spray_growth(t, g.max_iterations)
     sprays = []
-    for _ in range(n):
-        chaos = next_chaos(chaos)
-        sprays.append(kernels.spray_divisor(chaos, growth))
-    rows = defense.tolist()
-    areas = [kernels.lens_area(u[0], u[1], u[2]) for u in rows]
-    reactions = [reaction_intensity(u[3], u[4]) for u in rows]
-    predators = [index_from_uniform(u[5], n) for u in rows] if random_predator else None
-    lifts = [[kernels.lift_magnitude(*u)] for u in escape[:, :4].tolist()]
-    hops = kernels.escape_hop(np.array(lifts), space.width, t) * signs_from_uniform(escape[:, 4:])
+    for r, chaos in enumerate(g.chaos):
+        for _ in range(n):
+            chaos = next_chaos(chaos)
+            sprays.append(kernels.spray_divisor(chaos, growth))
+        g.chaos[r] = chaos
+    rows = defense.reshape(-1, defense.shape[-1]).tolist()
+    shape = (len(g.chaos), n, 1)
+    sprays = by_agent(np.array(sprays).reshape(shape))
+    areas = by_agent(np.array([kernels.lens_area(u[0], u[1], u[2]) for u in rows]).reshape(shape))
+    reactions = by_agent(np.array([reaction_intensity(u[3], u[4]) for u in rows]).reshape(shape))
+    if random_predator:
+        # each run's predator, as an index into all runs' agents in a row
+        predators = [index_from_uniform(u[5], n) for u in rows]
+        predators = by_agent((np.array(predators) + np.arange(len(rows)) // n * n).reshape(shape[:2]))
+        agents = g.x.reshape(-1, g.dim)
+    lifts = np.array([kernels.lift_magnitude(*u) for u in escape[..., :4].reshape(-1, 4).tolist()]).reshape(shape)
+    hops = by_agent(kernels.escape_hop(lifts, g.width[:, None], t) * signs_from_uniform(escape[..., 4:]))
 
-    for i in range(n):
-        agent = pop.agents[i]
-
+    for i, x in enumerate(g.at):
         # Defense: spray scaled by the threat-circle overlap and reaction.
-        if random_predator:
-            predator = pop.agents[predators[i]].position
-        else:
-            predator = pop.best.position
-        proposal = defense_proposal(agent.position, predator, areas[i], reactions[i], sprays[i])
-        candidate = Agent(bound_position(proposal, lower, upper, mode))
-        candidate.fitness = objective(candidate.position)
-        agent = greedy_replace(agent, candidate)
-        pop.agents[i] = agent
-        consider_best(pop, agent)
-
+        predator = agents[predators[i]] if random_predator else g.best_x
+        g.greedy(i, g.bound(defense_proposal(x, predator, areas[i], reactions[i], sprays[i])))
         # Escape: signed per-dimension hop whose size decays with time.
-        candidate = Agent(bound_position(agent.position + hops[i], lower, upper, mode))
-        candidate.fitness = objective(candidate.position)
-        agent = greedy_replace(agent, candidate)
-        pop.agents[i] = agent
-        consider_best(pop, agent)
+        g.greedy(i, g.bound(x + hops[i]))
 
-    settle(rng)
-    state.chaos = kernels.ChaosState(state.chaos.map_id, chaos, state.chaos.steps + n)
-    state.iteration = t
-    return state
+    g.settle()
+    g.iteration = t
+
+
+def _bbo_init(g: Group, config: RunConfig) -> None:
+    """Seed each run's chaos trajectory with one draw of its own stream."""
+    g.chaos_map = config.chaos_map
+    g.chaos = [kernels.make_chaos(config.chaos_map, rng.uniform()).value for rng in g.rngs]
+    g.predator_mode = config.predator_mode
 
 
 def bbo_run(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
@@ -176,12 +174,8 @@ def bbo_run(config: RunConfig, objective, space: SearchSpace = None) -> RunRecor
     on top of the ``N`` initial ones.  The chaos trajectory is seeded with
     one uniform draw taken right after the initial evaluations.
     """
-    space, rng, counter, pop = prepare_run("bbo", config, objective, space)
-    state = BBOState(
-        population=pop,
-        chaos=kernels.make_chaos(config.chaos_map, rng.uniform()),
-        max_iterations=config.iterations,
-        predator_mode=config.predator_mode,
-        bound_mode=config.bound_mode,
-    )
-    return drive("bbo", config, bbo_iteration, state, counter, space, rng)
+    return drive("bbo", _bbo_init, _bbo_step, [config], [objective], [space])[0]
+
+
+#: algorithm id -> (init, group step) for :func:`core.drive`
+GROUP_STEPS = {"bbo": (_bbo_init, _bbo_step)}

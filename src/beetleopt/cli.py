@@ -16,6 +16,13 @@ from .core import ConfigurationError
 from .harness import ALGORITHMS, ExperimentPlan, format_plan, parse_config, run_and_emit
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beetleopt",
@@ -27,7 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("config", type=Path, help="plan file (key = value lines)")
     run_cmd.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     run_cmd.add_argument("--seed", type=int, default=1, help="base seed; run r uses seed base+r")
-    run_cmd.add_argument("--jobs", type=int, default=1, help="worker processes for independent runs")
+    run_cmd.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes for groups of independent runs"
+    )
 
     sub.add_parser("list", help="print known algorithm and function ids")
     sub.add_parser("show-defaults", help="print the default plan as a config file")
@@ -40,12 +49,18 @@ def _cmd_run(args) -> int:
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot read config file {args.config}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"config file is not UTF-8 text: {args.config} (byte {exc.start})", file=sys.stderr)
+        return 2
     except ConfigurationError as exc:
         print(f"invalid config:\n{exc}", file=sys.stderr)
         return 2
     plan.base_seed = args.seed
     plan.out_dir = str(args.out)
-    result = run_and_emit(plan, jobs=max(1, args.jobs))
+    result = run_and_emit(plan, jobs=args.jobs)
     print(f"{len(result.records)} runs completed, {len(result.failures)} failed")
     print(f"artifacts written under {args.out}")
     return 1 if result.failures else 0

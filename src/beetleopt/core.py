@@ -8,6 +8,7 @@ two runs with the same :class:`RunConfig` reproduce each other bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -419,12 +420,6 @@ def update_best(pop: Population) -> Population:
     return pop
 
 
-def consider_best(pop: Population, agent: Agent) -> None:
-    """Make ``agent`` the best-so-far if it strictly improves on it."""
-    if pop.best is None or agent.fitness < pop.best.fitness:
-        pop.best = agent.copy()
-
-
 def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[SearchSpace]):
     """Common run prologue: the stream, the counted objective and the
     evaluated initial population, as ``(space, rng, counter, population)``.
@@ -456,24 +451,166 @@ def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[Se
     return space, rng, counter, pop
 
 
-def drive(
-    algorithm: str, config: RunConfig, step, state, counter, space: SearchSpace, rng: RandomStream
-) -> RunRecord:
-    """Run ``step(state, counter, space, rng)`` once per iteration, recording
-    the best-so-far after each, and return the run's record."""
-    pop = state.population
-    trace = np.empty(config.iterations, dtype=float)
+class Group:
+    """R prepared runs of one algorithm and one dimension, stepped in lockstep.
+
+    Agent positions live in one C-contiguous ``(R, N, dim)`` array ``x`` and
+    the best-so-far positions in ``best_x`` ``(R, dim)``, so a step's vector
+    operations run once on the ``(R, dim)`` block of agent ``i`` of every
+    run; every operation is elementwise, so each row holds the bits a run of
+    its own computes.  What a run decides on stays its own Python floats
+    (``fitness[r][i]``, ``best_f[r]``), and each run keeps its stream and its
+    objective, which takes its own contiguous row.  A step sets and reads
+    further per-algorithm state on the group (``velocities``, ``leaders`` ...).
+    """
+
+    def __init__(self, rngs, objectives, spaces, populations):
+        self.rngs = list(rngs)
+        self.objectives = list(objectives)
+        self.x = np.array([pop.positions() for pop in populations])
+        self.fitness = [[agent.fitness for agent in pop.agents] for pop in populations]
+        self.best_x = np.array([pop.best.position for pop in populations])
+        self.best_f = [pop.best.fitness for pop in populations]
+        self.lower = np.array([space.lower for space in spaces])
+        self.upper = np.array([space.upper for space in spaces])
+        self.width = self.upper - self.lower
+        #: ``at[i]``: agent ``i`` of every run, a live ``(R, dim)`` view of ``x``
+        self.at = by_agent(self.x)
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[2]
+
+    def bound(self, block: Array) -> Array:
+        """Bound an ``(R, dim)`` block of proposals, one row per run."""
+        return bound_position(block, self.lower, self.upper, self.bound_mode)
+
+    def reserve(self, widths, lead: int = 0) -> list:
+        """Each run's :func:`reserve`, stacked part by part: ``(R, lead)`` and
+        ``(R, N, width)`` arrays."""
+        parts = [reserve(rng, self.n, widths, lead) for rng in self.rngs]
+        return [np.array(part) for part in zip(*parts)]
+
+    def settle(self) -> None:
+        for rng in self.rngs:
+            settle(rng)
+
+    def move(self, i: int, moved: Array) -> list:
+        """Replace agent ``i`` of every run by its row of ``moved``, evaluate
+        it and track the best-so-far; returns the runs' new values."""
+        self.at[i][...] = moved
+        values = []
+        for r, (objective, row, fitness) in enumerate(zip(self.objectives, moved, self.fitness)):
+            value = objective(row)
+            fitness[i] = value
+            if value < self.best_f[r]:
+                self.best_f[r] = value
+                self.best_x[r] = row
+            values.append(value)
+        return values
+
+    def greedy(self, i: int, candidates: Array) -> None:
+        """:func:`greedy_replace` agent ``i`` of every run by its row of
+        ``candidates``, then make the agent kept the best-so-far if it
+        improves on it."""
+        agents = self.at[i]
+        for r, (objective, row, fitness) in enumerate(zip(self.objectives, candidates, self.fitness)):
+            value = objective(row)
+            if math.isfinite(value) and value < fitness[i]:
+                agents[r] = row
+                fitness[i] = value
+            if fitness[i] < self.best_f[r]:
+                self.best_f[r] = fitness[i]
+                self.best_x[r] = agents[r]
+
+
+def by_agent(block: Array) -> list:
+    """The views ``block[:, i]`` of an ``(R, N, ...)`` group array as a list,
+    which an agent loop indexes more cheaply than the array."""
+    return list(block.swapaxes(0, 1))
+
+
+def drive(algorithm: str, init, step, configs, objectives, spaces) -> list:
+    """Run each config as one of a group of runs in lockstep and return
+    their records, in order.
+
+    Every run gets its own :func:`prepare_run`.  ``init(group, config)``
+    sets the algorithm's state, then ``step(group)`` runs once per
+    iteration and each run's best-so-far is recorded after it.  The configs
+    must differ only in benchmark and seed, and the spaces share one
+    dimension; a run's record is the one it gets alone.
+    """
+    if len({(c.population, c.iterations, c.bound_mode, c.predator_mode, c.chaos_map) for c in configs}) > 1:
+        raise ContractViolation("a group's runs must share every setting but benchmark and seed")
+    config = configs[0]
+    prepared = [prepare_run(algorithm, c, o, s) for c, o, s in zip(configs, objectives, spaces)]
+    if len({space.dim for space, *_ in prepared}) > 1:
+        raise ContractViolation("a group's runs must share one dimension")
+    spaces, rngs, counters, populations = zip(*prepared)
+    group = Group(rngs, counters, spaces, populations)
+    group.iteration = 0
+    group.max_iterations = config.iterations
+    group.bound_mode = config.bound_mode
+    init(group, config)
+    traces = np.empty((len(configs), config.iterations), dtype=float)
     for t in range(config.iterations):
-        step(state, counter, space, rng)
-        trace[t] = pop.best.fitness
-    return RunRecord(
-        algorithm=algorithm,
-        benchmark=config.benchmark or "custom",
-        seed=config.seed,
-        trace=trace,
-        final_best=float(trace[-1]),
-        evaluations=counter.n,
-    )
+        step(group)
+        traces[:, t] = group.best_f
+    return [
+        RunRecord(
+            algorithm=algorithm,
+            benchmark=c.benchmark or "custom",
+            seed=c.seed,
+            trace=trace,
+            final_best=float(trace[-1]),
+            evaluations=counter.n,
+        )
+        for c, trace, counter in zip(configs, traces, counters)
+    ]
+
+
+def step_state(step, state, objective, space: SearchSpace, rng) -> None:
+    """Advance a public state object one iteration through ``step``, an
+    algorithm's group step, as a group of one run.
+
+    The state is a dataclass with a ``population``.  Its other fields map
+    onto the group by name: a list of agents to ``name`` (positions) and
+    ``name_f`` (values), a list of vectors to an array, a chaos state to
+    ``chaos`` and ``chaos_map``, anything else as it is.  After the step the
+    fields are written back.
+    """
+    pop = state.population
+    group = Group([rng], [objective], [space], [pop])
+    fields = [f.name for f in dataclasses.fields(state) if f.name != "population"]
+    for name in fields:
+        value = getattr(state, name)
+        if isinstance(value, list) and isinstance(value[0], Agent):
+            setattr(group, name, np.array([a.position for a in value])[None])
+            setattr(group, name + "_f", [[a.fitness for a in value]])
+        elif isinstance(value, (list, np.ndarray)):
+            setattr(group, name, np.array(value, dtype=float)[None])
+        elif hasattr(value, "map_id"):
+            group.chaos, group.chaos_map = [value.value], value.map_id
+        else:
+            setattr(group, name, value)
+    step(group)
+    pop.agents[:] = [Agent(x, f) for x, f in zip(group.x[0], group.fitness[0])]
+    pop.best = Agent(group.best_x[0], group.best_f[0])
+    for name in fields:
+        value = getattr(state, name)
+        if isinstance(value, list) and isinstance(value[0], Agent):
+            value = [Agent(x, f) for x, f in zip(getattr(group, name)[0], getattr(group, name + "_f")[0])]
+        elif isinstance(value, (list, np.ndarray)):
+            value = list(getattr(group, name)[0])
+        elif hasattr(value, "map_id"):
+            value = dataclasses.replace(value, value=group.chaos[0], steps=value.steps + len(pop))
+        else:
+            value = getattr(group, name)
+        setattr(state, name, value)
 
 
 def bind_objective(objective, rng: RandomStream) -> Objective:

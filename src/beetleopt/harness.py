@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from . import benchmarks, kernels, stats
+from . import baselines, bbo, benchmarks, kernels, stats
 from .baselines import run_bto, run_cdo, run_gsa, run_gwo, run_pso, run_sso
 from .bbo import bbo_run
 from .core import (
@@ -33,6 +33,7 @@ from .core import (
     PREDATOR_MODES,
     ConfigurationError,
     RunConfig,
+    drive,
 )
 from .stats import RANK_STATISTICS, RunRecord, SummaryRow
 
@@ -46,6 +47,9 @@ ALGORITHMS = {
     "gwo": run_gwo,
     "bbo": bbo_run,
 }
+_RUNNERS = dict(ALGORITHMS)
+#: algorithm id -> (init, group step) for :func:`core.drive`
+_GROUP_STEPS = {**baselines.GROUP_STEPS, **bbo.GROUP_STEPS}
 
 DEFAULT_RUNS = 10
 
@@ -200,15 +204,51 @@ def execute_run(algorithm: str, function: str, config: RunConfig) -> RunRecord:
     return ALGORITHMS[algorithm](config, spec)
 
 
-def _execute_args(args) -> RunRecord:
-    algorithm, function, config = args
-    return execute_run(algorithm, function, config)
+_EXECUTE_RUN = execute_run
+
+
+def execute_group(algorithm: str, runs) -> list:
+    """Run a group of ``(function, config)`` runs of one algorithm whose
+    functions share a dimension; returns each run's record, or the
+    exception it raised, in order.
+
+    The runs advance in lockstep (:func:`core.drive`).  If that raises, each
+    run is repeated alone, so only the failing one is lost and the others
+    keep the records they get alone.  While :func:`execute_run` or
+    ``ALGORITHMS[algorithm]`` is swapped for another callable (a tracer, a
+    test double), that callable runs once per run instead.
+    """
+    if execute_run is _EXECUTE_RUN and ALGORITHMS[algorithm] is _RUNNERS[algorithm]:
+        init, step = _GROUP_STEPS[algorithm]
+        configs = [config for _, config in runs]
+        try:
+            return drive(algorithm, init, step, configs, [benchmarks.get(f) for f, _ in runs], [None] * len(runs))
+        except Exception as exc:  # recorded, not fatal
+            if len(runs) == 1:
+                return [exc]
+    outcomes = []
+    for function, config in runs:
+        try:
+            outcomes.append(execute_run(algorithm, function, config))
+        except Exception as exc:  # recorded, not fatal
+            outcomes.append(exc)
+    return outcomes
+
+
+def plan_groups(plan: ExperimentPlan) -> List[Tuple[str, list]]:
+    """The plan's runs as ``(algorithm, [(function, config), ...])`` groups,
+    one per algorithm and function dimension, in plan order."""
+    groups: Dict[Tuple[str, int], list] = {}
+    for algorithm, function in plan.cells():
+        runs = groups.setdefault((algorithm, benchmarks.get(function).dim), [])
+        runs.extend((function, plan.config_for(algorithm, function, r)) for r in range(plan.runs))
+    return [(algorithm, runs) for (algorithm, _), runs in groups.items()]
 
 
 def worker_count(jobs: int, tasks: int) -> int:
-    """Worker processes for ``jobs`` requested over ``tasks`` runs.
+    """Worker processes for ``jobs`` requested over ``tasks`` groups.
 
-    Never more than the CPUs or the runs there are; 1 means the serial path.
+    Never more than the CPUs or the groups there are; 1 means the serial path.
     """
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
@@ -216,43 +256,35 @@ def worker_count(jobs: int, tasks: int) -> int:
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     """Execute every cell x run of the plan.
 
-    Cells are independent, so ``jobs > 1`` fans runs out to worker
-    processes (at most :func:`worker_count` of them); results are merged by
-    (algorithm, function, run) and are identical regardless of scheduling.
-    A failing run is recorded and skipped rather than aborting the
-    experiment.
+    Runs of one algorithm whose functions share a dimension form a group
+    (:func:`plan_groups`) that runs in lockstep, and ``jobs > 1`` fans the
+    groups out to worker processes (at most :func:`worker_count` of them);
+    results are merged by (algorithm, function, run) and are identical
+    regardless of grouping and scheduling.  A failing run is recorded and
+    skipped rather than aborting the experiment.
     """
-    tasks = [
-        (algorithm, function, plan.config_for(algorithm, function, run_index))
-        for algorithm, function in plan.cells()
-        for run_index in range(plan.runs)
-    ]
-    records: List[RunRecord] = []
-    failures: List[Tuple[str, str, int, str]] = []
-
-    workers = worker_count(jobs, len(tasks))
+    groups = plan_groups(plan)
+    workers = worker_count(jobs, len(groups))
     if workers == 1:
-        outcomes = []
-        for task in tasks:
-            try:
-                outcomes.append(_execute_args(task))
-            except Exception as exc:  # recorded, not fatal
-                outcomes.append(exc)
+        outcomes = [execute_group(algorithm, runs) for algorithm, runs in groups]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_args, task) for task in tasks]
+            futures = [pool.submit(execute_group, algorithm, runs) for algorithm, runs in groups]
             outcomes = []
-            for future in futures:
+            for future, (_, runs) in zip(futures, groups):
                 try:
                     outcomes.append(future.result())
-                except Exception as exc:
-                    outcomes.append(exc)
+                except Exception as exc:  # a worker lost: every run of its group failed
+                    outcomes.append([exc] * len(runs))
 
-    for (algorithm, function, config), outcome in zip(tasks, outcomes):
-        if isinstance(outcome, Exception):
-            failures.append((algorithm, function, config.seed - plan.base_seed, str(outcome)))
-        else:
-            records.append(outcome)
+    records: List[RunRecord] = []
+    failures: List[Tuple[str, str, int, str]] = []
+    for (algorithm, runs), group_outcomes in zip(groups, outcomes):
+        for (function, config), outcome in zip(runs, group_outcomes):
+            if isinstance(outcome, Exception):
+                failures.append((algorithm, function, config.seed - plan.base_seed, str(outcome)))
+            else:
+                records.append(outcome)
 
     records.sort(key=lambda r: (r.algorithm, r.benchmark, r.seed))
     failures.sort()

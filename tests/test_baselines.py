@@ -338,6 +338,28 @@ class TestGSA:
         assert bl._gsa_kbest(10, 0, 200) == 10
         assert bl._gsa_kbest(10, 199, 200) == 1
 
+    def test_non_finite_fitness_weighs_nothing(self):
+        # one inf agent used to make every mass NaN (inf - inf) and, from the
+        # next iteration on, every position NaN
+        space = SearchSpace.cube(5, -5.0, 5.0)
+        seen = []
+
+        def walled_sphere(x):
+            seen.append(np.array(x))
+            return math.inf if x[0] > 4.0 else float(np.sum(x * x))
+
+        cfg = RunConfig(algorithm="gsa", population=10, iterations=50, seed=3)
+        record = bl.run_gsa(cfg, walled_sphere, space)
+        assert record.evaluations == len(seen) == 10 + 10 * 50
+        for x in seen:
+            assert np.all(np.isfinite(x)) and space.contains(x)
+        assert record.final_best < 8.0
+        masses = bl.gsa_masses(np.array([1.0, math.inf, 3.0, math.nan, -math.inf]))
+        assert masses.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert bl.gsa_masses(np.array([math.inf, math.nan])).tolist() == [0.0, 0.0]
+        ranking = bl._gsa_ranking(np.array([math.nan, 2.0, -math.inf, 1.0, math.inf]))
+        assert ranking.tolist() == [3, 1, 0, 2, 4]
+
     def test_budget_and_monotonicity(self):
         cfg = RunConfig(algorithm="gsa", benchmark="f1", population=6, iterations=25, seed=13)
         record = bl.run_gsa(cfg, BENCHMARKS["f1"])

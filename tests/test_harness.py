@@ -327,6 +327,28 @@ class TestCLI:
     def test_run_missing_config(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "nope.txt")]) == 2
 
+    def test_run_directory_config(self, tmp_path, capsys):
+        assert cli_main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config file") and err.count("\n") == 1
+
+    def test_run_non_utf8_config(self, tmp_path, capsys):
+        config = tmp_path / "plan.txt"
+        config.write_bytes(b"runs = 2\n# caf\xe9\n")
+        assert cli_main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config file is not UTF-8 text") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        config = tmp_path / "plan.txt"
+        config.write_text("algorithms = pso\nfunctions = f16\nruns = 1\npopulation = 4\niterations = 2\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(config), "--out", str(tmp_path / "out"), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPlanEdges:
     def test_duplicate_ids_rejected_with_line_number(self):
