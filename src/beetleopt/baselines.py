@@ -420,9 +420,13 @@ def _cdo_terms(draws: Array, walk_speed: float):
     draws = draws.reshape(draws.shape[:-1] + (8, -1))
     region = draws[..., :1, :] ** 2 * np.pi
     area = draws[..., 1:2, :] ** 2 * np.pi
-    speed = np.log(draws[..., 2::2, :])  # gamma, beta, alpha
-    jitter = draws[..., 3::2, :]
-    return area, region / (_CDO_WEIGHTS * speed) - walk_speed * jitter
+    # region / (weight * log speed) - walk_speed * jitter, in place on the
+    # logs (gamma, beta, alpha); products commute bit for bit
+    rho = np.log(draws[..., 2::2, :])
+    rho *= _CDO_WEIGHTS
+    np.divide(region, rho, out=rho)
+    rho -= walk_speed * draws[..., 3::2, :]
+    return area, rho
 
 
 def _cdo_descent(leaders: Array, area: Array, rho: Array, position: Array) -> Array:
@@ -458,7 +462,10 @@ def _cdo_step(g: Group) -> None:
     walk_speed = cdo_walk_speed(t - 1, g.max_iterations)
     low, high = _cdo_draw_bounds(g.dim)
     (u,) = g.reserve((low.size,))
-    area, rho = _cdo_terms(low + (high - low) * u, walk_speed)
+    # low + (high - low) * u, in place
+    u *= high - low
+    u += low
+    area, rho = _cdo_terms(u, walk_speed)
     leaders = g.leaders[:, ::-1]  # gamma, beta, alpha; a view of the live leaders
     for i, (x, a, p) in enumerate(zip(g.at, by_agent(area), by_agent(rho))):
         _insert_leaders(g, i, g.move(i, g.bound(_cdo_descent(leaders, a, p, x))))
@@ -641,7 +648,8 @@ def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: Ran
     sweep runs attractor by attractor across all agents (of every run of a
     group) at once, so each agent still sums its pulls in attractor order.
     Nothing reads a live evaluation, so every velocity and bounded position
-    is computed before the first evaluation.
+    is computed before the first evaluation, and the moved population is
+    evaluated at once (:meth:`~beetleopt.core.Group.move_all`).
     """
     step_state(_gsa_step, state, objective, space, rng)
     return state
@@ -686,9 +694,7 @@ def _gsa_step(g: Group) -> None:
         accelerations += pull
 
     g.velocities = damping * g.velocities + accelerations
-    moved = bound_position(x + g.velocities, g.lower[:, None], g.upper[:, None], g.bound_mode)
-    for i, block in enumerate(by_agent(moved)):
-        g.move(i, block)
+    g.move_all(bound_position(x + g.velocities, g.lower[:, None], g.upper[:, None], g.bound_mode))
     g.settle()
     g.iteration = t0 + 1
 

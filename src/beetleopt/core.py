@@ -117,9 +117,15 @@ class RandomStream:
                 f"the objective took {sorted(counts)} draws on different evaluations; "
                 "it must take the same number every time"
             )
-        self.gap = counts.pop() if counts else 0
-        self._counter = counter
+        self.hold_gap(counter, counts.pop() if counts else 0)
         return values
+
+    def hold_gap(self, counter, gap: int) -> None:
+        """Set :attr:`gap` to ``gap`` draws per call of ``counter`` (an
+        objective that counts its calls in ``n``), and hold each of its calls
+        in later reservations to its own slots."""
+        self.gap = gap
+        self._counter = counter
 
     def reserve(self, rows: int, widths, lead: int = 0) -> list:
         """Draw ``lead`` values, then ``rows`` rows, as one block.
@@ -429,7 +435,9 @@ def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[Se
     callable, or an object with only ``evaluate(x, rng)``) is wrapped in an
     :class:`EvalCounter`.  Either way the counter has ``n``.  The initial
     evaluations also measure ``rng.gap``, the draws the objective takes from
-    the stream per evaluation, whichever route it takes.
+    the stream per evaluation, whichever route it takes.  A bound evaluator
+    (one with ``block``) evaluates the population as one block instead and
+    states its own gap.
     """
     minimum = MIN_POPULATION[algorithm]
     if config.population < minimum:
@@ -444,7 +452,11 @@ def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[Se
     else:
         counter = EvalCounter(bind_objective(objective, rng))
     pop = initialize_population(space, config.population, rng)
-    values = rng.measure_gap(counter, [agent.position for agent in pop.agents])
+    if hasattr(counter, "block"):
+        values = counter.block(pop.positions())
+        rng.hold_gap(counter, counter.gap)
+    else:
+        values = rng.measure_gap(counter, [agent.position for agent in pop.agents])
     for agent, value in zip(pop.agents, values):
         agent.fitness = value
     update_best(pop)
@@ -460,8 +472,10 @@ class Group:
     run; every operation is elementwise, so each row holds the bits a run of
     its own computes.  What a run decides on stays its own Python floats
     (``fitness[r][i]``, ``best_f[r]``), and each run keeps its stream and its
-    objective, which takes its own contiguous row.  A step sets and reads
-    further per-algorithm state on the group (``velocities``, ``leaders`` ...).
+    objective.  Consecutive runs whose bound evaluators share a function
+    are evaluated by one block call of it (:meth:`evaluate`).  A step sets
+    and reads further per-algorithm state on the group (``velocities``,
+    ``leaders`` ...).
     """
 
     def __init__(self, rngs, objectives, spaces, populations):
@@ -476,6 +490,10 @@ class Group:
         self.width = self.upper - self.lower
         #: ``at[i]``: agent ``i`` of every run, a live ``(R, dim)`` view of ``x``
         self.at = by_agent(self.x)
+        #: ``(start, stop, owners)``: consecutive runs whose objectives are
+        #: bound evaluators of one function (``owners``, one per run), or a
+        #: run whose objective has no ``block`` (``owners`` None)
+        self.segments = _segments(self.objectives)
 
     @property
     def n(self) -> int:
@@ -499,33 +517,74 @@ class Group:
         for rng in self.rngs:
             settle(rng)
 
+    def evaluate(self, rows: Array) -> list:
+        """Each run's objective on its row of a C-contiguous ``(R, dim)``
+        block: one block call per segment of runs sharing a function, one
+        call per row otherwise."""
+        values = []
+        for start, stop, owners in self.segments:
+            if stop - start == 1:
+                values.append(self.objectives[start](rows[start]))
+            else:
+                values += owners[0].block(rows[start:stop], owners)
+        return values
+
     def move(self, i: int, moved: Array) -> list:
         """Replace agent ``i`` of every run by its row of ``moved``, evaluate
         it and track the best-so-far; returns the runs' new values."""
         self.at[i][...] = moved
-        values = []
-        for r, (objective, row, fitness) in enumerate(zip(self.objectives, moved, self.fitness)):
-            value = objective(row)
+        values = self.evaluate(moved)
+        for r, (value, fitness) in enumerate(zip(values, self.fitness)):
             fitness[i] = value
             if value < self.best_f[r]:
                 self.best_f[r] = value
-                self.best_x[r] = row
-            values.append(value)
+                self.best_x[r] = moved[r]
         return values
+
+    def move_all(self, moved: Array) -> None:
+        """Replace every agent of every run by ``moved`` ``(R, N, dim)``,
+        evaluate each segment's agents as one block (each run's rows in
+        agent order) and track the best-so-far in agent order."""
+        self.x[...] = moved
+        n = self.n
+        for start, stop, owners in self.segments:
+            if owners is None:
+                values = [self.objectives[start](row) for row in moved[start]]
+            else:
+                rows = moved[start:stop].reshape(-1, self.dim)
+                values = owners[0].block(rows, [owner for owner in owners for _ in range(n)])
+            for r in range(start, stop):
+                fitness = self.fitness[r]
+                fitness[:] = values[(r - start) * n : (r - start + 1) * n]
+                for i, value in enumerate(fitness):
+                    if value < self.best_f[r]:
+                        self.best_f[r] = value
+                        self.best_x[r] = moved[r, i]
 
     def greedy(self, i: int, candidates: Array) -> None:
         """:func:`greedy_replace` agent ``i`` of every run by its row of
         ``candidates``, then make the agent kept the best-so-far if it
         improves on it."""
         agents = self.at[i]
-        for r, (objective, row, fitness) in enumerate(zip(self.objectives, candidates, self.fitness)):
-            value = objective(row)
+        for r, (value, fitness) in enumerate(zip(self.evaluate(candidates), self.fitness)):
             if math.isfinite(value) and value < fitness[i]:
-                agents[r] = row
+                agents[r] = candidates[r]
                 fitness[i] = value
             if fitness[i] < self.best_f[r]:
                 self.best_f[r] = fitness[i]
                 self.best_x[r] = agents[r]
+
+
+def _segments(objectives) -> list:
+    """:attr:`Group.segments` of a group's objectives, in run order."""
+    segments = []
+    for r, objective in enumerate(objectives):
+        function = getattr(objective, "function", None) if hasattr(objective, "block") else None
+        if function is not None and segments and segments[-1][2] is function:
+            segments[-1][1] = r + 1
+        else:
+            segments.append([r, r + 1, function])
+    return [(start, stop, objectives[start:stop] if function is not None else None) for start, stop, function in segments]
 
 
 def by_agent(block: Array) -> list:

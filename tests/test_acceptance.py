@@ -16,7 +16,7 @@ from beetleopt import benchmarks, stats
 from beetleopt.benchmarks import BENCHMARKS
 from beetleopt.cli import main as cli_main
 from beetleopt.core import RunConfig, SearchSpace
-from beetleopt.harness import ALGORITHMS
+from beetleopt.harness import ALGORITHMS, ExperimentPlan, run_experiment
 from beetleopt.kernels import CirclePair, circle_intersection_area
 
 from conftest import CheckedObjective
@@ -150,21 +150,25 @@ def _random_search_final(fid, budget, seed):
 def test_criterion_4_desk_scale_protocol():
     population, iterations, runs = 30, 1000, 10
     budget = population + 2 * population * iterations
-    finals = {}
-    for fid in ("f1", "f9", "f10", "f11"):
-        spec = BENCHMARKS[fid]
-        finals[fid] = []
-        for run_index in range(runs):
-            cfg = RunConfig(
-                algorithm="bbo",
-                benchmark=fid,
-                population=population,
-                iterations=iterations,
-                seed=1 + run_index,
-            )
-            record = bo.bbo_run(cfg, spec)
-            assert record.evaluations == budget
-            finals[fid].append(record.final_best)
+    functions = ("f1", "f9", "f10", "f11")
+    # seeds 1-10 of each function, run as one lockstep group whose runs of
+    # one function are evaluated in 10-row blocks
+    plan = ExperimentPlan(
+        algorithms=("bbo",), functions=functions, runs=runs, population=population, iterations=iterations
+    )
+    result = run_experiment(plan)
+    assert not result.failures
+    finals = {fid: [] for fid in functions}
+    for record in result.records:
+        assert record.evaluations == budget
+        finals[record.benchmark].append(record.final_best)
+    # the public one-run path gives each function's group record bit for bit
+    for k, fid in enumerate(functions):
+        cfg = RunConfig(algorithm="bbo", benchmark=fid, population=population, iterations=iterations, seed=1 + 3 * k)
+        solo = bo.bbo_run(cfg, BENCHMARKS[fid])
+        (grouped,) = [r for r in result.records if (r.benchmark, r.seed) == (fid, cfg.seed)]
+        assert solo.trace.tobytes() == grouped.trace.tobytes()
+        assert solo.evaluations == grouped.evaluations
 
     assert float(np.median(finals["f1"])) <= 1e-6
     assert min(finals["f9"]) <= 1e-3

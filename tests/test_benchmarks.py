@@ -354,3 +354,105 @@ class TestPenaltyOvershoot:
         for z in [*rng.uniform(-50.0, 50.0, (3000, 30)), *_edge_vectors(a)]:
             old = np.where(z > a, z - a, np.where(z < -a, -z - a, 0.0))
             assert benchmarks._overshoot(z, a).tobytes() == old.tobytes()
+
+
+def _block_cases(fid):
+    """Rows for the block tests: random in-box points, the argmin, signed
+    zeros, the box's corners and (f12, f13) the penalty's edge vectors."""
+    spec = BENCHMARKS[fid]
+    rng = np.random.default_rng(int(fid[1:]) + 500)
+    rows = [*(spec.lower + rng.random((420, spec.dim)) * (spec.upper - spec.lower))]
+    rows += [spec.argmin_array(), np.zeros(spec.dim), np.full(spec.dim, -0.0)]
+    rows += [np.full(spec.dim, float(spec.lower)), np.full(spec.dim, float(spec.upper))]
+    if fid in ("f12", "f13"):
+        rows += _edge_vectors(10.0 if fid == "f12" else 5.0)
+    return np.array(rows)
+
+
+class TestBlocks:
+    """A bound evaluator's block call gives each row the bits of the
+    one-vector call, counts every row and takes f7's draws in row order."""
+
+    @pytest.mark.parametrize("fid", ALL_IDS)
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    def test_each_row_gets_the_bits_of_its_own_call(self, fid, k):
+        spec = BENCHMARKS[fid]
+        rows = _block_cases(fid)
+        block_stream, row_stream = RandomStream(31), RandomStream(31)
+        bound, single = spec.bind(block_stream), spec.bind(row_stream)
+        with np.errstate(invalid="ignore", over="ignore"):  # the infinite and NaN edges
+            for start in range(0, len(rows) - k + 1, k):
+                block = np.ascontiguousarray(rows[start : start + k])
+                got = bound.block(block)
+                assert [type(v) for v in got] == [float] * k
+                assert [_bits(v) for v in got] == [_bits(single(x)) for x in block]
+        assert bound.n == single.n == len(rows) // k * k
+        assert block_stream.uniform() == row_stream.uniform()
+
+    def test_f7_block_takes_one_draw_per_row_in_row_order(self):
+        rows = _block_cases("f7")[:9]
+        block_stream, row_stream = RandomStream(8), RandomStream(8)
+        got = BENCHMARKS["f7"].bind(block_stream).block(rows)
+        assert got == [BENCHMARKS["f7"].evaluate(x, row_stream) for x in rows]
+        assert block_stream.uniform() == row_stream.uniform()
+
+    def test_owners_count_their_rows_and_draw_from_their_streams(self):
+        rows = _block_cases("f7")[:4]
+        streams = [RandomStream(1), RandomStream(2)]
+        first, second = (BENCHMARKS["f7"].bind(s) for s in streams)
+        got = first.block(rows, [first, second, second, first])
+        replay = [RandomStream(1), RandomStream(2)]
+        expected = [BENCHMARKS["f7"].evaluate(x, replay[r]) for x, r in zip(rows[[0, 1, 2, 3]], [0, 1, 1, 0])]
+        assert got == expected
+        assert (first.n, second.n) == (2, 2)
+
+    @pytest.mark.parametrize("fid", ["f1", "f12", "f16", "f21"])
+    def test_transposed_and_fortran_blocks_are_refused(self, fid):
+        spec = BENCHMARKS[fid]
+        rows = _block_cases(fid)[:5]
+        bound = spec.bind(RandomStream(0))
+        for bad in (np.asfortranarray(rows), np.ascontiguousarray(rows.T).T, rows[:, ::-1], rows[::2]):
+            assert bad.shape[1] == spec.dim
+            with pytest.raises(ValueError, match="C-contiguous"):
+                bound.block(bad)
+        for bad in (rows[0], rows[:, :-1], rows[None]):
+            with pytest.raises(ValueError, match=fid):
+                bound.block(bad)
+        assert bound.n == 0
+
+    def test_square_rule_matches_the_float64_scalar_power(self):
+        # array ``**`` may round differently from the scalar power the
+        # one-coordinate terms of f12 and f13 have always used
+        values = np.random.default_rng(2).uniform(-50.0, 50.0, 50_000)
+        expected = np.array([np.float64(v) ** 2 for v in values])
+        assert benchmarks._square(values).tobytes() == expected.tobytes()
+        with np.errstate(over="ignore"):
+            edges = np.array([1e200, -1e200, np.inf, -np.inf, np.nan, -0.0])
+            expected = np.array([np.float64(v) ** 2 for v in edges])
+        assert benchmarks._square(edges).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fid", ["f16", "f17", "f18"])
+    def test_coordinate_formulas_overflow_as_float64_scalars_do(self, fid):
+        spec = BENCHMARKS[fid]
+        formula = spec.evaluator.block.__wrapped__  # the formula over the coordinates
+        rows = np.array([[1e200, 1.0], [0.5, -0.5], [1.0, -1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # float64 scalars, as the one-vector form has always unpacked them
+            expected = [_bits(formula(*map(np.float64, row))) for row in rows]
+            assert [_bits(spec.evaluator(x)) for x in rows] == expected
+            assert [_bits(v) for v in spec.bind(None).block(rows)] == expected
+
+
+def test_a_spec_without_a_block_form_is_bound_row_by_row():
+    calls = []
+
+    def evaluator(x):
+        calls.append(x.shape)
+        return float(np.add.reduce(x * x))
+
+    spec = benchmarks.BenchmarkSpec("sq", 3, -1.0, 1.0, 0.0, evaluator, (0.0, 0.0, 0.0))
+    bound = spec.bind(RandomStream(0))
+    rows = np.arange(12.0).reshape(4, 3)
+    assert bound.block(rows) == [evaluator(x) for x in rows]
+    assert bound(rows[1]) == evaluator(rows[1]) and bound.n == 5
+    assert set(calls) == {(3,)}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import beetleopt as bo
 from beetleopt import benchmarks, harness
-from beetleopt.benchmarks import BENCHMARKS
+from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
 from beetleopt.core import MIN_POPULATION, RunConfig, drive
 
 #: registry functions by dimension (f7, the noisy one, is among the 30s)
@@ -148,6 +148,65 @@ def test_a_failing_run_costs_only_itself(monkeypatch):
     assert broken.failures == [(a, "f9", 1, "objective broke") for a in sorted(plan.algorithms)]
     kept = [r for r in clean.records if (r.benchmark, r.seed) != ("f9", 8)]
     assert len(broken.records) == len(kept) == len(clean.records) - len(plan.algorithms)
+    for a, b in zip(kept, broken.records):
+        _same(a, b)
+
+
+class _BreakingEvaluator(BoundEvaluator):
+    """A bound evaluator that raises once it has counted ``after``
+    evaluations, on the one-vector route and on the block route; ``routes``
+    records where it raised."""
+
+    routes = []
+
+    def __init__(self, spec, rng, after):
+        super().__init__(spec, rng)
+        self._after = after
+
+    def _check(self, route):
+        if self.n >= self._after:
+            _BreakingEvaluator.routes.append(route)
+            raise RuntimeError("objective broke")
+
+    def __call__(self, x):
+        self._check("call")
+        return super().__call__(x)
+
+    def count(self, value):
+        self._check("block")
+        return super().count(value)
+
+
+class FailInBlockOnSeed(FailOnSeed):
+    """A registry spec whose run with one seed raises inside the block calls
+    it shares with the other runs of the function."""
+
+    def bind(self, rng):
+        if rng.seed != self._seed:
+            return self._spec.bind(rng)
+        return _BreakingEvaluator(self._spec, rng, self._after)
+
+
+def test_a_run_failing_inside_a_shared_block_costs_only_itself(monkeypatch):
+    plan = _plan(runs=3)
+    clean = harness.run_experiment(plan)
+    real_get = benchmarks.get
+
+    def get(fid):
+        spec = real_get(fid)
+        return FailInBlockOnSeed(spec, seed=8, after=40) if fid in ("f7", "f9") else spec
+
+    monkeypatch.setattr(benchmarks, "get", get)
+    _BreakingEvaluator.routes = []
+    broken = harness.run_experiment(plan)
+    # seed 8 is the middle one of each function's three runs: each group
+    # broke once, inside a block call seed 8 shared with seeds 7 and 9, and
+    # each failing run broke again when repeated alone
+    routes = _BreakingEvaluator.routes
+    assert len(routes) == 3 * len(plan.algorithms) and routes.count("block") >= len(plan.algorithms)
+    assert broken.failures == sorted((a, f, 1, "objective broke") for a in plan.algorithms for f in ("f7", "f9"))
+    kept = [r for r in clean.records if not (r.benchmark in ("f7", "f9") and r.seed == 8)]
+    assert len(broken.records) == len(kept) == len(clean.records) - 2 * len(plan.algorithms)
     for a, b in zip(kept, broken.records):
         _same(a, b)
 

@@ -2,6 +2,8 @@
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_6.json \
         --workloads grid protocol --seeds 3001-3010 --seconds 36
+    python3 tools/bench_pairs.py --parent REV --plan PLAN_FILE --pairs 5 \
+        [--jobs K] [--seed N] [--out FILE]
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory (no worktree is registered in the repository), and the
@@ -13,17 +15,25 @@ how many pairs the change won, whether the medians differ by more than the
 parent's interquartile range in the better direction ("gain beyond the
 parent's IQR"), and whether the change is worse than the parent by more than
 the metric's bound; plus every repetition's metrics and ``# env`` line.
+
+With ``--plan``, each pair instead runs ``beetleopt run PLAN_FILE`` once on
+each side (first side alternating), each in a fresh interpreter that imports
+that side's ``src``.  It prints each side's median and quartile wall times
+(and writes them to ``--out`` if given), and exits with status 1 if the two
+sides' artifact trees differ in any file name or byte in any pair.
 Standard library only.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -63,6 +73,65 @@ def run_once(tree, workload, seed, seconds):
     return json.loads(lines[-1]), env
 
 
+#: run ``beetleopt run`` with the ``beetleopt`` package of the ``src`` given first
+_RUN_CLI = "import sys; sys.path.insert(0, sys.argv[1]); from beetleopt.cli import main; sys.exit(main(sys.argv[2:]))"
+
+
+def run_plan(tree, plan, out, seed, jobs):
+    """Wall seconds of one ``beetleopt run`` of ``plan`` from ``tree``'s sources into ``out``."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, os.path.join(tree, "src"), "run", plan, "--out", out,
+         "--seed", str(seed), "--jobs", str(jobs)],
+        capture_output=True, text=True, check=False,
+    )
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"beetleopt run failed in {tree} (exit {proc.returncode}): {proc.stderr.strip()}")
+    return seconds
+
+
+def tree_bytes(root):
+    """Relative path -> bytes of every file under ``root``."""
+    files = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def plan_pairs(args, trees, scratch):
+    """``--plan`` mode: the report, and whether every pair's artifact trees were identical."""
+    plan = os.path.abspath(args.plan)
+    walls = {"parent": [], "change": []}
+    differing = []
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        outs = {}
+        for side in order:
+            outs[side] = os.path.join(scratch, f"out-{k}-{side}")
+            walls[side].append(run_plan(trees[side], plan, outs[side], args.seed, args.jobs))
+        parent, change = tree_bytes(outs["parent"]), tree_bytes(outs["change"])
+        if parent != change:
+            differing.append(k)
+        for out in outs.values():
+            shutil.rmtree(out)
+        print(f"pair {k}: parent {walls['parent'][-1]:.2f} s, change {walls['change'][-1]:.2f} s, "
+              f"{len(parent)} files, {'identical' if parent == change else 'DIFFERENT'}", file=sys.stderr, flush=True)
+    report = {
+        "plan": args.plan, "seed": args.seed, "jobs": args.jobs, "pairs": args.pairs,
+        "wall_s": {side: quartiles(values) for side, values in walls.items()},
+        "runs": walls, "identical": not differing, "differing_pairs": differing,
+    }
+    p, c = report["wall_s"]["parent"], report["wall_s"]["change"]
+    print(f"wall s, median [q1, q3]: parent {p['median']:.2f} [{p['q1']:.2f}, {p['q3']:.2f}], "
+          f"change {c['median']:.2f} [{c['q1']:.2f}, {c['q3']:.2f}] ({p['median'] / c['median']:.2f}x); "
+          f"artifacts {'identical' if not differing else 'DIFFER in pairs ' + str(differing)}")
+    return report, not differing
+
+
 def quartiles(values):
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -95,55 +164,71 @@ def compare(metric, parent, change):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
-    parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 3001-3010")
+    parser.add_argument("--out", help="JSON file to write (required with --workloads)")
+    parser.add_argument("--workloads", nargs="+")
+    parser.add_argument("--seeds", type=parse_seeds, help="e.g. 3001-3010")
     parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--plan", help="plan file to run with beetleopt run instead of the workloads")
+    parser.add_argument("--pairs", type=int, default=5, help="--plan: alternating pairs")
+    parser.add_argument("--jobs", type=int, default=1, help="--plan: beetleopt run --jobs")
+    parser.add_argument("--seed", type=int, default=1, help="--plan: beetleopt run --seed")
     args = parser.parse_args(argv)
+    if not args.plan and not (args.workloads and args.seeds and args.out):
+        parser.error("give --plan, or --workloads, --seeds and --out")
 
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
     parent_sha = subprocess.run(
         ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
-    report = {"parent": parent_sha, "change": "working tree", "seconds": args.seconds,
-              "seeds": args.seeds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         trees = {"parent": export(parent_sha, scratch), "change": ROOT}
-        for workload in args.workloads:
-            pairs = []
-            for k, seed in enumerate(args.seeds):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    result, env = run_once(trees[side], workload, seed, args.seconds)
-                    pair[side] = {
-                        "correct": result["correct"],
-                        "attempted": result["attempted"],
-                        "failed": result["failed"],
-                        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-                        "env": env,
-                    }
-                print(f"{workload} seed {seed}: " + " ".join(
-                    f"{side} {pair[side]['metrics'].get('evals_per_s', float('nan')):.0f} evals/s"
-                    for side in ("parent", "change")), file=sys.stderr, flush=True)
-                pairs.append(pair)
-            report["workloads"][workload] = {
-                "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
-                "metrics": {
-                    m["name"]: compare(
-                        m,
-                        [p["parent"]["metrics"][m["name"]] for p in pairs],
-                        [p["change"]["metrics"][m["name"]] for p in pairs],
-                    )
-                    for m in metrics
-                },
-                "pairs": pairs,
-            }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return 0
+        if args.plan:
+            report, ok = plan_pairs(args, trees, scratch)
+        else:
+            report, ok = workload_pairs(args, trees), True
+    report.update(parent=parent_sha, change="working tree")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    return 0 if ok else 1
+
+
+def workload_pairs(args, trees):
+    """The report of the perfbench workloads' alternating pairs."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    report = {"seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
+    for workload in args.workloads:
+        pairs = []
+        for k, seed in enumerate(args.seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                result, env = run_once(trees[side], workload, seed, args.seconds)
+                pair[side] = {
+                    "correct": result["correct"],
+                    "attempted": result["attempted"],
+                    "failed": result["failed"],
+                    "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+                    "env": env,
+                }
+            print(f"{workload} seed {seed}: " + " ".join(
+                f"{side} {pair[side]['metrics'].get('evals_per_s', float('nan')):.0f} evals/s"
+                for side in ("parent", "change")), file=sys.stderr, flush=True)
+            pairs.append(pair)
+        report["workloads"][workload] = {
+            "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+            "metrics": {
+                m["name"]: compare(
+                    m,
+                    [p["parent"]["metrics"][m["name"]] for p in pairs],
+                    [p["change"]["metrics"][m["name"]] for p in pairs],
+                )
+                for m in metrics
+            },
+            "pairs": pairs,
+        }
+    return report
 
 
 if __name__ == "__main__":
