@@ -13,11 +13,12 @@ Each function is written once over ``(..., dim)`` and reduces along the
 last axis: the public function takes one 1-D float vector and returns a
 float, and its ``block`` attribute takes a C-contiguous ``(k, dim)`` block
 to its ``k`` values, each the bits of that row's own call.  Reductions call
-the ufunc loops directly (``np.add.reduce``, ``np.multiply.reduce``,
-``np.maximum.reduce``, with the axis given positionally): for a vector these
-are the loops ``np.sum``, ``np.prod`` and ``np.max`` run, so the values are
-the same bits, without those functions' Python wrappers, and along the last
-axis of a C-contiguous block each row keeps its order of summation.
+the ufunc loops directly (``_sum``, ``_prod`` and ``_max`` are
+``np.add.reduce``, ``np.multiply.reduce`` and ``np.maximum.reduce``, bound
+once, with the axis given positionally): for a vector these are the loops
+``np.sum``, ``np.prod`` and ``np.max`` run, so the values are the same bits,
+without those functions' Python wrappers, and along the last axis of a
+C-contiguous block each row keeps its order of summation.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Array, RandomStream, SearchSpace
+
+_sum = np.add.reduce
+_prod = np.multiply.reduce
+_max = np.maximum.reduce
 
 
 def penalty_u(z, a: float, k: float, m_exp: float):
@@ -71,7 +76,7 @@ def _square(v):
     power, which calls the same ``pow``; where it raises ``OverflowError``,
     NumPy's gives inf.
     """
-    if not isinstance(v, np.ndarray):
+    if type(v) is not np.ndarray:  # a float64 scalar
         return v ** 2
     out = []
     for value in v.tolist():
@@ -110,43 +115,37 @@ def _coordinates(z):
     return z if z.ndim == 1 else z.T[:, :, None]
 
 
-def _minus_rows(z, table):
-    """``z`` minus each row of ``table``: ``(m, dim)`` for a vector, ``(k,
-    m, dim)`` for a block."""
-    return (z if z.ndim == 1 else z[:, None, :]) - table
-
-
 @_registry_function
 def sphere(z):
-    return np.add.reduce(z * z, -1)
+    return _sum(z * z, -1)
 
 
 @_registry_function
 def schwefel_222(z):
     a = np.abs(z)
-    return np.add.reduce(a, -1) + np.multiply.reduce(a, -1)
+    return _sum(a, -1) + _prod(a, -1)
 
 
 @_registry_function
 def schwefel_12(z):
     c = np.cumsum(z, -1)
-    return np.add.reduce(c * c, -1)
+    return _sum(c * c, -1)
 
 
 @_registry_function
 def schwefel_221(z):
-    return np.maximum.reduce(np.abs(z), -1)
+    return _max(np.abs(z), -1)
 
 
 @_registry_function
 def rosenbrock(z):
     head = z[..., :-1]
-    return np.add.reduce(100.0 * (z[..., 1:] - head ** 2) ** 2 + (head - 1.0) ** 2, -1)
+    return _sum(100.0 * (z[..., 1:] - head ** 2) ** 2 + (head - 1.0) ** 2, -1)
 
 
 @_registry_function
 def step(z):
-    return np.add.reduce(np.floor(z + 0.5) ** 2, -1)
+    return _sum(np.floor(z + 0.5) ** 2, -1)
 
 
 # Per-call constants of the registry's dimension 30, built once; any other
@@ -161,25 +160,25 @@ def quartic(z):
     """Weighted quartic without its noise term (the registry entry adds it)."""
     dim = z.shape[-1]
     i = _INDEX_30 if dim == 30 else np.arange(1, dim + 1)
-    return np.add.reduce(i * z ** 4, -1)
+    return _sum(i * z ** 4, -1)
 
 
 @_registry_function
 def schwefel(z):
-    return np.add.reduce(-z * np.sin(np.sqrt(np.abs(z))), -1)
+    return _sum(-z * np.sin(np.sqrt(np.abs(z))), -1)
 
 
 @_registry_function
 def rastrigin(z):
-    return np.add.reduce(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, -1)
+    return _sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, -1)
 
 
 @_registry_function
 def ackley(z):
     d = z.shape[-1]
     return (
-        -20.0 * np.exp(-0.2 * np.sqrt(np.add.reduce(z * z, -1) / d))
-        - np.exp(np.add.reduce(np.cos(2.0 * np.pi * z), -1) / d)
+        -20.0 * np.exp(-0.2 * np.sqrt(_sum(z * z, -1) / d))
+        - np.exp(_sum(np.cos(2.0 * np.pi * z), -1) / d)
         + 20.0
         + np.e
     )
@@ -189,27 +188,30 @@ def ackley(z):
 def griewank(z):
     dim = z.shape[-1]
     root_i = _ROOT_INDEX_30 if dim == 30 else np.sqrt(np.arange(1, dim + 1))
-    return np.add.reduce(z * z, -1) / 4000.0 - np.multiply.reduce(np.cos(z / root_i), -1) + 1.0
+    return _sum(z * z, -1) / 4000.0 - _prod(np.cos(z / root_i), -1) + 1.0
 
 
 @_registry_function
 def penalized_1(z):
-    d = z.shape[-1]
     y = 1.0 + (z + 1.0) / 4.0
-    # ``.T[j]``: coordinate j, a float64 scalar for a vector and a column for a block
-    core = 10.0 * _square(np.sin(np.pi * y.T[0]))
-    core += np.add.reduce((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), -1)
-    core += _square(y.T[-1] - 1.0)
-    return np.pi / d * core + np.add.reduce(100.0 * _overshoot(z, 10.0) ** 4.0, -1)
+    sin_y = np.sin(np.pi * y)
+    # ``.T[j]``: coordinate j, a float64 scalar for a vector and a column for a
+    # block; a coordinate's sine is the same bits in an array as alone
+    yt = y.T
+    core = 10.0 * _square(sin_y.T[0])
+    core += _sum((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * sin_y[..., 1:] ** 2), -1)
+    core += _square(yt[-1] - 1.0)
+    return np.pi / len(yt) * core + _sum(100.0 * _overshoot(z, 10.0) ** 4.0, -1)
 
 
 @_registry_function
 def penalized_2(z):
+    sin_z = np.sin(3.0 * np.pi * z)
     last = z.T[-1]
-    core = _square(np.sin(3.0 * np.pi * z.T[0]))
-    core += np.add.reduce((z[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[..., 1:]) ** 2), -1)
+    core = _square(sin_z.T[0])
+    core += _sum((z[..., :-1] - 1.0) ** 2 * (1.0 + sin_z[..., 1:] ** 2), -1)
     core += _square(last - 1.0) * (1.0 + _square(np.sin(2.0 * np.pi * last)))
-    return 0.1 * core + np.add.reduce(100.0 * _overshoot(z, 5.0) ** 4.0, -1)
+    return 0.1 * core + _sum(100.0 * _overshoot(z, 5.0) ** 4.0, -1)
 
 
 _FOXHOLES_A = np.array(
@@ -226,7 +228,7 @@ _FOXHOLES_J = np.arange(1.0, 26.0)
 def foxholes(z):
     c = _coordinates(z)
     sixth = (c[0] - _FOXHOLES_A[0]) ** 6 + (c[1] - _FOXHOLES_A[1]) ** 6
-    return 1.0 / (1.0 / 500.0 + np.add.reduce(1.0 / (_FOXHOLES_J + sixth), -1))
+    return 1.0 / (1.0 / 500.0 + _sum(1.0 / (_FOXHOLES_J + sixth), -1))
 
 
 _KOWALIK_A = np.array(
@@ -240,7 +242,7 @@ _KOWALIK_B2 = _KOWALIK_B ** 2
 def kowalik(z):
     c = _coordinates(z)
     model = c[0] * (_KOWALIK_B2 + _KOWALIK_B * c[1]) / (_KOWALIK_B2 + _KOWALIK_B * c[2] + c[3])
-    return np.add.reduce((_KOWALIK_A - model) ** 2, -1)
+    return _sum((_KOWALIK_A - model) ** 2, -1)
 
 
 @_registry_function
@@ -297,8 +299,9 @@ _HARTMAN6_P = np.array(
 
 
 def _hartman(z, a, p):
-    inner = np.add.reduce(a * _minus_rows(z, p) ** 2, -1)
-    return -np.add.reduce(_HARTMAN_C * np.exp(-inner), -1)
+    # z minus each row of p: (4, dim) for a vector, (k, 4, dim) for a block
+    inner = _sum(a * ((z if z.ndim == 1 else z[:, None, :]) - p) ** 2, -1)
+    return -_sum(_HARTMAN_C * np.exp(-inner), -1)
 
 
 @_registry_function
@@ -335,8 +338,8 @@ _SHEKEL_ROWS = {m: (_SHEKEL_A[:m], _SHEKEL_C[:m]) for m in (5, 7, 10)}
 
 def _shekel(z, m: int):
     a, c = _SHEKEL_ROWS[m]
-    diff = _minus_rows(z, a)
-    return -np.add.reduce(1.0 / (np.add.reduce(diff * diff, -1) + c), -1)
+    diff = (z if z.ndim == 1 else z[:, None, :]) - a
+    return -_sum(1.0 / (_sum(diff * diff, -1) + c), -1)
 
 
 @_registry_function

@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py --parent REV --out BENCH_6.json \
         --workloads grid protocol --seeds 3001-3010 --seconds 36
     python3 tools/bench_pairs.py --parent REV --plan PLAN_FILE --pairs 5 \
-        [--jobs K] [--seed N] [--out FILE]
+        [--jobs K] [--out FILE]
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory (no worktree is registered in the repository), and the
@@ -77,12 +77,12 @@ def run_once(tree, workload, seed, seconds):
 _RUN_CLI = "import sys; sys.path.insert(0, sys.argv[1]); from beetleopt.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
-def run_plan(tree, plan, out, seed, jobs):
+def run_plan(tree, plan, out, jobs):
     """Wall seconds of one ``beetleopt run`` of ``plan`` from ``tree``'s sources into ``out``."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CLI, os.path.join(tree, "src"), "run", plan, "--out", out,
-         "--seed", str(seed), "--jobs", str(jobs)],
+         "--jobs", str(jobs)],
         capture_output=True, text=True, check=False,
     )
     seconds = time.perf_counter() - start
@@ -112,7 +112,7 @@ def plan_pairs(args, trees, scratch):
         outs = {}
         for side in order:
             outs[side] = os.path.join(scratch, f"out-{k}-{side}")
-            walls[side].append(run_plan(trees[side], plan, outs[side], args.seed, args.jobs))
+            walls[side].append(run_plan(trees[side], plan, outs[side], args.jobs))
         parent, change = tree_bytes(outs["parent"]), tree_bytes(outs["change"])
         if parent != change:
             differing.append(k)
@@ -121,7 +121,7 @@ def plan_pairs(args, trees, scratch):
         print(f"pair {k}: parent {walls['parent'][-1]:.2f} s, change {walls['change'][-1]:.2f} s, "
               f"{len(parent)} files, {'identical' if parent == change else 'DIFFERENT'}", file=sys.stderr, flush=True)
     report = {
-        "plan": args.plan, "seed": args.seed, "jobs": args.jobs, "pairs": args.pairs,
+        "plan": args.plan, "jobs": args.jobs, "pairs": args.pairs,
         "wall_s": {side: quartiles(values) for side, values in walls.items()},
         "runs": walls, "identical": not differing, "differing_pairs": differing,
     }
@@ -171,7 +171,6 @@ def main(argv=None):
     parser.add_argument("--plan", help="plan file to run with beetleopt run instead of the workloads")
     parser.add_argument("--pairs", type=int, default=5, help="--plan: alternating pairs")
     parser.add_argument("--jobs", type=int, default=1, help="--plan: beetleopt run --jobs")
-    parser.add_argument("--seed", type=int, default=1, help="--plan: beetleopt run --seed")
     args = parser.parse_args(argv)
     if not args.plan and not (args.workloads and args.seeds and args.out):
         parser.error("give --plan, or --workloads, --seeds and --out")
