@@ -448,20 +448,17 @@ class BoundEvaluator:
         refused: a reduction over a transposed or Fortran-ordered block
         does not keep each row's order of summation, so its bits differ.
         """
-        if rows.ndim != 2 or rows.shape[1:] != self._shape or not rows.flags.c_contiguous:
+        if rows.shape[1:] != self._shape or not rows.flags.c_contiguous:
             raise ValueError(
                 f"{self._id} expects a C-contiguous (k, {self._shape[0]}) block, got shape {rows.shape}"
             )
         values = self.function(rows).tolist()
-        return [owner.count(value) for owner, value in zip(owners or [self] * len(values), values)]
-
-    def count(self, value: float) -> float:
-        """Count one evaluation whose function value is ``value`` and return
-        the evaluation's value, with its noise draw."""
-        self.n += 1
+        owners = owners or (self,) * len(values)
+        for owner in owners:
+            owner.n += 1
         if self._rng is None:
-            return value
-        return value + self._rng.uniform()
+            return values
+        return [value + owner._rng.uniform() for owner, value in zip(owners, values)]
 
 
 def _row_by_row(evaluator):

@@ -473,7 +473,7 @@ class Group:
     its own computes.  What a run decides on stays its own Python floats
     (``fitness[r][i]``, ``best_f[r]``), and each run keeps its stream and its
     objective.  Consecutive runs whose bound evaluators share a function
-    are evaluated by one block call of it (:meth:`evaluate`).  A step sets
+    are evaluated by one block call of it (:meth:`shared_values`).  A step sets
     and reads further per-algorithm state on the group (``velocities``,
     ``leaders`` ...).
     """
@@ -517,10 +517,13 @@ class Group:
         for rng in self.rngs:
             settle(rng)
 
-    def evaluate(self, rows: Array) -> list:
-        """Each run's objective on its row of a C-contiguous ``(R, dim)``
-        block: one block call per segment of runs sharing a function, one
-        call per row otherwise."""
+    def shared_values(self, rows: Array) -> Optional[list]:
+        """Each run's value on its row of a C-contiguous ``(R, dim)`` block,
+        from one block call per segment of runs sharing a function; None if
+        no two runs share one, and each run evaluates its own row in the
+        caller's loop."""
+        if len(self.segments) == len(self.objectives):
+            return None
         values = []
         for start, stop, owners in self.segments:
             if stop - start == 1:
@@ -533,12 +536,15 @@ class Group:
         """Replace agent ``i`` of every run by its row of ``moved``, evaluate
         it and track the best-so-far; returns the runs' new values."""
         self.at[i][...] = moved
-        values = self.evaluate(moved)
-        for r, (value, fitness) in enumerate(zip(values, self.fitness)):
+        shared = self.shared_values(moved)
+        values = []
+        for r, (objective, row, fitness) in enumerate(zip(self.objectives, moved, self.fitness)):
+            value = objective(row) if shared is None else shared[r]
             fitness[i] = value
             if value < self.best_f[r]:
                 self.best_f[r] = value
-                self.best_x[r] = moved[r]
+                self.best_x[r] = row
+            values.append(value)
         return values
 
     def greedy(self, i: int, candidates: Array) -> None:
@@ -546,9 +552,11 @@ class Group:
         ``candidates``, then make the agent kept the best-so-far if it
         improves on it."""
         agents = self.at[i]
-        for r, (value, fitness) in enumerate(zip(self.evaluate(candidates), self.fitness)):
+        shared = self.shared_values(candidates)
+        for r, (objective, row, fitness) in enumerate(zip(self.objectives, candidates, self.fitness)):
+            value = objective(row) if shared is None else shared[r]
             if math.isfinite(value) and value < fitness[i]:
-                agents[r] = candidates[r]
+                agents[r] = row
                 fitness[i] = value
             if fitness[i] < self.best_f[r]:
                 self.best_f[r] = fitness[i]

@@ -160,21 +160,27 @@ class _BreakingEvaluator(BoundEvaluator):
     routes = []
 
     def __init__(self, spec, rng, after):
-        super().__init__(spec, rng)
         self._after = after
+        self._route = "block"
+        super().__init__(spec, rng)
 
-    def _check(self, route):
-        if self.n >= self._after:
-            _BreakingEvaluator.routes.append(route)
+    @property
+    def n(self):
+        return self._n
+
+    @n.setter
+    def n(self, value):
+        if value > self._after:
+            _BreakingEvaluator.routes.append(self._route)
             raise RuntimeError("objective broke")
+        self._n = value
 
     def __call__(self, x):
-        self._check("call")
-        return super().__call__(x)
-
-    def count(self, value):
-        self._check("block")
-        return super().count(value)
+        self._route = "call"
+        try:
+            return super().__call__(x)
+        finally:
+            self._route = "block"
 
 
 class FailInBlockOnSeed(FailOnSeed):
