@@ -648,7 +648,8 @@ def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: Ran
     sweep runs attractor by attractor across all agents (of every run of a
     group) at once, so each agent still sums its pulls in attractor order.
     Nothing reads a live evaluation, so every velocity and bounded position
-    is computed before the first evaluation.
+    is computed before the first evaluation, and the moved population is
+    evaluated at once (:meth:`~beetleopt.core.Group.move_all`).
     """
     step_state(_gsa_step, state, objective, space, rng)
     return state
@@ -693,10 +694,7 @@ def _gsa_step(g: Group) -> None:
         accelerations += pull
 
     g.velocities = damping * g.velocities + accelerations
-    moved = bound_position(x + g.velocities, g.lower[:, None], g.upper[:, None], g.bound_mode)
-    # agent by agent, each a C-contiguous (R, dim) block
-    for i, block in enumerate(moved.swapaxes(0, 1).copy()):
-        g.move(i, block)
+    g.move_all(bound_position(x + g.velocities, g.lower[:, None], g.upper[:, None], g.bound_mode))
     g.settle()
     g.iteration = t0 + 1
 

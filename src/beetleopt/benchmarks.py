@@ -454,11 +454,17 @@ class BoundEvaluator:
             )
         values = self.function(rows).tolist()
         owners = owners or (self,) * len(values)
-        for owner in owners:
-            owner.n += 1
         if self._rng is None:
+            for owner in owners:
+                owner.n += 1
             return values
-        return [value + owner._rng.uniform() for owner, value in zip(owners, values)]
+        noisy = []
+        for owner, value in zip(owners, values):
+            # counted before its draw, as a call is: a stream holding this
+            # evaluator to its noise slots checks each draw against n
+            owner.n += 1
+            noisy.append(value + owner._rng.uniform())
+        return noisy
 
 
 def _row_by_row(evaluator):

@@ -547,6 +547,26 @@ class Group:
             values.append(value)
         return values
 
+    def move_all(self, moved: Array) -> None:
+        """Replace every agent of every run by ``moved`` ``(R, N, dim)``,
+        evaluate each segment's agents as one block (each run's rows in
+        agent order) and track the best-so-far in agent order."""
+        self.x[...] = moved
+        n = self.n
+        for start, stop, owners in self.segments:
+            if owners is None:
+                values = [self.objectives[start](row) for row in moved[start]]
+            else:
+                rows = moved[start:stop].reshape(-1, self.dim)
+                values = owners[0].block(rows, [owner for owner in owners for _ in range(n)])
+            for r in range(start, stop):
+                fitness = self.fitness[r]
+                fitness[:] = values[(r - start) * n : (r - start + 1) * n]
+                for i, value in enumerate(fitness):
+                    if value < self.best_f[r]:
+                        self.best_f[r] = value
+                        self.best_x[r] = moved[r, i]
+
     def greedy(self, i: int, candidates: Array) -> None:
         """:func:`greedy_replace` agent ``i`` of every run by its row of
         ``candidates``, then make the agent kept the best-so-far if it

@@ -396,6 +396,19 @@ class TestBlocks:
         assert got == [BENCHMARKS["f7"].evaluate(x, row_stream) for x in rows]
         assert block_stream.uniform() == row_stream.uniform()
 
+    def test_a_held_stream_gives_each_row_its_own_noise_slot(self):
+        # inside a reservation the stream checks every draw against the
+        # evaluator's count, so each row must be counted just before its draw
+        rows = _block_cases("f7")[:3]
+        block_stream, row_stream = RandomStream(5), RandomStream(5)
+        bound, single = BENCHMARKS["f7"].bind(block_stream), BENCHMARKS["f7"].bind(row_stream)
+        for stream, evaluator in ((block_stream, bound), (row_stream, single)):
+            stream.hold_gap(evaluator, 1)
+            stream.reserve(len(rows), (2,))
+        assert bound.block(rows) == [single(x) for x in rows]
+        block_stream.settle()
+        row_stream.settle()
+
     def test_owners_count_their_rows_and_draw_from_their_streams(self):
         rows = _block_cases("f7")[:4]
         streams = [RandomStream(1), RandomStream(2)]
