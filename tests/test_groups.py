@@ -134,6 +134,23 @@ def _plan(**overrides):
     return harness.ExperimentPlan(**settings_)
 
 
+def test_a_clean_plan_steps_every_group_in_lockstep(monkeypatch):
+    # a group that raises is repeated run by run, with the records those runs
+    # get alone, so only this shows a fault on the group path
+    raised = []
+
+    def recording_drive(*args):
+        try:
+            return drive(*args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(harness, "drive", recording_drive)
+    result = harness.run_experiment(_plan())
+    assert raised == [] and result.failures == []
+
+
 def test_a_failing_run_costs_only_itself(monkeypatch):
     plan = _plan()
     clean = harness.run_experiment(plan)
