@@ -9,9 +9,13 @@ damping per agent), which consumes the stream exactly like the scalar draws
 it stands for; the ``e`` noise slots after each row go to a noisy
 objective's own draw during that agent's evaluation.  Every term that reads
 only the draws and the iteration's start is computed for all agents before
-the agent loop.  Each step advances a :class:`~beetleopt.core.Group` of runs
-in lockstep; the public ``run_*`` and ``*_step`` functions are groups of one
-run, and the public per-agent helpers call the same cores for one agent.
+the agent loop.  Each step advances a :class:`~beetleopt.core.Group` of
+runs: pso, sso and bto run by run in chunks of agents evaluated as one block
+(:meth:`~beetleopt.core.Group.sweep`), gwo and cdo agent by agent in
+lockstep, since their three leaders change too often for chunks to pay, and
+gsa all agents at once; the public ``run_*`` and ``*_step`` functions are
+groups of one run, and the public per-agent helpers call the same cores for
+one agent.
 All of them evaluate the objective exactly N times per iteration.
 The gravitational-search internals follow the standard formulation of that
 algorithm (only its two tuning constants are shared with the rest of the
@@ -137,14 +141,17 @@ def _personal_init(g: Group, config: RunConfig) -> None:
     """Zero velocities, and every agent as its own personal best."""
     _velocities_init(g, config)
     g.personal_best = g.x.copy()
-    g.personal_best_f = [list(fitness) for fitness in g.fitness]
+    g.personal_best_f = np.array(g.fitness)
 
 
-def _update_personal(g: Group, i: int, values: list) -> None:
-    for r, value in enumerate(values):
-        if value < g.personal_best_f[r][i]:
-            g.personal_best_f[r][i] = value
-            g.personal_best[r, i] = g.x[r, i]
+def _update_personal(g: Group) -> None:
+    """Make every agent that moved below its personal best that best.  An
+    agent moves once per iteration and nothing reads a personal best before
+    the next one, so this runs once, after the sweep."""
+    fitness = np.array(g.fitness)
+    better = fitness < g.personal_best_f
+    g.personal_best_f = np.where(better, fitness, g.personal_best_f)
+    g.personal_best[better] = g.x[better]
 
 
 # --- particle swarm ---------------------------------------------------------
@@ -200,12 +207,18 @@ def _pso_step(g: Group) -> None:
     inertia = g.inertia_start - (g.inertia_start - g.inertia_end) * (t - 1) / span
     dim = g.dim
     (u,) = g.reserve((2 * dim,))
-    memory = by_agent(_pso_memory(inertia, g.velocities, u[..., :dim], g.personal_best, g.x))
-    velocities = by_agent(g.velocities)
-    for i, (x, r2) in enumerate(zip(g.at, by_agent(u[..., dim:]))):
-        v = _pso_social(memory[i], r2, g.best_x, x)
-        velocities[i][...] = v
-        _update_personal(g, i, g.move(i, g.bound(x + v)))
+    memory = _pso_memory(inertia, g.velocities, u[..., :dim], g.personal_best, g.x)
+    social = u[..., dim:]
+
+    def propose(r: int, start: int) -> Array:
+        x = g.x[r, start:]
+        v = _pso_social(memory[r, start:], social[r, start:], g.best_x[r], x)
+        # an agent proposed again overwrites this with its committed velocity
+        g.velocities[r, start:] = v
+        return g.bound_run(r, x + v)
+
+    g.sweep(propose)
+    _update_personal(g)
     g.settle()
     g.iteration = t
 
@@ -291,11 +304,15 @@ def _sso_step(g: Group) -> None:
     (u,) = g.reserve((len(_SSO_DRAW_RANGES),))
     draws = _SSO_DRAW_LOW + _SSO_DRAW_SPAN * u
     memory, social = _sso_memory(draws, g.velocities, g.personal_best, g.x)
-    velocities = by_agent(g.velocities)
-    for i, (x, m, f) in enumerate(zip(g.at, by_agent(memory), by_agent(social))):
-        v = m + f * (g.best_x - x)
-        velocities[i][...] = v
-        _update_personal(g, i, g.move(i, g.bound(x + v)))
+
+    def propose(r: int, start: int) -> Array:
+        x = g.x[r, start:]
+        v = memory[r, start:] + social[r, start:] * (g.best_x[r] - x)
+        g.velocities[r, start:] = v
+        return g.bound_run(r, x + v)
+
+    g.sweep(propose)
+    _update_personal(g)
     g.settle()
     g.iteration += 1
 
@@ -571,13 +588,15 @@ def _bto_step(g: Group) -> None:
             scales.append(chaos * area * acceleration)
         g.chaos[r] = chaos
     shape = (len(g.chaos), g.n, 1)
-    scales = by_agent(np.array(scales).reshape(shape))
-    probabilities = by_agent(np.array(probabilities).reshape(shape))
-
+    scales = np.array(scales).reshape(shape)
+    probabilities = np.array(probabilities).reshape(shape)
     anchor = g.width * zone + g.lower
-    for i in range(g.n):
-        pulled = scales[i] * g.best_x - probabilities[i]
-        g.move(i, g.bound(pulled * anchor))
+
+    def propose(r: int, start: int) -> Array:
+        pulled = scales[r, start:] * g.best_x[r] - probabilities[r, start:]
+        return g.bound_run(r, pulled * anchor[r])
+
+    g.sweep(propose)
     g.settle()
     g.iteration = t0 + 1
 
@@ -673,12 +692,13 @@ def _gsa_step(g: Group) -> None:
         rows.append(np.cumsum(drawn).reshape(n, kbest) - 1)
         attractors.append(order)
     flat, damping = g.reserve((dim,), lead=(n - 1) * kbest * dim)
-    # the runs' pulls, agents and masses each in one stack of rows, with the
-    # rows' and attractors' indices into them, attractor by attractor
+    # the runs' agents and masses each in one stack of rows, with the
+    # attractors' indices into them, and each run's pull rows (views of its
+    # reservation), attractor by attractor
     x = g.x
     runs = np.arange(len(flat))
-    pulls = flat.reshape(-1, dim)
-    rows = np.array(rows).transpose(2, 0, 1) + (runs * (n - 1) * kbest)[:, None]
+    pulls = flat.reshape(len(flat), -1, dim)
+    rows = np.array(rows).transpose(2, 0, 1)
     selves = np.array(attractors).T + runs * n
     attracting = x.reshape(-1, dim)[selves]
     weights = np.array(masses).ravel()[selves][..., None, None]
@@ -687,7 +707,7 @@ def _gsa_step(g: Group) -> None:
         offset = attracting[k][:, None] - x
         # the batched row products round exactly like np.linalg.norm per row
         distance = np.sqrt(offset[..., None, :] @ offset[..., :, None])[..., 0]
-        pull = pulls[rows[k]] * gravity * weights[k] * offset / (distance + _GSA_EPS)
+        pull = pulls[runs[:, None], rows[k]] * gravity * weights[k] * offset / (distance + _GSA_EPS)
         # adding +0.0 leaves every sum unchanged (it starts at +0.0, so it is
         # never -0.0); this also drops a non-finite self term
         pull.reshape(-1, dim)[selves[k]] = 0.0

@@ -11,12 +11,14 @@ all of it as one stream reservation, one row per agent laid out as
 scalar draws it replaces: the ``e`` noise slots go to a noisy objective's
 own draws during the defense and escape evaluations.  The chaos state
 advances once per agent and consumes no draws.  The step advances a
-:class:`~beetleopt.core.Group` of runs in lockstep; :func:`bbo_run` and
+:class:`~beetleopt.core.Group` of runs, each in chunks with a global-best
+predator and all in lockstep with a random-agent one; :func:`bbo_run` and
 :func:`bbo_iteration` are groups of one run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +119,9 @@ def bbo_iteration(
 def _bbo_step(g: Group) -> None:
     """:func:`bbo_iteration` for every run of a group.  What reads only an
     agent's draws and the iteration's start is worked out for all agents
-    before the first proposal."""
+    before the first proposal.  A global-best predator steps each run in
+    chunks (:func:`_sweep_run`); a random-agent one reads other agents' live
+    positions, so every run steps agent by agent in lockstep."""
     t = g.iteration + 1
     if t > g.max_iterations:
         raise ConfigurationError("run already finished")
@@ -137,26 +141,110 @@ def _bbo_step(g: Group) -> None:
         g.chaos[r] = chaos
     rows = defense.reshape(-1, defense.shape[-1]).tolist()
     shape = (len(g.chaos), n, 1)
-    sprays = by_agent(np.array(sprays).reshape(shape))
-    areas = by_agent(np.array([kernels.lens_area(u[0], u[1], u[2]) for u in rows]).reshape(shape))
-    reactions = by_agent(np.array([reaction_intensity(u[3], u[4]) for u in rows]).reshape(shape))
-    if random_predator:
+    sprays = np.array(sprays).reshape(shape)
+    areas = np.array([kernels.lens_area(u[0], u[1], u[2]) for u in rows]).reshape(shape)
+    reactions = np.array([reaction_intensity(u[3], u[4]) for u in rows]).reshape(shape)
+    lifts = np.array([kernels.lift_magnitude(*u) for u in escape[..., :4].reshape(-1, 4).tolist()]).reshape(shape)
+    hops = kernels.escape_hop(lifts, g.width[:, None], t) * signs_from_uniform(escape[..., 4:])
+
+    if not random_predator:
+
+        def defend(r: int, start: int) -> Array:
+            x = g.x[r, start:]
+            return g.bound_run(r, defense_proposal(x, g.best_x[r], areas[r, start:], reactions[r, start:], sprays[r, start:]))
+
+        for r in range(len(g.chaos)):
+            _sweep_run(g, r, defend, hops[r])
+    else:
         # each run's predator, as an index into all runs' agents in a row
         predators = [index_from_uniform(u[5], n) for u in rows]
         predators = by_agent((np.array(predators) + np.arange(len(rows)) // n * n).reshape(shape[:2]))
         agents = g.x.reshape(-1, g.dim)
-    lifts = np.array([kernels.lift_magnitude(*u) for u in escape[..., :4].reshape(-1, 4).tolist()]).reshape(shape)
-    hops = by_agent(kernels.escape_hop(lifts, g.width[:, None], t) * signs_from_uniform(escape[..., 4:]))
-
-    for i, x in enumerate(g.at):
-        # Defense: spray scaled by the threat-circle overlap and reaction.
-        predator = agents[predators[i]] if random_predator else g.best_x
-        g.greedy(i, g.bound(defense_proposal(x, predator, areas[i], reactions[i], sprays[i])))
-        # Escape: signed per-dimension hop whose size decays with time.
-        g.greedy(i, g.bound(x + hops[i]))
+        sprays, areas, reactions, hops = (by_agent(a) for a in (sprays, areas, reactions, hops))
+        for i, x in enumerate(g.at):
+            # Defense: spray scaled by the threat-circle overlap and reaction.
+            g.greedy(i, g.bound(defense_proposal(x, agents[predators[i]], areas[i], reactions[i], sprays[i])))
+            # Escape: signed per-dimension hop whose size decays with time.
+            g.greedy(i, g.bound(x + hops[i]))
 
     g.settle()
     g.iteration = t
+
+
+def _sweep_run(g: Group, r: int, defend, hops: Array) -> None:
+    """Both phases of every agent of run ``r``, in chunks.
+
+    ``defend(r, start)`` returns the bounded defense proposals of agents
+    ``start, ...`` from the live best-so-far; an agent's escape reads only
+    its own position.  A chunk commits agents in order up to and including
+    the first whose defense or escape improves the best-so-far, and the
+    agents after it are proposed again from the new best.  A noiseless
+    bound evaluator (an objective with ``speculate``) evaluates both phases
+    of the whole chunk as two blocks, the escapes from the speculated
+    defense acceptances, and the chunk is committed with array operations.
+    A noisy one evaluates the defenses as one block but commits them row by
+    row, taking each row's noise draw then; its noise decides most escape
+    proposals (it flipped 97% of the defense acceptances speculated without
+    it on f7 at N = 30), so each escape is evaluated as the commit reaches
+    it.  Any other objective is evaluated row by row as the commit reaches
+    it, never speculatively.
+    """
+    objective = g.objectives[r]
+    x, fitness = g.x[r], g.fitness[r]
+    speculative = hasattr(objective, "speculate")
+    start = 0
+    while start < g.n:
+        proposals = defend(r, start)
+        if not speculative or objective.gap:
+            values = objective.speculate(proposals).tolist() if speculative else None
+            start = _commit_rows(g, r, start, proposals, hops, values)
+            continue
+        held = np.array(fitness[start:])
+        values = objective.speculate(proposals)
+        took = np.isfinite(values) & (values < held)
+        kept = np.where(took[:, None], proposals, x[start:])
+        kept_f = np.where(took, values, held)
+        escapes = g.bound_run(r, kept + hops[start:])
+        values = objective.speculate(escapes)
+        fled = np.isfinite(values) & (values < kept_f)
+        kept = np.where(fled[:, None], escapes, kept)
+        kept_f = np.where(fled, values, kept_f)
+        below = kept_f < g.best_f[r]
+        first = int(below.argmax())
+        stop = first + 1 if below[first] else len(kept)
+        objective.n += 2 * stop
+        x[start : start + stop] = kept[:stop]
+        fitness[start : start + stop] = kept_f[:stop].tolist()
+        if below[first]:
+            g.best_f[r] = fitness[start + first]
+            g.best_x[r] = x[start + first]
+        start += stop
+
+
+def _commit_rows(g: Group, r: int, start: int, proposals: Array, hops: Array, values=None) -> int:
+    """Commit agents ``start, ...`` of run ``r`` one by one, up to and
+    including the first that improves the best-so-far, and return the next
+    agent.  ``values`` are the defense proposals' values a bound evaluator
+    speculated; without them each proposal is evaluated as the commit
+    reaches it.  Every escape is."""
+    objective = g.objectives[r]
+    x, fitness = g.x[r], g.fitness[r]
+    for j, proposal in enumerate(proposals):
+        i = start + j
+        value = objective(proposal) if values is None else objective.commit(values[j])
+        if math.isfinite(value) and value < fitness[i]:
+            x[i] = proposal
+            fitness[i] = value
+        escape = g.bound_run(r, x[i] + hops[i])
+        value = objective(escape)
+        if math.isfinite(value) and value < fitness[i]:
+            x[i] = escape
+            fitness[i] = value
+        if fitness[i] < g.best_f[r]:
+            g.best_f[r] = fitness[i]
+            g.best_x[r] = x[i]
+            return i + 1
+    return start + len(proposals)
 
 
 def _bbo_init(g: Group, config: RunConfig) -> None:

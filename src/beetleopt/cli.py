@@ -61,6 +61,8 @@ def _cmd_run(args) -> int:
     plan.base_seed = args.seed
     plan.out_dir = str(args.out)
     result = run_and_emit(plan, jobs=args.jobs)
+    for algorithm, functions, message in result.fallbacks:
+        print(f"{algorithm} group {' '.join(functions)} raised and ran run by run: {message}", file=sys.stderr)
     print(f"{len(result.records)} runs completed, {len(result.failures)} failed")
     print(f"artifacts written under {args.out}")
     return 1 if result.failures else 0

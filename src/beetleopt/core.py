@@ -139,13 +139,33 @@ class RandomStream:
         the generator would have given them; after :meth:`measure_gap`, a
         draw outside its evaluation's ``gap`` slots raises.
         """
+        return reserve(self, rows, widths, lead)
+
+    def reserve_into(self, out: Array, rows: int, widths, lead: int = 0) -> None:
+        """:meth:`reserve`, writing the draws it returns into ``out``, a
+        C-contiguous float vector of ``lead + rows * sum(widths)`` values laid
+        out as ``[lead | row | row ...]`` without the noise slots.  Without
+        noise slots the generator fills ``out`` itself, with the doubles
+        ``random(size)`` would give."""
         if self._gen is not self._generator:
             raise ContractViolation("the previous reservation was not settled")
         gap = self.gap
-        block = self._generator.random(lead + rows * (sum(widths) + gap * len(widths)))
-        out, noise = _split_reservation(block, rows, widths, lead, gap)
+        noise = []
+        if gap == 0:
+            self._generator.random(out=out)
+        else:
+            block = self._generator.random(out.size + rows * gap * len(widths))
+            grid = block[lead:].reshape(rows, -1)
+            segments = np.ones(grid.shape[1], dtype=bool)
+            start = 0
+            for width in widths:
+                start += width
+                segments[start : start + gap] = False
+                start += gap
+            out[:lead] = block[:lead]
+            out[lead:].reshape(rows, -1)[...] = grid[:, segments]
+            noise = grid[:, ~segments].ravel().tolist()
         self._gen = _NoiseSlots(noise, gap, self._counter)
-        return out
 
     def settle(self) -> None:
         """Close the open reservation; the objective must have taken exactly
@@ -160,30 +180,35 @@ class RandomStream:
             )
 
 
-def _split_reservation(block: Array, rows: int, widths, lead: int, gap: int):
-    """Cut a reservation's block into its parts (see :meth:`RandomStream.reserve`):
-    ``(lead values and segments, noise slot values in order)``."""
-    grid = block[lead:].reshape(rows, sum(widths) + gap * len(widths))
-    out = [block[:lead]] if lead else []
-    noise_columns = []
+def _split_reservation(block: Array, rows: int, widths, lead: int) -> list:
+    """The parts of the draws :meth:`RandomStream.reserve_into` writes, as
+    views of ``block`` (its leading axes kept, one per run of a group): the
+    ``lead`` values when ``lead > 0``, then one ``(rows, width)`` array per
+    segment."""
+    grid = block[..., lead:].reshape(block.shape[:-1] + (rows, sum(widths)))
+    out = [block[..., :lead]] if lead else []
     start = 0
     for width in widths:
-        out.append(grid[:, start : start + width])
+        out.append(grid[..., start : start + width])
         start += width
-        noise_columns.extend(range(start, start + gap))
-        start += gap
-    noise = grid[:, noise_columns].ravel().tolist() if gap else []
-    return out, noise
+    return out
+
+
+def reserve_into(rng, out: Array, rows: int, widths, lead: int = 0) -> None:
+    """:meth:`RandomStream.reserve_into` for any draw source.  Any other
+    source (a scripted stand-in) fills ``out`` from one ``uniform`` block and
+    leaves no noise slots."""
+    if isinstance(rng, RandomStream):
+        rng.reserve_into(out, rows, widths, lead)
+    else:
+        out[...] = rng.uniform(size=out.size)
 
 
 def reserve(rng, rows: int, widths, lead: int = 0) -> list:
-    """:meth:`RandomStream.reserve` for any draw source.  Any other source
-    (a scripted stand-in) gives the same parts from one ``uniform`` block
-    and leaves no noise slots."""
-    if isinstance(rng, RandomStream):
-        return rng.reserve(rows, widths, lead)
-    block = np.asarray(rng.uniform(size=lead + rows * sum(widths)), dtype=float)
-    return _split_reservation(block, rows, widths, lead, 0)[0]
+    """:meth:`RandomStream.reserve` for any draw source (see :func:`reserve_into`)."""
+    out = np.empty(lead + rows * sum(widths))
+    reserve_into(rng, out, rows, widths, lead)
+    return _split_reservation(out, rows, widths, lead)
 
 
 def settle(rng) -> None:
@@ -472,10 +497,12 @@ class Group:
     run; every operation is elementwise, so each row holds the bits a run of
     its own computes.  What a run decides on stays its own Python floats
     (``fitness[r][i]``, ``best_f[r]``), and each run keeps its stream and its
-    objective.  Consecutive runs whose bound evaluators share a function
-    are evaluated by one block call of it (:meth:`shared_values`).  A step sets
-    and reads further per-algorithm state on the group (``velocities``,
-    ``leaders`` ...).
+    objective.  A step moves the runs' agents either agent by agent in
+    lockstep (:meth:`move`, :meth:`greedy`, where consecutive runs whose
+    bound evaluators share a function are evaluated by one block call of
+    it, :meth:`shared_values`), all at once (:meth:`move_all`) or run by run
+    in chunks (:meth:`sweep`).  A step sets and reads further per-algorithm
+    state on the group (``velocities``, ``leaders`` ...).
     """
 
     def __init__(self, rngs, objectives, spaces, populations):
@@ -507,11 +534,17 @@ class Group:
         """Bound an ``(R, dim)`` block of proposals, one row per run."""
         return bound_position(block, self.lower, self.upper, self.bound_mode)
 
+    def bound_run(self, r: int, rows: Array) -> Array:
+        """Bound proposals ``(..., dim)`` of run ``r``."""
+        return bound_position(rows, self.lower[r], self.upper[r], self.bound_mode)
+
     def reserve(self, widths, lead: int = 0) -> list:
-        """Each run's :func:`reserve`, stacked part by part: ``(R, lead)`` and
-        ``(R, N, width)`` arrays."""
-        parts = [reserve(rng, self.n, widths, lead) for rng in self.rngs]
-        return [np.array(part) for part in zip(*parts)]
+        """Each run's :func:`reserve`, drawn into its row of one block:
+        ``(R, lead)`` and ``(R, N, width)`` views of it, part by part."""
+        block = np.empty((len(self.rngs), lead + self.n * sum(widths)))
+        for rng, row in zip(self.rngs, block):
+            reserve_into(rng, row, self.n, widths, lead)
+        return _split_reservation(block, self.n, widths, lead)
 
     def settle(self) -> None:
         for rng in self.rngs:
@@ -567,6 +600,31 @@ class Group:
                         self.best_f[r] = value
                         self.best_x[r] = moved[r, i]
 
+    def sweep(self, propose) -> None:
+        """Move every agent of every run once, in agent order, to its
+        proposal, tracking the best-so-far as :meth:`move` does.
+
+        ``propose(r, start)`` returns the bounded proposals of agents
+        ``start, ..., N - 1`` of run ``r`` as one ``(k, dim)`` array, made
+        from the live state.  Run by run, they are evaluated as one block
+        (:func:`_commit_prefix`) and committed in agent order up to and
+        including the first that improves the run's best-so-far; the agents
+        after it are proposed again from the new best.
+        """
+        n = self.n
+        for r, (objective, x, fitness) in enumerate(zip(self.objectives, self.x, self.fitness)):
+            start = 0
+            while start < n:
+                rows = propose(r, start)
+                values = _commit_prefix(objective, rows, self.best_f[r])
+                stop = start + len(values)
+                x[start:stop] = rows[: len(values)]
+                fitness[start:stop] = values
+                if values[-1] < self.best_f[r]:
+                    self.best_f[r] = values[-1]
+                    self.best_x[r] = x[stop - 1]
+                start = stop
+
     def greedy(self, i: int, candidates: Array) -> None:
         """:func:`greedy_replace` agent ``i`` of every run by its row of
         ``candidates``, then make the agent kept the best-so-far if it
@@ -581,6 +639,39 @@ class Group:
             if fitness[i] < self.best_f[r]:
                 self.best_f[r] = fitness[i]
                 self.best_x[r] = agents[r]
+
+
+def _commit_prefix(objective, rows: Array, best: float) -> list:
+    """The values of the leading rows of a block of proposals, up to and
+    including the first one below ``best`` (all of them if none is), each
+    counted as one evaluation of ``objective``.
+
+    A bound evaluator (an objective with ``speculate``) evaluates every row
+    in one call and commits the prefix: a noiseless one counts it at once,
+    a noisy one row by row, taking each row's noise draw as it commits it.
+    Any other objective is called row by row as the commit reaches the row,
+    never speculatively.  The rows after the prefix are neither counted nor
+    drawn for.
+    """
+    values = []
+    if not hasattr(objective, "speculate"):
+        for row in rows:
+            values.append(objective(row))
+            if values[-1] < best:
+                break
+        return values
+    speculated = objective.speculate(rows)
+    if objective.gap == 0:
+        below = speculated < best
+        first = int(below.argmax())
+        values = speculated[: first + 1 if below[first] else len(rows)].tolist()
+        objective.n += len(values)
+        return values
+    for value in speculated.tolist():
+        values.append(objective.commit(value))
+        if values[-1] < best:
+            break
+    return values
 
 
 def _segments(objectives) -> list:
@@ -670,7 +761,8 @@ def step_state(step, state, objective, space: SearchSpace, rng) -> None:
     for name in fields:
         value = getattr(state, name)
         if isinstance(value, list) and isinstance(value[0], Agent):
-            value = [Agent(x, f) for x, f in zip(getattr(group, name)[0], getattr(group, name + "_f")[0])]
+            fitness = map(float, getattr(group, name + "_f")[0])
+            value = [Agent(x, f) for x, f in zip(getattr(group, name)[0], fitness)]
         elif isinstance(value, (list, np.ndarray)):
             value = list(getattr(group, name)[0])
         elif hasattr(value, "map_id"):

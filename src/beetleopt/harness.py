@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -96,6 +96,9 @@ class ExperimentPlan:
 class ExperimentResult:
     records: List[RunRecord]
     failures: List[Tuple[str, str, int, str]]  # (algorithm, function, run, message)
+    #: ``(algorithm, functions, message)`` of each group whose lockstep pass
+    #: raised, so that its runs were repeated one by one; no artifact holds it
+    fallbacks: List[Tuple[str, Tuple[str, ...], str]] = field(default_factory=list)
 
 
 def _parse_list(value: str, known: Sequence[str], what: str) -> Tuple[str, ...]:
@@ -207,32 +210,36 @@ def execute_run(algorithm: str, function: str, config: RunConfig) -> RunRecord:
 _EXECUTE_RUN = execute_run
 
 
-def execute_group(algorithm: str, runs) -> list:
+def execute_group(algorithm: str, runs) -> tuple:
     """Run a group of ``(function, config)`` runs of one algorithm whose
     functions share a dimension; returns each run's record, or the
-    exception it raised, in order.
+    exception it raised, in order, and the group's fallback or None.
 
     The runs advance in lockstep (:func:`core.drive`).  If that raises, each
     run is repeated alone, so only the failing one is lost and the others
-    keep the records they get alone.  While :func:`execute_run` or
+    keep the records they get alone; the fallback ``(algorithm, functions,
+    message)`` says so.  While :func:`execute_run` or
     ``ALGORITHMS[algorithm]`` is swapped for another callable (a tracer, a
     test double), that callable runs once per run instead.
     """
+    fallback = None
     if execute_run is _EXECUTE_RUN and ALGORITHMS[algorithm] is _RUNNERS[algorithm]:
         init, step = _GROUP_STEPS[algorithm]
         configs = [config for _, config in runs]
         try:
-            return drive(algorithm, init, step, configs, [benchmarks.get(f) for f, _ in runs], [None] * len(runs))
+            records = drive(algorithm, init, step, configs, [benchmarks.get(f) for f, _ in runs], [None] * len(runs))
+            return records, None
         except Exception as exc:  # recorded, not fatal
             if len(runs) == 1:
-                return [exc]
+                return [exc], None
+            fallback = (algorithm, tuple(dict.fromkeys(f for f, _ in runs)), str(exc))
     outcomes = []
     for function, config in runs:
         try:
             outcomes.append(execute_run(algorithm, function, config))
         except Exception as exc:  # recorded, not fatal
             outcomes.append(exc)
-    return outcomes
+    return outcomes, fallback
 
 
 def plan_groups(plan: ExperimentPlan) -> List[Tuple[str, list]]:
@@ -261,7 +268,8 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     groups out to worker processes (at most :func:`worker_count` of them);
     results are merged by (algorithm, function, run) and are identical
     regardless of grouping and scheduling.  A failing run is recorded and
-    skipped rather than aborting the experiment.
+    skipped rather than aborting the experiment; a group that fell back to
+    solo runs is listed in ``fallbacks``.
     """
     groups = plan_groups(plan)
     workers = worker_count(jobs, len(groups))
@@ -275,11 +283,12 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
                 try:
                     outcomes.append(future.result())
                 except Exception as exc:  # a worker lost: every run of its group failed
-                    outcomes.append([exc] * len(runs))
+                    outcomes.append(([exc] * len(runs), None))
 
     records: List[RunRecord] = []
     failures: List[Tuple[str, str, int, str]] = []
-    for (algorithm, runs), group_outcomes in zip(groups, outcomes):
+    fallbacks = [fallback for _, fallback in outcomes if fallback is not None]
+    for (algorithm, runs), (group_outcomes, _) in zip(groups, outcomes):
         for (function, config), outcome in zip(runs, group_outcomes):
             if isinstance(outcome, Exception):
                 failures.append((algorithm, function, config.seed - plan.base_seed, str(outcome)))
@@ -288,7 +297,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
 
     records.sort(key=lambda r: (r.algorithm, r.benchmark, r.seed))
     failures.sort()
-    return ExperimentResult(records=records, failures=failures)
+    return ExperimentResult(records=records, failures=failures, fallbacks=fallbacks)
 
 
 # --- emission ----------------------------------------------------------------

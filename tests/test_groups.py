@@ -1,15 +1,21 @@
 """Lockstep run groups: runs of one algorithm and one dimension stepped
-together give every run the record it gets alone, a failing run costs only
-itself, and the harness sends one task per group."""
+together give every run the record it gets alone, through every route an
+objective can take, a failing run costs only itself, and the harness sends
+one task per group."""
 
 import concurrent.futures
+import dataclasses
+import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beetleopt as bo
 from beetleopt import benchmarks, harness
 from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
+from beetleopt.cli import main as cli_main
 from beetleopt.core import MIN_POPULATION, RunConfig, drive
 
 #: registry functions by dimension (f7, the noisy one, is among the 30s)
@@ -36,9 +42,32 @@ class EvaluateOnly:
         return self._spec.evaluate(position, rng)
 
 
-def _objective(fid, route):
-    """A fresh objective for one run: ``(objective, space)``."""
+ROUTES = ("spec", "proxy", "plain")
+
+
+def poisoned(fid, start, width, bad):
+    """A registry spec like ``fid``'s, with a ``block`` form, whose function
+    is ``bad`` (inf or NaN) where the first coordinate lies in a slab of the
+    box: from ``start`` to ``start + width``, as fractions of its width."""
     spec = BENCHMARKS[fid]
+    low = spec.lower + start * (spec.upper - spec.lower)
+    high = low + width * (spec.upper - spec.lower)
+    function = spec.evaluator.block
+
+    def block(z):
+        first = z[..., 0]
+        return np.where((first >= low) & (first <= high), bad, function(z))
+
+    def evaluator(z):
+        return float(block(z))
+
+    evaluator.block = block
+    return dataclasses.replace(spec, id=f"{fid}-poisoned", evaluator=evaluator)
+
+
+def _objective(fid, route, specs=BENCHMARKS):
+    """A fresh objective for one run: ``(objective, space)``."""
+    spec = specs[fid]
     if route == "spec":
         return spec, None
     if route == "proxy":
@@ -56,11 +85,18 @@ def _same(a, b):
 def groups(draw):
     algorithm = draw(st.sampled_from(sorted(bo.ALGORITHMS)))
     dim = draw(st.sampled_from(sorted(BY_DIM)))
+    # one poisoned function per group, so that its runs share its blocks
+    poison = (
+        draw(st.sampled_from(BY_DIM[dim])),
+        draw(st.floats(0.0, 0.9)),
+        draw(st.floats(0.05, 0.6)),
+        draw(st.sampled_from([math.inf, math.nan])),
+    )
     members = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(BY_DIM[dim]),
-                st.sampled_from(["spec", "proxy", "plain"]),
+                st.sampled_from(BY_DIM[dim] + ["poisoned"]),
+                st.sampled_from(ROUTES),
                 st.integers(0, 2**31 - 1),
             ),
             min_size=1,
@@ -70,23 +106,32 @@ def groups(draw):
     population = draw(st.integers(MIN_POPULATION[algorithm], 7))
     iterations = draw(st.integers(1, 5))
     modes = draw(st.sampled_from(MODE_SETS))
-    return algorithm, members, population, iterations, modes
+    return algorithm, poison, members, population, iterations, modes
 
 
 @settings(max_examples=60, deadline=None)
 @given(groups())
 def test_every_record_of_a_group_equals_its_solo_run(group):
-    algorithm, members, population, iterations, modes = group
+    # a bound evaluator's blocks are speculative (a step may discard rows);
+    # a proxy or a plain callable is evaluated row by row; every route must
+    # give the same record and count only the evaluations the run makes
+    algorithm, poison, members, population, iterations, modes = group
+    specs = {**BENCHMARKS, "poisoned": poisoned(*poison)}
     configs = [
         RunConfig(algorithm=algorithm, benchmark=fid, population=population, iterations=iterations, seed=seed, **modes)
         for fid, _, seed in members
     ]
-    objectives, spaces = zip(*(_objective(fid, route) for fid, route, _ in members))
+    objectives, spaces = zip(*(_objective(fid, route, specs) for fid, route, _ in members))
     init, step = harness._GROUP_STEPS[algorithm]
     records = drive(algorithm, init, step, configs, objectives, spaces)
+    per_iteration = 2 if algorithm == "bbo" else 1
     for config, (fid, route, _), record in zip(configs, members, records):
-        solo = bo.ALGORITHMS[algorithm](config, *_objective(fid, route))
-        _same(record, solo)
+        assert record.evaluations == population + per_iteration * population * iterations
+        # a plain callable cannot reach the run's stream: for f7 it is the
+        # function without its noise, another objective
+        same = ROUTES if not specs[fid].noisy else ("plain",) if route == "plain" else ("spec", "proxy")
+        for other in same:
+            _same(record, bo.ALGORITHMS[algorithm](config, *_objective(fid, other, specs)))
 
 
 class FailOnSeed:
@@ -134,21 +179,45 @@ def _plan(**overrides):
     return harness.ExperimentPlan(**settings_)
 
 
-def test_a_clean_plan_steps_every_group_in_lockstep(monkeypatch):
+def test_a_clean_plan_steps_every_group_in_lockstep():
     # a group that raises is repeated run by run, with the records those runs
-    # get alone, so only this shows a fault on the group path
-    raised = []
-
-    def recording_drive(*args):
-        try:
-            return drive(*args)
-        except Exception as exc:
-            raised.append(exc)
-            raise
-
-    monkeypatch.setattr(harness, "drive", recording_drive)
+    # get alone, so only its fallback shows a fault on the group path
     result = harness.run_experiment(_plan())
-    assert raised == [] and result.failures == []
+    assert result.fallbacks == [] and result.failures == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_group_that_falls_back_is_recorded(monkeypatch, jobs):
+    plan = _plan(algorithms=("pso",), functions=("f1", "f9"))
+    real_get = benchmarks.get
+
+    def get(fid):
+        spec = real_get(fid)
+        # seed 8's run of f9 raises inside a chunk's commit, after its
+        # initial population and a few iterations
+        return FailInBlockOnSeed(spec, seed=8, after=20) if fid == "f9" else spec
+
+    monkeypatch.setattr(benchmarks, "get", get)
+    if jobs > 1:
+        FakePool.tasks = []
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    result = harness.run_experiment(plan, jobs=jobs)
+    assert result.fallbacks == [("pso", ("f1", "f9"), "objective broke")]
+    assert result.failures == [("pso", "f9", 1, "objective broke")]
+
+
+def test_the_cli_reports_a_fallback_on_stderr_only(monkeypatch, tmp_path, capsys):
+    real_get = benchmarks.get
+    monkeypatch.setattr(
+        benchmarks, "get", lambda fid: FailInBlockOnSeed(real_get(fid), seed=2, after=20) if fid == "f9" else real_get(fid)
+    )
+    config = tmp_path / "plan.txt"
+    config.write_text("algorithms = pso\nfunctions = f1 f9\nruns = 2\npopulation = 6\niterations = 8\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", str(config), "--out", str(out)]) == 1
+    assert "pso group f1 f9 raised and ran run by run: objective broke" in capsys.readouterr().err
+    assert not any("raised" in path.read_text() for path in out.rglob("*") if path.is_file())
 
 
 def test_a_failing_run_costs_only_itself(monkeypatch):

@@ -186,9 +186,9 @@ class CountingGenerator:
         self.calls = 0
         CountingGenerator.made.append(self)
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
         self.calls += 1
-        return self._gen.random(size)
+        return self._gen.random(size, out=out)
 
 
 @pytest.mark.parametrize("algorithm", sorted(bo.ALGORITHMS))
