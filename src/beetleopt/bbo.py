@@ -182,22 +182,18 @@ def _sweep_run(g: Group, r: int, defend, hops: Array) -> None:
     bound evaluator (an objective with ``speculate``) evaluates both phases
     of the whole chunk as two blocks, the escapes from the speculated
     defense acceptances, and the chunk is committed with array operations.
-    A noisy one evaluates the defenses as one block but commits them row by
-    row, taking each row's noise draw then; its noise decides most escape
-    proposals (it flipped 97% of the defense acceptances speculated without
-    it on f7 at N = 30), so each escape is evaluated as the commit reaches
-    it.  Any other objective is evaluated row by row as the commit reaches
-    it, never speculatively.
+    Any other objective (a noisy one, a plain callable, an evaluate-only
+    proxy) is evaluated row by row as the commit reaches it, never
+    speculatively.
     """
     objective = g.objectives[r]
     x, fitness = g.x[r], g.fitness[r]
-    speculative = hasattr(objective, "speculate")
+    lazy = not hasattr(objective, "speculate") or objective.gap
     start = 0
     while start < g.n:
         proposals = defend(r, start)
-        if not speculative or objective.gap:
-            values = objective.speculate(proposals).tolist() if speculative else None
-            start = _commit_rows(g, r, start, proposals, hops, values)
+        if lazy:
+            start = _commit_rows(g, r, start, proposals, hops)
             continue
         held = np.array(fitness[start:])
         values = objective.speculate(proposals)
@@ -221,17 +217,16 @@ def _sweep_run(g: Group, r: int, defend, hops: Array) -> None:
         start += stop
 
 
-def _commit_rows(g: Group, r: int, start: int, proposals: Array, hops: Array, values=None) -> int:
+def _commit_rows(g: Group, r: int, start: int, proposals: Array, hops: Array) -> int:
     """Commit agents ``start, ...`` of run ``r`` one by one, up to and
     including the first that improves the best-so-far, and return the next
-    agent.  ``values`` are the defense proposals' values a bound evaluator
-    speculated; without them each proposal is evaluated as the commit
-    reaches it.  Every escape is."""
+    agent.  Each defense proposal and escape is evaluated as the commit
+    reaches it."""
     objective = g.objectives[r]
     x, fitness = g.x[r], g.fitness[r]
     for j, proposal in enumerate(proposals):
         i = start + j
-        value = objective(proposal) if values is None else objective.commit(values[j])
+        value = objective(proposal)
         if math.isfinite(value) and value < fitness[i]:
             x[i] = proposal
             fitness[i] = value

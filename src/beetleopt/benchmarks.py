@@ -465,21 +465,13 @@ class BoundEvaluator:
     def speculate(self, rows: Array) -> Array:
         """The function's values on the rows of a C-contiguous ``(k, dim)``
         block, from one call, uncounted and without noise: values an
-        optimizer may discard.  :meth:`commit` turns one into an evaluation.
-        Any other layout is refused (see :meth:`block`)."""
+        optimizer may discard.  Any other layout is refused (see
+        :meth:`block`)."""
         if rows.shape[1:] != self._shape or not rows.flags.c_contiguous:
             raise ValueError(
                 f"{self._id} expects a C-contiguous (k, {self._shape[0]}) block, got shape {rows.shape}"
             )
         return self.function(rows)
-
-    def commit(self, value: float) -> float:
-        """Count a row whose value :meth:`speculate` gave as an evaluation,
-        and return what a call on the row returns: the value plus, for a
-        noisy function, its draw from the run's stream, taken now."""
-        # counted before its draw, as a call is
-        self.n += 1
-        return value if self._rng is None else value + self._rng.uniform()
 
 
 def _row_by_row(evaluator):

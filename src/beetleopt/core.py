@@ -139,7 +139,9 @@ class RandomStream:
         the generator would have given them; after :meth:`measure_gap`, a
         draw outside its evaluation's ``gap`` slots raises.
         """
-        return reserve(self, rows, widths, lead)
+        out = np.empty(lead + rows * sum(widths))
+        self.reserve_into(out, rows, widths, lead)
+        return _split_reservation(out, rows, widths, lead)
 
     def reserve_into(self, out: Array, rows: int, widths, lead: int = 0) -> None:
         """:meth:`reserve`, writing the draws it returns into ``out``, a
@@ -646,29 +648,23 @@ def _commit_prefix(objective, rows: Array, best: float) -> list:
     including the first one below ``best`` (all of them if none is), each
     counted as one evaluation of ``objective``.
 
-    A bound evaluator (an objective with ``speculate``) evaluates every row
-    in one call and commits the prefix: a noiseless one counts it at once,
-    a noisy one row by row, taking each row's noise draw as it commits it.
-    Any other objective is called row by row as the commit reaches the row,
-    never speculatively.  The rows after the prefix are neither counted nor
-    drawn for.
+    A noiseless bound evaluator (an objective with ``speculate`` and no
+    noise gap) evaluates every row in one call and counts the prefix.  Any
+    other objective (a noisy one, a plain callable, an evaluate-only proxy)
+    is called row by row as the commit reaches the row, never
+    speculatively.  The rows after the prefix are neither counted nor drawn
+    for.
     """
-    values = []
-    if not hasattr(objective, "speculate"):
-        for row in rows:
-            values.append(objective(row))
-            if values[-1] < best:
-                break
-        return values
-    speculated = objective.speculate(rows)
-    if objective.gap == 0:
+    if hasattr(objective, "speculate") and objective.gap == 0:
+        speculated = objective.speculate(rows)
         below = speculated < best
         first = int(below.argmax())
         values = speculated[: first + 1 if below[first] else len(rows)].tolist()
         objective.n += len(values)
         return values
-    for value in speculated.tolist():
-        values.append(objective.commit(value))
+    values = []
+    for row in rows:
+        values.append(objective(row))
         if values[-1] < best:
             break
     return values
