@@ -11,11 +11,12 @@ objective's own draw during that agent's evaluation.  Every term that reads
 only the draws and the iteration's start is computed for all agents before
 the agent loop.  Each step advances a :class:`~beetleopt.core.Group` of
 runs: pso, sso and bto run by run in chunks of agents evaluated as one block
-(:meth:`~beetleopt.core.Group.sweep`), gwo and cdo agent by agent in
-lockstep, since their three leaders change too often for chunks to pay, and
-gsa all agents at once; the public ``run_*`` and ``*_step`` functions are
-groups of one run, and the public per-agent helpers call the same cores for
-one agent.
+(:meth:`~beetleopt.core.Group.sweep`); gwo and cdo in chunks cut at each
+leader change while their leaders changed rarely in the previous iteration,
+and agent by agent in lockstep otherwise (:func:`_leaders_step`); gsa all
+agents at once.  The public ``run_*`` and ``*_step`` functions are groups of
+one run, and the public per-agent helpers call the same cores for one
+agent.
 All of them evaluate the objective exactly N times per iteration.
 The gravitational-search internals follow the standard formulation of that
 algorithm (only its two tuning constants are shared with the rest of the
@@ -113,24 +114,78 @@ def _leaders_init(g: Group, config: RunConfig) -> None:
     g.leaders_f = [[fitness[k] for k in i] for fitness, i in zip(g.fitness, best)]
 
 
-def _insert_leaders(g: Group, i: int, values: list) -> None:
-    """Shift-insert agent ``i`` of each run into its leaders, so they stay
-    the three best evaluations seen."""
-    for r, value in enumerate(values):
-        rank = g.leaders_f[r]
-        if value < rank[0]:
-            k = 0
-        elif value < rank[1]:
-            k = 1
-        elif value < rank[2]:
-            k = 2
-        else:
-            continue
-        rank[k + 1 :] = rank[k:2]
-        rank[k] = value
-        leaders = g.leaders[r]
-        leaders[k + 1 :] = leaders[k:2]
-        leaders[k] = g.x[r, i]
+def _insert_leader(g: Group, r: int, i: int, value: float) -> None:
+    """Shift-insert agent ``i`` of run ``r`` into its leaders, so they stay
+    the three best evaluations seen, and count a change in the run's
+    ``leader_changes``."""
+    rank = g.leaders_f[r]
+    if value < rank[0]:
+        k = 0
+    elif value < rank[1]:
+        k = 1
+    elif value < rank[2]:
+        k = 2
+    else:
+        return
+    rank[k + 1 :] = rank[k:2]
+    rank[k] = value
+    leaders = g.leaders[r]
+    leaders[k + 1 :] = leaders[k:2]
+    leaders[k] = g.x[r, i]
+    g.leader_changes[r] += 1
+
+
+def _leader_cut(g: Group, r: int) -> float:
+    """The value below which an agent of run ``r`` changes one of its leaders
+    or its best-so-far: the largest of them, NaN aside (no value is below
+    NaN, and with all of them NaN none is below the cut)."""
+    return max((v for v in (*g.leaders_f[r], g.best_f[r]) if v == v), default=-math.inf)
+
+
+def _chunks_pay(changes, n: int) -> bool:
+    """Whether a leader step sweeps its runs in chunks this iteration:
+    ``changes`` are the runs' leader changes in the previous iteration (None
+    before the first), so a run is expected to take ``c + 1`` chunks, each
+    one block call; chunks pay while they total at most a quarter of the
+    ``n`` lockstep agent steps."""
+    return changes is not None and sum(changes) + len(changes) <= n // 4
+
+
+def _leaders_step(g: Group, algorithm: str, width: int, terms, guided) -> None:
+    """One iteration of a leader-guided step: reserve a row of ``width``
+    draws per agent, turn them into ``terms(u)`` (``(R, N, ...)`` arrays),
+    then move every agent of every run once, in agent order, to
+    ``guided(leaders, *terms_i, x_i)`` (bounded), made from the run's live
+    leaders ``(..., 3, dim)`` (best first), the agent's rows of the terms
+    and its position, and shift-insert it into the leaders.
+
+    An agent that changes no leader leaves the next agents' proposals as
+    they were.  So when few agents changed a leader in the previous
+    iteration (:func:`_chunks_pay`), the runs sweep in chunks
+    (:meth:`~beetleopt.core.Group.sweep`), each cut at its first agent that
+    changes a leader or the best-so-far; otherwise every run steps agent by
+    agent in lockstep.  Both give the same records.
+    """
+    minimum = MIN_POPULATION[algorithm]
+    if g.n < minimum:
+        raise ConfigurationError(f"{algorithm} needs a population of at least {minimum}")
+    (u,) = g.reserve((width,))
+    terms = terms(u)
+    # a group of one run made for a public step has no previous iteration
+    changes = getattr(g, "leader_changes", None)
+    g.leader_changes = [0] * len(g.rngs)
+    if _chunks_pay(changes, g.n):
+
+        def propose(r: int, start: int) -> Array:
+            return g.bound_run(r, guided(g.leaders[r], *(t[r, start:] for t in terms), g.x[r, start:]))
+
+        g.sweep(propose, functools.partial(_leader_cut, g), functools.partial(_insert_leader, g))
+    else:
+        for i, (x, *agent) in enumerate(zip(g.at, *map(by_agent, terms))):
+            for r, value in enumerate(g.move(i, g.bound(guided(g.leaders, *agent, x)))):
+                _insert_leader(g, r, i, value)
+    g.settle()
+    g.iteration += 1
 
 
 def _velocities_init(g: Group, config: RunConfig) -> None:
@@ -357,10 +412,23 @@ def _gwo_coefficients(draws: Array, coefficient: float):
 
 
 def _gwo_guided(leaders: Array, a_coef: Array, c_coef: Array, position: Array) -> Array:
-    """Mean of the three leader-guided positions, for one agent or for one
-    agent of every run (leading axes)."""
-    guided = leaders - a_coef * np.abs(c_coef * leaders - position[..., None, :])
-    return (guided[..., 0, :] + guided[..., 1, :] + guided[..., 2, :]) / 3.0
+    """Mean of the three leader-guided positions
+    ``leaders - a_coef * |c_coef * leaders - position|``, for one agent or
+    for agents of one or every run (leading axes); in place on one
+    temporary, products commuting bit for bit."""
+    guided = c_coef * leaders
+    guided -= position[..., None, :]
+    np.abs(guided, out=guided)
+    guided *= a_coef
+    return _mean_of_three(np.subtract(leaders, guided, out=guided))
+
+
+def _mean_of_three(terms: Array) -> Array:
+    """``(t0 + t1 + t2) / 3`` of the three rows of ``terms`` ``(..., 3, dim)``."""
+    mean = terms[..., 0, :] + terms[..., 1, :]
+    mean += terms[..., 2, :]
+    mean /= 3.0
+    return mean
 
 
 def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> GWOState:
@@ -369,16 +437,8 @@ def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: Ran
 
 
 def _gwo_step(g: Group) -> None:
-    if g.n < MIN_POPULATION["gwo"]:
-        raise ConfigurationError(f"gwo needs a population of at least {MIN_POPULATION['gwo']}")
-    t = g.iteration + 1
-    coefficient = 2.0 - (t - 1) * 2.0 / g.max_iterations
-    (u,) = g.reserve((6 * g.dim,))
-    a_coef, c_coef = _gwo_coefficients(u, coefficient)
-    for i, (x, a, c) in enumerate(zip(g.at, by_agent(a_coef), by_agent(c_coef))):
-        _insert_leaders(g, i, g.move(i, g.bound(_gwo_guided(g.leaders, a, c, x))))
-    g.settle()
-    g.iteration = t
+    coefficient = 2.0 - g.iteration * 2.0 / g.max_iterations
+    _leaders_step(g, "gwo", 6 * g.dim, lambda u: _gwo_coefficients(u, coefficient), _gwo_guided)
 
 
 def run_gwo(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
@@ -427,7 +487,7 @@ def cdo_candidate(
     """
     low, high = _cdo_draw_bounds(position.size)
     area, rho = _cdo_terms(rng.uniform(low, high, size=low.size)[None], walk_speed)
-    return _cdo_descent(np.array((gamma, beta, alpha)), area[0], rho[0], position)
+    return _cdo_descent(np.array((alpha, beta, gamma)), area[0], rho[0], position)
 
 
 def _cdo_terms(draws: Array, walk_speed: float):
@@ -447,11 +507,19 @@ def _cdo_terms(draws: Array, walk_speed: float):
 
 
 def _cdo_descent(leaders: Array, area: Array, rho: Array, position: Array) -> Array:
-    """Weighted mean of the gamma/beta/alpha descent terms, for one agent or
-    for one agent of every run (leading axes)."""
-    delta = np.abs(area * leaders - position[..., None, :])
-    v = _CDO_WEIGHTS * (leaders - rho * delta)
-    return (v[..., 0, :] + v[..., 1, :] + v[..., 2, :]) / 3.0
+    """Weighted mean of the gamma/beta/alpha descent terms
+    ``weight * (leader - rho * |area * leader - position|)``, from leaders
+    best first (alpha, beta, gamma), for one agent or for agents of one or
+    every run (leading axes); in place on one temporary, products commuting
+    bit for bit."""
+    leaders = leaders[..., ::-1, :]  # gamma, beta, alpha
+    delta = area * leaders
+    delta -= position[..., None, :]
+    np.abs(delta, out=delta)
+    delta *= rho
+    np.subtract(leaders, delta, out=delta)
+    delta *= _CDO_WEIGHTS
+    return _mean_of_three(delta)
 
 
 #: Class weights of the gamma, beta and alpha terms, as a column.
@@ -475,19 +543,16 @@ def cdo_step(state: CDOState, objective: Objective, space: SearchSpace, rng: Ran
 
 
 def _cdo_step(g: Group) -> None:
-    t = g.iteration + 1
-    walk_speed = cdo_walk_speed(t - 1, g.max_iterations)
+    walk_speed = cdo_walk_speed(g.iteration, g.max_iterations)
     low, high = _cdo_draw_bounds(g.dim)
-    (u,) = g.reserve((low.size,))
-    # low + (high - low) * u, in place
-    u *= high - low
-    u += low
-    area, rho = _cdo_terms(u, walk_speed)
-    leaders = g.leaders[:, ::-1]  # gamma, beta, alpha; a view of the live leaders
-    for i, (x, a, p) in enumerate(zip(g.at, by_agent(area), by_agent(rho))):
-        _insert_leaders(g, i, g.move(i, g.bound(_cdo_descent(leaders, a, p, x))))
-    g.settle()
-    g.iteration = t
+
+    def terms(u: Array):
+        # low + (high - low) * u, in place
+        u *= high - low
+        u += low
+        return _cdo_terms(u, walk_speed)
+
+    _leaders_step(g, "cdo", low.size, terms, _cdo_descent)
 
 
 def run_cdo(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:

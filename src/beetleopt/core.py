@@ -602,7 +602,7 @@ class Group:
                         self.best_f[r] = value
                         self.best_x[r] = moved[r, i]
 
-    def sweep(self, propose) -> None:
+    def sweep(self, propose, cut=None, committed=None) -> None:
         """Move every agent of every run once, in agent order, to its
         proposal, tracking the best-so-far as :meth:`move` does.
 
@@ -610,21 +610,26 @@ class Group:
         ``start, ..., N - 1`` of run ``r`` as one ``(k, dim)`` array, made
         from the live state.  Run by run, they are evaluated as one block
         (:func:`_commit_prefix`) and committed in agent order up to and
-        including the first that improves the run's best-so-far; the agents
-        after it are proposed again from the new best.
+        including the first below the run's cut, ``cut(r)``: by default its
+        best-so-far, and never below it, so that only the last agent
+        committed can improve the best.  ``committed(r, i, value)`` then
+        sees that agent, and the agents after it are proposed again from the
+        new state.
         """
         n = self.n
         for r, (objective, x, fitness) in enumerate(zip(self.objectives, self.x, self.fitness)):
             start = 0
             while start < n:
                 rows = propose(r, start)
-                values = _commit_prefix(objective, rows, self.best_f[r])
+                values = _commit_prefix(objective, rows, self.best_f[r] if cut is None else cut(r))
                 stop = start + len(values)
                 x[start:stop] = rows[: len(values)]
                 fitness[start:stop] = values
                 if values[-1] < self.best_f[r]:
                     self.best_f[r] = values[-1]
                     self.best_x[r] = x[stop - 1]
+                if committed is not None:
+                    committed(r, stop - 1, values[-1])
                 start = stop
 
     def greedy(self, i: int, candidates: Array) -> None:
@@ -643,9 +648,9 @@ class Group:
                 self.best_x[r] = agents[r]
 
 
-def _commit_prefix(objective, rows: Array, best: float) -> list:
+def _commit_prefix(objective, rows: Array, cut: float) -> list:
     """The values of the leading rows of a block of proposals, up to and
-    including the first one below ``best`` (all of them if none is), each
+    including the first one below ``cut`` (all of them if none is), each
     counted as one evaluation of ``objective``.
 
     A noiseless bound evaluator (an objective with ``speculate`` and no
@@ -657,7 +662,7 @@ def _commit_prefix(objective, rows: Array, best: float) -> list:
     """
     if hasattr(objective, "speculate") and objective.gap == 0:
         speculated = objective.speculate(rows)
-        below = speculated < best
+        below = speculated < cut
         first = int(below.argmax())
         values = speculated[: first + 1 if below[first] else len(rows)].tolist()
         objective.n += len(values)
@@ -665,7 +670,7 @@ def _commit_prefix(objective, rows: Array, best: float) -> list:
     values = []
     for row in rows:
         values.append(objective(row))
-        if values[-1] < best:
+        if values[-1] < cut:
             break
     return values
 

@@ -256,6 +256,26 @@ class TestCDO:
         assert np.all(np.diff(record.trace) <= 0)
 
 
+@pytest.mark.parametrize("chunks", [False, True])
+@pytest.mark.parametrize("algo", ["gwo", "cdo"])
+def test_leader_steps_refuse_a_population_below_three(monkeypatch, algo, chunks):
+    # two agents give two leaders; cdo used to fail inside a NumPy broadcast
+    monkeypatch.setattr(bl, "_chunks_pay", lambda changes, n: chunks)
+    spec = BENCHMARKS["f1"]
+    space = spec.space()
+    rng = RandomStream(3)
+    from beetleopt.core import initialize_population
+
+    pop = initialize_population(space, 2, rng)
+    for agent in pop.agents:
+        agent.fitness = spec.evaluator(agent.position)
+    update_best(pop)
+    state_type, step = (bl.GWOState, bl.gwo_step) if algo == "gwo" else (bl.CDOState, bl.cdo_step)
+    state = state_type(population=pop, leaders=bl._three_leaders(pop), max_iterations=5)
+    with pytest.raises(ConfigurationError, match=f"{algo} needs a population of at least 3"):
+        step(state, spec.evaluator, space, rng)
+
+
 class TestBTO:
     def test_zone_endpoints(self):
         assert bl.bto_zone(0, 1000) == pytest.approx(math.log(500_000.0))

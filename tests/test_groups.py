@@ -6,6 +6,7 @@ one task per group."""
 import concurrent.futures
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beetleopt as bo
-from beetleopt import benchmarks, harness
+from beetleopt import baselines, benchmarks, harness
 from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
 from beetleopt.cli import main as cli_main
 from beetleopt.core import MIN_POPULATION, RunConfig, drive
@@ -81,6 +82,15 @@ def _same(a, b):
     assert float(a.final_best).hex() == float(b.final_best).hex()
 
 
+#: gwo's and cdo's choice between chunks and lockstep: every iteration
+#: chunked, none, or the real rule
+LEADER_PATHS = {
+    "chunks": lambda changes, n: True,
+    "lockstep": lambda changes, n: False,
+    "rule": baselines._chunks_pay,
+}
+
+
 @st.composite
 def groups(draw):
     algorithm = draw(st.sampled_from(sorted(bo.ALGORITHMS)))
@@ -106,7 +116,8 @@ def groups(draw):
     population = draw(st.integers(MIN_POPULATION[algorithm], 7))
     iterations = draw(st.integers(1, 5))
     modes = draw(st.sampled_from(MODE_SETS))
-    return algorithm, poison, members, population, iterations, modes
+    path = draw(st.sampled_from(sorted(LEADER_PATHS)))
+    return algorithm, poison, members, population, iterations, modes, path
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,8 +125,9 @@ def groups(draw):
 def test_every_record_of_a_group_equals_its_solo_run(group):
     # a bound evaluator's blocks are speculative (a step may discard rows);
     # a proxy or a plain callable is evaluated row by row; every route must
-    # give the same record and count only the evaluations the run makes
-    algorithm, poison, members, population, iterations, modes = group
+    # give the same record and count only the evaluations the run makes,
+    # and so must gwo's and cdo's groups on either path
+    algorithm, poison, members, population, iterations, modes, path = group
     specs = {**BENCHMARKS, "poisoned": poisoned(*poison)}
     configs = [
         RunConfig(algorithm=algorithm, benchmark=fid, population=population, iterations=iterations, seed=seed, **modes)
@@ -123,7 +135,8 @@ def test_every_record_of_a_group_equals_its_solo_run(group):
     ]
     objectives, spaces = zip(*(_objective(fid, route, specs) for fid, route, _ in members))
     init, step = harness._GROUP_STEPS[algorithm]
-    records = drive(algorithm, init, step, configs, objectives, spaces)
+    with mock.patch.object(baselines, "_chunks_pay", LEADER_PATHS[path]):
+        records = drive(algorithm, init, step, configs, objectives, spaces)
     per_iteration = 2 if algorithm == "bbo" else 1
     for config, (fid, route, _), record in zip(configs, members, records):
         assert record.evaluations == population + per_iteration * population * iterations
@@ -132,6 +145,61 @@ def test_every_record_of_a_group_equals_its_solo_run(group):
         same = ROUTES if not specs[fid].noisy else ("plain",) if route == "plain" else ("spec", "proxy")
         for other in same:
             _same(record, bo.ALGORITHMS[algorithm](config, *_objective(fid, other, specs)))
+
+
+#: the poisoned spec of :func:`poisoned`, inf or NaN on a slab of f9's box
+SLABS = {"inf-slab": poisoned("f9", 0.3, 0.4, math.inf), "nan-slab": poisoned("f9", 0.2, 0.5, math.nan)}
+
+
+@pytest.mark.parametrize("algorithm", ["gwo", "cdo"])
+@pytest.mark.parametrize(
+    "members",
+    [
+        # noisy f7, evaluated lazily, in a shared block with a noiseless run
+        [("f7", "spec", 3), ("f7", "spec", 4), ("f1", "spec", 5)],
+        [("f9", "spec", 1), ("f9", "spec", 2)],
+        [("f21", "spec", 1)],
+        [("f21", "plain", 2), ("f21", "proxy", 3)],
+        [("inf-slab", "spec", 6), ("inf-slab", "spec", 7), ("nan-slab", "plain", 8)],
+        [("nan-slab", "spec", 9), ("nan-slab", "spec", 10)],
+    ],
+)
+def test_leader_steps_give_the_same_records_on_either_path(algorithm, members):
+    # an agent that changes no leader leaves the next proposals as they were,
+    # so chunks cut at the first leader change replay the lockstep loop
+    specs = {**BENCHMARKS, **SLABS}
+    population, iterations = 16, 40
+    configs = [
+        RunConfig(algorithm=algorithm, benchmark=fid, population=population, iterations=iterations, seed=seed)
+        for fid, _, seed in members
+    ]
+    init, step = harness._GROUP_STEPS[algorithm]
+    by_path = {}
+    for path, rule in LEADER_PATHS.items():
+        objectives, spaces = zip(*(_objective(fid, route, specs) for fid, route, _ in members))
+        with mock.patch.object(baselines, "_chunks_pay", rule):
+            by_path[path] = drive(algorithm, init, step, configs, objectives, spaces)
+    for records in zip(*by_path.values()):
+        assert records[0].evaluations == population + population * iterations
+        for other in records[1:]:
+            _same(records[0], other)
+
+
+def test_a_protocol_shaped_leader_plan_steps_in_chunks(monkeypatch):
+    # a rule that never picks chunks changes no record, only the speed
+    chosen = []
+
+    def spy(changes, n):
+        chosen.append(LEADER_PATHS["rule"](changes, n))
+        return chosen[-1]
+
+    monkeypatch.setattr(baselines, "_chunks_pay", spy)
+    plan = harness.parse_config("algorithms = gwo cdo\nfunctions = f1 f9 f21\nruns = 1\npopulation = 30\niterations = 50\n")
+    result = harness.run_experiment(plan)
+    assert not result.failures and not result.fallbacks
+    # two groups (f1 f9, f21) per algorithm, 50 iterations each
+    assert len(chosen) == 2 * 2 * 50
+    assert any(chosen) and not all(chosen)
 
 
 class FailOnSeed:
