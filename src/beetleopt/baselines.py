@@ -14,9 +14,10 @@ runs: pso, sso and bto run by run in chunks of agents evaluated as one block
 (:meth:`~beetleopt.core.Group.sweep`); gwo and cdo in chunks cut at each
 leader change while their leaders changed rarely in the previous iteration,
 and agent by agent in lockstep otherwise (:func:`_leaders_step`); gsa all
-agents at once.  The public ``run_*`` and ``*_step`` functions are groups of
-one run, and the public per-agent helpers call the same cores for one
-agent.
+agents at once.  Each algorithm is one :class:`~beetleopt.core.Algorithm`
+entry (``PSO``, ``SSO``, ``GWO``, ``CDO``, ``BTO``, ``GSA``); the public
+``run_*`` and ``*_step`` functions are its methods, groups of one run, and
+the public per-agent helpers call the same cores for one agent.
 All of them evaluate the objective exactly N times per iteration.
 The gravitational-search internals follow the standard formulation of that
 algorithm (only its two tuning constants are shared with the rest of the
@@ -35,23 +36,19 @@ import numpy as np
 
 from . import kernels
 from .core import (
-    MIN_POPULATION,
     Agent,
+    Algorithm,
     Array,
     ConfigurationError,
     ContractViolation,
     Group,
-    Objective,
     Population,
     RandomStream,
     RunConfig,
-    SearchSpace,
     bound_position,
     by_agent,
-    drive,
-    step_state,
+    nan_last,
 )
-from .stats import RunRecord
 
 # PSO constants: cognitive/social factors are fixed at 2; the inertia weight
 # decays linearly between the defaults below.
@@ -98,8 +95,9 @@ _GSA_EPS = 1e-12
 
 
 def _best_three(fitness: list) -> list:
-    """Indices of the three best values, ties in index order."""
-    return sorted(range(len(fitness)), key=fitness.__getitem__)[:3]
+    """Indices of the three best values, ties in index order and NaN after
+    every other value."""
+    return sorted(range(len(fitness)), key=lambda i: nan_last(fitness[i]))[:3]
 
 
 def _three_leaders(pop: Population) -> List[Agent]:
@@ -151,7 +149,7 @@ def _chunks_pay(changes, n: int) -> bool:
     return changes is not None and sum(changes) + len(changes) <= n // 4
 
 
-def _leaders_step(g: Group, algorithm: str, width: int, terms, guided) -> None:
+def _leaders_step(g: Group, width: int, terms, guided) -> None:
     """One iteration of a leader-guided step: reserve a row of ``width``
     draws per agent, turn them into ``terms(u)`` (``(R, N, ...)`` arrays),
     then move every agent of every run once, in agent order, to
@@ -166,9 +164,8 @@ def _leaders_step(g: Group, algorithm: str, width: int, terms, guided) -> None:
     changes a leader or the best-so-far; otherwise every run steps agent by
     agent in lockstep.  Both give the same records.
     """
-    minimum = MIN_POPULATION[algorithm]
-    if g.n < minimum:
-        raise ConfigurationError(f"{algorithm} needs a population of at least {minimum}")
+    # a public step's state can hold fewer agents than a run may
+    g.algorithm.check_population(g.n)
     (u,) = g.reserve((width,))
     terms = terms(u)
     # a group of one run made for a public step has no previous iteration
@@ -220,8 +217,6 @@ class PSOState:
     max_iterations: int
     iteration: int = 0
     bound_mode: str = "clamp"
-    inertia_start: float = PSO_INERTIA_START
-    inertia_end: float = PSO_INERTIA_END
 
 
 def pso_velocity(
@@ -251,15 +246,10 @@ def _pso_social(memory: Array, r2: Array, global_best: Array, position: Array) -
     return memory + PSO_SOCIAL * r2 * (global_best - position)
 
 
-def pso_step(state: PSOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> PSOState:
-    step_state(_pso_step, state, objective, space, rng)
-    return state
-
-
 def _pso_step(g: Group) -> None:
     t = g.iteration + 1
     span = max(g.max_iterations - 1, 1)
-    inertia = g.inertia_start - (g.inertia_start - g.inertia_end) * (t - 1) / span
+    inertia = PSO_INERTIA_START - (PSO_INERTIA_START - PSO_INERTIA_END) * (t - 1) / span
     dim = g.dim
     (u,) = g.reserve((2 * dim,))
     memory = _pso_memory(inertia, g.velocities, u[..., :dim], g.personal_best, g.x)
@@ -278,14 +268,8 @@ def _pso_step(g: Group) -> None:
     g.iteration = t
 
 
-def _pso_init(g: Group, config: RunConfig) -> None:
-    _personal_init(g, config)
-    g.inertia_start = PSO_INERTIA_START
-    g.inertia_end = PSO_INERTIA_END
-
-
-def run_pso(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    return drive("pso", _pso_init, _pso_step, [config], [objective], [space])[0]
+PSO = Algorithm("pso", 2, _personal_init, _pso_step)
+run_pso, pso_step = PSO.run, PSO.step_state
 
 
 # --- sperm swarm ------------------------------------------------------------
@@ -296,7 +280,6 @@ class SSOState:
     population: Population
     velocities: List[Array]
     personal_best: List[Agent]
-    max_iterations: int
     iteration: int = 0
     bound_mode: str = "clamp"
 
@@ -350,11 +333,6 @@ def _sso_memory(draws: Array, velocity: Array, personal_best: Array, position: A
     return memory, social
 
 
-def sso_step(state: SSOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> SSOState:
-    step_state(_sso_step, state, objective, space, rng)
-    return state
-
-
 def _sso_step(g: Group) -> None:
     (u,) = g.reserve((len(_SSO_DRAW_RANGES),))
     draws = _SSO_DRAW_LOW + _SSO_DRAW_SPAN * u
@@ -372,8 +350,8 @@ def _sso_step(g: Group) -> None:
     g.iteration += 1
 
 
-def run_sso(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    return drive("sso", _personal_init, _sso_step, [config], [objective], [space])[0]
+SSO = Algorithm("sso", 2, _personal_init, _sso_step)
+run_sso, sso_step = SSO.run, SSO.step_state
 
 
 # --- grey wolf --------------------------------------------------------------
@@ -431,18 +409,14 @@ def _mean_of_three(terms: Array) -> Array:
     return mean
 
 
-def gwo_step(state: GWOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> GWOState:
-    step_state(_gwo_step, state, objective, space, rng)
-    return state
-
-
 def _gwo_step(g: Group) -> None:
     coefficient = 2.0 - g.iteration * 2.0 / g.max_iterations
-    _leaders_step(g, "gwo", 6 * g.dim, lambda u: _gwo_coefficients(u, coefficient), _gwo_guided)
+    _leaders_step(g, 6 * g.dim, lambda u: _gwo_coefficients(u, coefficient), _gwo_guided)
 
 
-def run_gwo(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    return drive("gwo", _leaders_init, _gwo_step, [config], [objective], [space])[0]
+#: gwo and cdo steer every agent by the three best
+GWO = Algorithm("gwo", 3, _leaders_init, _gwo_step)
+run_gwo, gwo_step = GWO.run, GWO.step_state
 
 
 # --- chernobyl disaster -----------------------------------------------------
@@ -537,11 +511,6 @@ def _cdo_draw_bounds(dim: int):
     return low, high
 
 
-def cdo_step(state: CDOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> CDOState:
-    step_state(_cdo_step, state, objective, space, rng)
-    return state
-
-
 def _cdo_step(g: Group) -> None:
     walk_speed = cdo_walk_speed(g.iteration, g.max_iterations)
     low, high = _cdo_draw_bounds(g.dim)
@@ -552,11 +521,11 @@ def _cdo_step(g: Group) -> None:
         u += low
         return _cdo_terms(u, walk_speed)
 
-    _leaders_step(g, "cdo", low.size, terms, _cdo_descent)
+    _leaders_step(g, low.size, terms, _cdo_descent)
 
 
-def run_cdo(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    return drive("cdo", _leaders_init, _cdo_step, [config], [objective], [space])[0]
+CDO = Algorithm("cdo", 3, _leaders_init, _cdo_step)
+run_cdo, cdo_step = CDO.run, CDO.step_state
 
 
 # --- bermuda triangle -------------------------------------------------------
@@ -569,8 +538,6 @@ class BTOState:
     max_iterations: int
     iteration: int = 0
     bound_mode: str = "clamp"
-    triangle_area: float = BTO_TRIANGLE_AREA
-    ring_area: float = BTO_RING_AREA
 
 
 def bto_zone(iteration: int, max_iterations: int) -> float:
@@ -617,7 +584,7 @@ def _bto_force_probability(iteration: int, max_iterations: int, gforce: float) -
     return min(1.0, max(0.0, raw))
 
 
-def bto_step(state: BTOState, objective: Objective, space: SearchSpace, rng: RandomStream) -> BTOState:
+def _bto_step(g: Group) -> None:
     """One sweep of gravity-pulled jumps around the best solution.
 
     Per agent: advance the chaos map (no draws), then draw the two masses
@@ -629,11 +596,6 @@ def bto_step(state: BTOState, objective: Objective, space: SearchSpace, rng: Ran
     ``chaos * area * acceleration`` and force probability read only its
     draws, so they are worked out for all agents before the first moves.
     """
-    step_state(_bto_step, state, objective, space, rng)
-    return state
-
-
-def _bto_step(g: Group) -> None:
     t0 = g.iteration
     zone = bto_zone(t0, g.max_iterations)
     (u,) = g.reserve((5,))
@@ -649,7 +611,7 @@ def _bto_step(g: Group) -> None:
             numerator = BTO_GRAVITATION * mass_center * mass_pulled
             gforce = numerator / (distance * distance) if distance > 0.0 else math.inf
             probabilities.append(_bto_force_probability(t0, g.max_iterations, gforce))
-            area = g.triangle_area if prescience > 0.5 else g.ring_area
+            area = BTO_TRIANGLE_AREA if prescience > 0.5 else BTO_RING_AREA
             scales.append(chaos * area * acceleration)
         g.chaos[r] = chaos
     shape = (len(g.chaos), g.n, 1)
@@ -670,12 +632,10 @@ def _bto_init(g: Group, config: RunConfig) -> None:
     """Seed each run's chaos trajectory with one draw of its own stream."""
     g.chaos_map = config.chaos_map
     g.chaos = [kernels.make_chaos(config.chaos_map, rng.uniform()).value for rng in g.rngs]
-    g.triangle_area = BTO_TRIANGLE_AREA
-    g.ring_area = BTO_RING_AREA
 
 
-def run_bto(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    return drive("bto", _bto_init, _bto_step, [config], [objective], [space])[0]
+BTO = Algorithm("bto", 2, _bto_init, _bto_step)
+run_bto, bto_step = BTO.run, BTO.step_state
 
 
 # --- gravitational search ---------------------------------------------------
@@ -722,7 +682,7 @@ def _gsa_kbest(n: int, iteration: int, max_iterations: int) -> int:
     return max(1, int(round(n - (n - 1) * iteration / span)))
 
 
-def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: RandomStream) -> GSAState:
+def _gsa_step(g: Group) -> None:
     """Synchronous force/velocity/position sweep.
 
     Forces come from the k best agents of the iteration-start snapshot
@@ -735,11 +695,6 @@ def gsa_step(state: GSAState, objective: Objective, space: SearchSpace, rng: Ran
     is computed before the first evaluation, and the moved population is
     evaluated at once (:meth:`~beetleopt.core.Group.move_all`).
     """
-    step_state(_gsa_step, state, objective, space, rng)
-    return state
-
-
-def _gsa_step(g: Group) -> None:
     n, dim, t0 = g.n, g.dim, g.iteration
     gravity = gsa_gravity(t0, g.max_iterations)
     kbest = _gsa_kbest(n, t0, g.max_iterations)
@@ -784,16 +739,5 @@ def _gsa_step(g: Group) -> None:
     g.iteration = t0 + 1
 
 
-def run_gsa(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    return drive("gsa", _velocities_init, _gsa_step, [config], [objective], [space])[0]
-
-
-#: algorithm id -> (init, group step) for :func:`core.drive`
-GROUP_STEPS = {
-    "cdo": (_leaders_init, _cdo_step),
-    "sso": (_personal_init, _sso_step),
-    "gsa": (_velocities_init, _gsa_step),
-    "pso": (_pso_init, _pso_step),
-    "bto": (_bto_init, _bto_step),
-    "gwo": (_leaders_init, _gwo_step),
-}
+GSA = Algorithm("gsa", 2, _velocities_init, _gsa_step)
+run_gsa, gsa_step = GSA.run, GSA.step_state

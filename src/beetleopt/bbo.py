@@ -12,8 +12,9 @@ scalar draws it replaces: the ``e`` noise slots go to a noisy objective's
 own draws during the defense and escape evaluations.  The chaos state
 advances once per agent and consumes no draws.  The step advances a
 :class:`~beetleopt.core.Group` of runs, each in chunks with a global-best
-predator and all in lockstep with a random-agent one; :func:`bbo_run` and
-:func:`bbo_iteration` are groups of one run.
+predator and all in lockstep with a random-agent one.  The optimizer is the
+:class:`~beetleopt.core.Algorithm` entry ``BBO``; :func:`bbo_run` and
+:func:`bbo_iteration` are its methods, groups of one run.
 """
 
 from __future__ import annotations
@@ -25,22 +26,18 @@ import numpy as np
 
 from . import kernels
 from .core import (
+    Algorithm,
     Array,
     ConfigurationError,
     ContractViolation,
     Group,
-    Objective,
     Population,
     RandomStream,
     RunConfig,
-    SearchSpace,
     by_agent,
-    drive,
     index_from_uniform,
     signs_from_uniform,
-    step_state,
 )
-from .stats import RunRecord
 
 #: Boiling-point factor of the toxic spray's hot water vapor.
 HOT_WATER_VAPOR = 100.0
@@ -103,22 +100,14 @@ class BBOState:
     bound_mode: str = "clamp"
 
 
-def bbo_iteration(
-    state: BBOState, objective: Objective, space: SearchSpace, rng: RandomStream
-) -> BBOState:
-    """Advance the optimizer one iteration (two proposals per agent).
+def _bbo_step(g: Group) -> None:
+    """Advance every run of a group one iteration (two proposals per agent,
+    so exactly ``2 * N`` evaluations).
 
     Agents update sequentially in index order; the global-best predator is
     the live best-so-far, refreshed as soon as a replacement is accepted.
-    Every proposal is bound-handled before it is evaluated.
-    """
-    step_state(_bbo_step, state, objective, space, rng)
-    return state
-
-
-def _bbo_step(g: Group) -> None:
-    """:func:`bbo_iteration` for every run of a group.  What reads only an
-    agent's draws and the iteration's start is worked out for all agents
+    Every proposal is bound-handled before it is evaluated.  What reads only
+    an agent's draws and the iteration's start is worked out for all agents
     before the first proposal.  A global-best predator steps each run in
     chunks (:func:`_sweep_run`); a random-agent one reads other agents' live
     positions, so every run steps agent by agent in lockstep."""
@@ -243,22 +232,12 @@ def _commit_rows(g: Group, r: int, start: int, proposals: Array, hops: Array) ->
 
 
 def _bbo_init(g: Group, config: RunConfig) -> None:
-    """Seed each run's chaos trajectory with one draw of its own stream."""
+    """Seed each run's chaos trajectory with one draw of its own stream,
+    taken right after the ``N`` initial evaluations."""
     g.chaos_map = config.chaos_map
     g.chaos = [kernels.make_chaos(config.chaos_map, rng.uniform()).value for rng in g.rngs]
     g.predator_mode = config.predator_mode
 
 
-def bbo_run(config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
-    """Full seeded run: initialize, iterate, record the best-so-far trace.
-
-    ``objective`` is either a plain callable or a benchmark spec (which also
-    supplies the space).  Exactly ``2 * N`` evaluations happen per iteration
-    on top of the ``N`` initial ones.  The chaos trajectory is seeded with
-    one uniform draw taken right after the initial evaluations.
-    """
-    return drive("bbo", _bbo_init, _bbo_step, [config], [objective], [space])[0]
-
-
-#: algorithm id -> (init, group step) for :func:`core.drive`
-GROUP_STEPS = {"bbo": (_bbo_init, _bbo_step)}
+BBO = Algorithm("bbo", 2, _bbo_init, _bbo_step)
+bbo_run, bbo_iteration = BBO.run, BBO.step_state

@@ -16,11 +16,15 @@ from .core import ConfigurationError
 from .harness import ALGORITHMS, ExperimentPlan, format_plan, parse_config, run_and_emit
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
-    return number
+def _int_at_least(minimum: int):
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {number}")
+        return number
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,9 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd = sub.add_parser("run", help="execute a plan file")
     run_cmd.add_argument("config", type=Path, help="plan file (key = value lines)")
     run_cmd.add_argument("--out", type=Path, default=Path("results"), help="output directory")
-    run_cmd.add_argument("--seed", type=int, default=1, help="base seed; run r uses seed base+r")
+    run_cmd.add_argument("--seed", type=_int_at_least(0), default=1, help="base seed; run r uses seed base+r")
     run_cmd.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes for groups of independent runs"
+        "--jobs", type=_int_at_least(1), default=1, help="worker processes for groups of independent runs"
     )
 
     sub.add_parser("list", help="print known algorithm and function ids")

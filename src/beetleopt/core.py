@@ -24,10 +24,6 @@ Objective = Callable[[Array], float]
 DEFAULT_POPULATION = 30
 DEFAULT_ITERATIONS = 1000
 
-#: Smallest population each algorithm runs with: gwo and cdo steer every
-#: agent by the three best, the others need two agents.
-MIN_POPULATION = {"cdo": 3, "sso": 2, "gsa": 2, "pso": 2, "bto": 2, "gwo": 3, "bbo": 2}
-
 BOUND_MODES = ("clamp", "reflect")
 PREDATOR_MODES = ("global-best", "random-agent")
 
@@ -366,6 +362,8 @@ class RunConfig:
             raise ConfigurationError("population must be >= 2")
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.bound_mode not in BOUND_MODES:
             raise ConfigurationError(f"unknown bound mode {self.bound_mode!r}")
         if self.predator_mode not in PREDATOR_MODES:
@@ -441,19 +439,27 @@ def greedy_replace(old: Agent, candidate: Agent) -> Agent:
 
 
 def update_best(pop: Population) -> Population:
-    """Refresh the best-so-far agent; it never worsens."""
+    """Refresh the best-so-far agent; it never worsens.  NaN ranks after
+    every other value (:func:`nan_last`), so the leader is NaN only when
+    every value is."""
     if not pop.agents:
         raise ConfigurationError("cannot track the best of an empty population")
     for agent in pop.agents:
         if not agent.evaluated:
             raise ContractViolation("update_best needs every agent evaluated")
-    leader = min(pop.agents, key=lambda a: a.fitness)
+    leader = min(pop.agents, key=lambda a: nan_last(a.fitness))
     if pop.best is None or leader.fitness < pop.best.fitness:
         pop.best = leader.copy()
     return pop
 
 
-def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[SearchSpace]):
+def nan_last(value: float) -> tuple:
+    """Sort key ranking NaN after every other value, NaNs among themselves
+    in the order given."""
+    return (value != value, value)
+
+
+def prepare_run(algorithm: Algorithm, config: RunConfig, objective, space: Optional[SearchSpace]):
     """Common run prologue: the stream, the counted objective and the
     evaluated initial population, as ``(space, rng, counter, population)``.
 
@@ -466,9 +472,7 @@ def prepare_run(algorithm: str, config: RunConfig, objective, space: Optional[Se
     (one with ``block``) evaluates the population as one block instead and
     states its own gap.
     """
-    minimum = MIN_POPULATION[algorithm]
-    if config.population < minimum:
-        raise ConfigurationError(f"{algorithm} needs a population of at least {minimum}")
+    algorithm.check_population(config.population)
     if space is None and hasattr(objective, "space"):
         space = objective.space()
     if space is None:
@@ -693,15 +697,80 @@ def by_agent(block: Array) -> list:
     return list(block.swapaxes(0, 1))
 
 
-def drive(algorithm: str, init, step, configs, objectives, spaces) -> list:
-    """Run each config as one of a group of runs in lockstep and return
-    their records, in order.
+@dataclass(frozen=True)
+class Algorithm:
+    """One optimizer, as every run of it reads it: its ``id``, the smallest
+    population it runs with, ``init(group, config)``, which sets its state
+    on a group of prepared runs, and ``step(group)``, which advances every
+    run of the group one iteration."""
 
-    Every run gets its own :func:`prepare_run`.  ``init(group, config)``
-    sets the algorithm's state, then ``step(group)`` runs once per
-    iteration and each run's best-so-far is recorded after it.  The configs
-    must differ only in benchmark and seed, and the spaces share one
-    dimension; a run's record is the one it gets alone.
+    id: str
+    min_population: int
+    init: Callable
+    step: Callable
+
+    def check_population(self, n: int) -> None:
+        if n < self.min_population:
+            raise ConfigurationError(f"{self.id} needs a population of at least {self.min_population}")
+
+    def run(self, config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
+        """One seeded run as a group of one: initialize, iterate, record the
+        best-so-far trace.  ``objective`` is either a plain callable or a
+        benchmark spec (which also supplies the space)."""
+        return drive(self, [config], [objective], [space])[0]
+
+    def step_state(self, state, objective, space: SearchSpace, rng):
+        """Advance a public state object one iteration through :attr:`step`
+        as a group of one run, and return it.
+
+        The state is a dataclass with a ``population``.  Its other fields
+        map onto the group by name: a list of agents to ``name`` (positions)
+        and ``name_f`` (values), a list of vectors to an array, a chaos state
+        to ``chaos`` and ``chaos_map``, anything else as it is.  After the
+        step the fields are written back.
+        """
+        pop = state.population
+        group = Group([rng], [objective], [space], [pop])
+        group.algorithm = self
+        fields = [f.name for f in dataclasses.fields(state) if f.name != "population"]
+        for name in fields:
+            value = getattr(state, name)
+            if isinstance(value, list) and isinstance(value[0], Agent):
+                setattr(group, name, np.array([a.position for a in value])[None])
+                setattr(group, name + "_f", [[a.fitness for a in value]])
+            elif isinstance(value, (list, np.ndarray)):
+                setattr(group, name, np.array(value, dtype=float)[None])
+            elif hasattr(value, "map_id"):
+                group.chaos, group.chaos_map = [value.value], value.map_id
+            else:
+                setattr(group, name, value)
+        self.step(group)
+        pop.agents[:] = [Agent(x, f) for x, f in zip(group.x[0], group.fitness[0])]
+        pop.best = Agent(group.best_x[0], group.best_f[0])
+        for name in fields:
+            value = getattr(state, name)
+            if isinstance(value, list) and isinstance(value[0], Agent):
+                fitness = map(float, getattr(group, name + "_f")[0])
+                value = [Agent(x, f) for x, f in zip(getattr(group, name)[0], fitness)]
+            elif isinstance(value, (list, np.ndarray)):
+                value = list(getattr(group, name)[0])
+            elif hasattr(value, "map_id"):
+                value = dataclasses.replace(value, value=group.chaos[0], steps=value.steps + len(pop))
+            else:
+                value = getattr(group, name)
+            setattr(state, name, value)
+        return state
+
+
+def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
+    """Run each config as one of a group of runs of ``algorithm`` in
+    lockstep and return their records, in order.
+
+    Every run gets its own :func:`prepare_run`.  The algorithm's ``init``
+    sets its state, then its ``step`` runs once per iteration and each
+    run's best-so-far is recorded after it.  The configs must differ only
+    in benchmark and seed, and the spaces share one dimension; a run's
+    record is the one it gets alone.
     """
     if len({(c.population, c.iterations, c.bound_mode, c.predator_mode, c.chaos_map) for c in configs}) > 1:
         raise ContractViolation("a group's runs must share every setting but benchmark and seed")
@@ -711,17 +780,18 @@ def drive(algorithm: str, init, step, configs, objectives, spaces) -> list:
         raise ContractViolation("a group's runs must share one dimension")
     spaces, rngs, counters, populations = zip(*prepared)
     group = Group(rngs, counters, spaces, populations)
+    group.algorithm = algorithm
     group.iteration = 0
     group.max_iterations = config.iterations
     group.bound_mode = config.bound_mode
-    init(group, config)
+    algorithm.init(group, config)
     traces = np.empty((len(configs), config.iterations), dtype=float)
     for t in range(config.iterations):
-        step(group)
+        algorithm.step(group)
         traces[:, t] = group.best_f
     return [
         RunRecord(
-            algorithm=algorithm,
+            algorithm=algorithm.id,
             benchmark=c.benchmark or "custom",
             seed=c.seed,
             trace=trace,
@@ -730,47 +800,6 @@ def drive(algorithm: str, init, step, configs, objectives, spaces) -> list:
         )
         for c, trace, counter in zip(configs, traces, counters)
     ]
-
-
-def step_state(step, state, objective, space: SearchSpace, rng) -> None:
-    """Advance a public state object one iteration through ``step``, an
-    algorithm's group step, as a group of one run.
-
-    The state is a dataclass with a ``population``.  Its other fields map
-    onto the group by name: a list of agents to ``name`` (positions) and
-    ``name_f`` (values), a list of vectors to an array, a chaos state to
-    ``chaos`` and ``chaos_map``, anything else as it is.  After the step the
-    fields are written back.
-    """
-    pop = state.population
-    group = Group([rng], [objective], [space], [pop])
-    fields = [f.name for f in dataclasses.fields(state) if f.name != "population"]
-    for name in fields:
-        value = getattr(state, name)
-        if isinstance(value, list) and isinstance(value[0], Agent):
-            setattr(group, name, np.array([a.position for a in value])[None])
-            setattr(group, name + "_f", [[a.fitness for a in value]])
-        elif isinstance(value, (list, np.ndarray)):
-            setattr(group, name, np.array(value, dtype=float)[None])
-        elif hasattr(value, "map_id"):
-            group.chaos, group.chaos_map = [value.value], value.map_id
-        else:
-            setattr(group, name, value)
-    step(group)
-    pop.agents[:] = [Agent(x, f) for x, f in zip(group.x[0], group.fitness[0])]
-    pop.best = Agent(group.best_x[0], group.best_f[0])
-    for name in fields:
-        value = getattr(state, name)
-        if isinstance(value, list) and isinstance(value[0], Agent):
-            fitness = map(float, getattr(group, name + "_f")[0])
-            value = [Agent(x, f) for x, f in zip(getattr(group, name)[0], fitness)]
-        elif isinstance(value, (list, np.ndarray)):
-            value = list(getattr(group, name)[0])
-        elif hasattr(value, "map_id"):
-            value = dataclasses.replace(value, value=group.chaos[0], steps=value.steps + len(pop))
-        else:
-            value = getattr(group, name)
-        setattr(state, name, value)
 
 
 def bind_objective(objective, rng: RandomStream) -> Objective:

@@ -23,13 +23,10 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from . import baselines, bbo, benchmarks, kernels, stats
-from .baselines import run_bto, run_cdo, run_gsa, run_gwo, run_pso, run_sso
-from .bbo import bbo_run
 from .core import (
     BOUND_MODES,
     DEFAULT_ITERATIONS,
     DEFAULT_POPULATION,
-    MIN_POPULATION,
     PREDATOR_MODES,
     ConfigurationError,
     RunConfig,
@@ -37,19 +34,15 @@ from .core import (
 )
 from .stats import RANK_STATISTICS, RunRecord, SummaryRow
 
-#: Algorithm ids in the column order used by the summary tables.
-ALGORITHMS = {
-    "cdo": run_cdo,
-    "sso": run_sso,
-    "gsa": run_gsa,
-    "pso": run_pso,
-    "bto": run_bto,
-    "gwo": run_gwo,
-    "bbo": bbo_run,
+#: algorithm id -> its :class:`~beetleopt.core.Algorithm` entry, in the
+#: column order used by the summary tables
+ENTRIES = {
+    entry.id: entry
+    for entry in (baselines.CDO, baselines.SSO, baselines.GSA, baselines.PSO, baselines.BTO, baselines.GWO, bbo.BBO)
 }
-_RUNNERS = dict(ALGORITHMS)
-#: algorithm id -> (init, group step) for :func:`core.drive`
-_GROUP_STEPS = {**baselines.GROUP_STEPS, **bbo.GROUP_STEPS}
+#: algorithm id -> ``run(config, spec)``, which a tracer or a test double
+#: may replace
+ALGORITHMS = {algorithm: entry.run for algorithm, entry in ENTRIES.items()}
 
 DEFAULT_RUNS = 10
 
@@ -137,7 +130,9 @@ _CONFIG_KEYS = {
     "algorithms": lambda value: _parse_list(value, tuple(ALGORITHMS), "algorithm"),
     "functions": lambda value: _parse_list(value, benchmarks.ids(), "function"),
     "runs": lambda value: _parse_positive_int(value, 1, "runs"),
-    "population": lambda value: _parse_positive_int(value, min(MIN_POPULATION.values()), "population"),
+    "population": lambda value: _parse_positive_int(
+        value, min(entry.min_population for entry in ENTRIES.values()), "population"
+    ),
     "iterations": lambda value: _parse_positive_int(value, 1, "iterations"),
     "chaos_map": lambda value: _parse_choice(value, sorted(kernels.CHAOS_MAPS), "chaos_map"),
     "predator_mode": lambda value: _parse_choice(value, PREDATOR_MODES, "predator_mode"),
@@ -162,8 +157,9 @@ def parse_config(text: str) -> ExperimentPlan:
     Unknown keys, malformed values and unknown ids are all collected and
     reported together, each with its line number.  Keys left out keep their
     defaults (all algorithms, all functions, 10 runs of 30 agents for 1000
-    iterations).  A population below an algorithm's ``MIN_POPULATION`` is
-    reported on the ``population`` line, whichever line lists the algorithms.
+    iterations).  A population below an algorithm's minimum (its entry's
+    ``min_population``) is reported on the ``population`` line, whichever
+    line lists the algorithms.
     """
     plan = ExperimentPlan()
     errors = []
@@ -189,9 +185,9 @@ def parse_config(text: str) -> ExperimentPlan:
             continue
         if key == "population":
             population_line = lineno
-    short = [a for a in plan.algorithms if plan.population < MIN_POPULATION[a]]
+    short = [a for a in plan.algorithms if plan.population < ENTRIES[a].min_population]
     if short:  # only a population line can go below the default
-        minimum = max(MIN_POPULATION[a] for a in short)
+        minimum = max(ENTRIES[a].min_population for a in short)
         errors.append(
             f"line {population_line}: population must be >= {minimum} for {' '.join(short)}, "
             f"got {plan.population}"
@@ -223,11 +219,12 @@ def execute_group(algorithm: str, runs) -> tuple:
     test double), that callable runs once per run instead.
     """
     fallback = None
-    if execute_run is _EXECUTE_RUN and ALGORITHMS[algorithm] is _RUNNERS[algorithm]:
-        init, step = _GROUP_STEPS[algorithm]
+    entry = ENTRIES[algorithm]
+    # a bound method equals another only with the same function and object
+    if execute_run is _EXECUTE_RUN and ALGORITHMS[algorithm] == entry.run:
         configs = [config for _, config in runs]
         try:
-            records = drive(algorithm, init, step, configs, [benchmarks.get(f) for f, _ in runs], [None] * len(runs))
+            records = drive(entry, configs, [benchmarks.get(f) for f, _ in runs], [None] * len(runs))
             return records, None
         except Exception as exc:  # recorded, not fatal
             if len(runs) == 1:

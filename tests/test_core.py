@@ -223,6 +223,12 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(algorithm="bbo", predator_mode="self")
 
+    def test_rejects_a_negative_seed(self):
+        # the run's generator takes only non-negative seeds
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            RunConfig(algorithm="bbo", seed=-1)
+        assert RunConfig(algorithm="bbo", seed=0).seed == 0
+
 
 class EvaluateOnly:
     """A spec proxy with ``space`` and ``evaluate`` but no ``bind``, shaped
@@ -277,15 +283,16 @@ class TestRunPrologue:
         with pytest.raises(ConfigurationError, match="at least 3"):
             ALGORITHMS[algorithm](cfg, BENCHMARKS["f1"])
 
-    def test_runs_read_the_population_table(self, monkeypatch):
-        from beetleopt import core
-        from beetleopt.benchmarks import BENCHMARKS
-        from beetleopt.harness import ALGORITHMS
+    def test_runs_read_the_population_table(self):
+        import dataclasses
 
-        monkeypatch.setitem(core.MIN_POPULATION, "pso", 5)
+        from beetleopt.baselines import PSO
+        from beetleopt.benchmarks import BENCHMARKS
+
+        entry = dataclasses.replace(PSO, min_population=5)
         cfg = RunConfig(algorithm="pso", population=4, iterations=2, seed=1)
         with pytest.raises(ConfigurationError, match="at least 5"):
-            ALGORITHMS["pso"](cfg, BENCHMARKS["f1"])
+            entry.run(cfg, BENCHMARKS["f1"])
 
 
 def _reflect_reference(x, lower, upper):

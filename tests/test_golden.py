@@ -53,7 +53,7 @@ def run_one_iteration(algo):
         state = bl.PSOState(pop, zeros, [a.copy() for a in pop.agents], 1)
         bl.pso_step(state, counter, SPACE, rng)
     elif algo == "sso":
-        state = bl.SSOState(pop, zeros, [a.copy() for a in pop.agents], 1)
+        state = bl.SSOState(pop, zeros, [a.copy() for a in pop.agents])
         bl.sso_step(state, counter, SPACE, rng)
     elif algo == "gwo":
         state = bl.GWOState(pop, bl._three_leaders(pop), 1)

@@ -17,7 +17,7 @@ import beetleopt as bo
 from beetleopt import baselines, benchmarks, harness
 from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
 from beetleopt.cli import main as cli_main
-from beetleopt.core import MIN_POPULATION, RunConfig, drive
+from beetleopt.core import Group, RunConfig, drive, prepare_run
 
 #: registry functions by dimension (f7, the noisy one, is among the 30s)
 BY_DIM = {}
@@ -113,7 +113,7 @@ def groups(draw):
             max_size=4,
         )
     )
-    population = draw(st.integers(MIN_POPULATION[algorithm], 7))
+    population = draw(st.integers(harness.ENTRIES[algorithm].min_population, 7))
     iterations = draw(st.integers(1, 5))
     modes = draw(st.sampled_from(MODE_SETS))
     path = draw(st.sampled_from(sorted(LEADER_PATHS)))
@@ -134,9 +134,8 @@ def test_every_record_of_a_group_equals_its_solo_run(group):
         for fid, _, seed in members
     ]
     objectives, spaces = zip(*(_objective(fid, route, specs) for fid, route, _ in members))
-    init, step = harness._GROUP_STEPS[algorithm]
     with mock.patch.object(baselines, "_chunks_pay", LEADER_PATHS[path]):
-        records = drive(algorithm, init, step, configs, objectives, spaces)
+        records = drive(harness.ENTRIES[algorithm], configs, objectives, spaces)
     per_iteration = 2 if algorithm == "bbo" else 1
     for config, (fid, route, _), record in zip(configs, members, records):
         assert record.evaluations == population + per_iteration * population * iterations
@@ -173,16 +172,45 @@ def test_leader_steps_give_the_same_records_on_either_path(algorithm, members):
         RunConfig(algorithm=algorithm, benchmark=fid, population=population, iterations=iterations, seed=seed)
         for fid, _, seed in members
     ]
-    init, step = harness._GROUP_STEPS[algorithm]
     by_path = {}
     for path, rule in LEADER_PATHS.items():
         objectives, spaces = zip(*(_objective(fid, route, specs) for fid, route, _ in members))
         with mock.patch.object(baselines, "_chunks_pay", rule):
-            by_path[path] = drive(algorithm, init, step, configs, objectives, spaces)
+            by_path[path] = drive(harness.ENTRIES[algorithm], configs, objectives, spaces)
     for records in zip(*by_path.values()):
         assert records[0].evaluations == population + population * iterations
         for other in records[1:]:
             _same(records[0], other)
+
+
+@pytest.mark.parametrize("algorithm", sorted(bo.ALGORITHMS))
+def test_a_nan_first_agent_does_not_become_the_best(algorithm):
+    # seed 1 puts agent 0 on the NaN slab; 7 of the 16 initial values are
+    # finite, and the least of them is the best, which a run then improves
+    spec = SLABS["nan-slab"]
+    config = RunConfig(algorithm=algorithm, benchmark="nan-slab", population=16, iterations=20, seed=1)
+    *_, pop = prepare_run(harness.ENTRIES[algorithm], config, spec, None)
+    values = pop.fitness_values()
+    assert math.isnan(values[0]) and np.isfinite(values).sum() == 7
+    assert pop.best.fitness == np.nanmin(values)
+    record = bo.ALGORITHMS[algorithm](config, spec)
+    assert np.all(np.isfinite(record.trace))
+    assert record.trace[0] <= np.nanmin(values)
+
+
+def test_a_nan_agent_ranks_after_every_leader():
+    # seed 9 has NaN among the initial values; the leaders are the three
+    # least of the others, best first
+    config = RunConfig(algorithm="gwo", benchmark="nan-slab", population=16, iterations=1, seed=9)
+    space, rng, counter, pop = prepare_run(baselines.GWO, config, SLABS["nan-slab"], None)
+    group = Group([rng], [counter], [space], [pop])
+    baselines.GWO.init(group, config)
+    values = pop.fitness_values()
+    assert np.isnan(values).any()
+    least = np.argsort(np.where(np.isnan(values), np.inf, values), kind="stable")[:3]
+    assert group.leaders_f[0] == values[least].tolist()
+    assert np.array_equal(group.leaders[0], pop.positions()[least])
+    assert baselines._best_three([math.nan, 2.0, math.nan, 1.0, math.inf]) == [3, 1, 4]
 
 
 def test_a_protocol_shaped_leader_plan_steps_in_chunks(monkeypatch):

@@ -349,6 +349,16 @@ class TestCLI:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_run_rejects_a_negative_seed(self, tmp_path, capsys, seed):
+        config = tmp_path / "plan.txt"
+        config.write_text("algorithms = pso\nfunctions = f16\nruns = 1\npopulation = 4\niterations = 2\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(config), "--out", str(tmp_path / "out"), "--seed", seed])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPlanEdges:
     def test_duplicate_ids_rejected_with_line_number(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import beetleopt as bo
 from beetleopt import core
 from beetleopt.benchmarks import BENCHMARKS
+from beetleopt.baselines import PSO
 from beetleopt.core import ContractViolation, RandomStream, RunConfig, prepare_run
 
 from conftest import StubStream
@@ -125,7 +126,7 @@ class EvaluateOnly:
 
 def _gap(objective):
     config = RunConfig(algorithm="pso", population=4, iterations=1, seed=0)
-    _, rng, _, _ = prepare_run("pso", config, objective, None)
+    _, rng, _, _ = prepare_run(PSO, config, objective, None)
     return rng.gap
 
 
@@ -140,7 +141,7 @@ def test_measured_gap_of_every_registry_function(fid):
 def test_a_plain_callable_takes_no_draws():
     spec = BENCHMARKS["f1"]
     config = RunConfig(algorithm="pso", population=4, iterations=1, seed=0)
-    _, rng, _, _ = prepare_run("pso", config, spec.evaluator, spec.space())
+    _, rng, _, _ = prepare_run(PSO, config, spec.evaluator, spec.space())
     assert rng.gap == 0
 
 
