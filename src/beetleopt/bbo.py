@@ -167,37 +167,35 @@ def _sweep_run(g: Group, r: int, defend, hops: Array) -> None:
     ``start, ...`` from the live best-so-far; an agent's escape reads only
     its own position.  A chunk commits agents in order up to and including
     the first whose defense or escape improves the best-so-far, and the
-    agents after it are proposed again from the new best.  A noiseless
-    bound evaluator (an objective with ``speculate``) evaluates both phases
-    of the whole chunk as two blocks, the escapes from the speculated
-    defense acceptances, and the chunk is committed with array operations.
-    Any other objective (a noisy one, a plain callable, an evaluate-only
-    proxy) is evaluated row by row as the commit reaches it, never
-    speculatively.
+    agents after it are proposed again from the new best.  A speculative
+    evaluator evaluates both phases of the whole chunk as two blocks, the
+    escapes from the speculated defense acceptances, and the chunk is
+    committed with array operations.  Any other is called row by row as the
+    commit reaches it (:func:`_commit_rows`).
     """
     objective = g.objectives[r]
     x, fitness = g.x[r], g.fitness[r]
-    lazy = not hasattr(objective, "speculate") or objective.gap
     start = 0
     while start < g.n:
         proposals = defend(r, start)
-        if lazy:
+        if not objective.speculative:
             start = _commit_rows(g, r, start, proposals, hops)
             continue
         held = np.array(fitness[start:])
-        values = objective.speculate(proposals)
+        # each agent evaluates its defense, then its escape
+        values = objective.speculate(proposals, 0, 2)
         took = np.isfinite(values) & (values < held)
         kept = np.where(took[:, None], proposals, x[start:])
         kept_f = np.where(took, values, held)
         escapes = g.bound_run(r, kept + hops[start:])
-        values = objective.speculate(escapes)
+        values = objective.speculate(escapes, 1, 2)
         fled = np.isfinite(values) & (values < kept_f)
         kept = np.where(fled[:, None], escapes, kept)
         kept_f = np.where(fled, values, kept_f)
         below = kept_f < g.best_f[r]
         first = int(below.argmax())
         stop = first + 1 if below[first] else len(kept)
-        objective.n += 2 * stop
+        objective.commit(2 * stop)
         x[start : start + stop] = kept[:stop]
         fitness[start : start + stop] = kept_f[:stop].tolist()
         if below[first]:

@@ -404,7 +404,8 @@ class BenchmarkSpec:
 class BoundEvaluator:
     """``f(x) -> float`` over one run's loop, with ``n`` counting the
     evaluations; :meth:`block` evaluates the rows of a ``(k, dim)`` block
-    in one call of the function.
+    in one call of the function, and :meth:`speculate` does so without
+    counting (the evaluator protocol of :func:`beetleopt.core.bind`).
 
     Same values and draws as :func:`evaluate`, in one Python frame: the
     optimizers pass float64 positions they built themselves, so only the
@@ -414,6 +415,7 @@ class BoundEvaluator:
     """
 
     __slots__ = ("n", "gap", "function", "_id", "_shape", "_rng")
+    speculative = True
 
     def __init__(self, spec: BenchmarkSpec, rng: RandomStream):
         if spec.noisy and rng is None:
@@ -448,7 +450,7 @@ class BoundEvaluator:
         refused: a reduction over a transposed or Fortran-ordered block
         does not keep each row's order of summation, so its bits differ.
         """
-        values = self.speculate(rows).tolist()
+        values = self._function(rows).tolist()
         owners = owners or (self,) * len(values)
         if self._rng is None:
             for owner in owners:
@@ -462,11 +464,27 @@ class BoundEvaluator:
             noisy.append(value + owner._rng.uniform())
         return noisy
 
-    def speculate(self, rows: Array) -> Array:
+    def speculate(self, rows: Array, offset: int = 0, stride: int = 1) -> Array:
         """The function's values on the rows of a C-contiguous ``(k, dim)``
-        block, from one call, uncounted and without noise: values an
-        optimizer may discard.  Any other layout is refused (see
+        block, from one call, uncounted: values an optimizer may discard.
+        A noisy function adds to row ``j`` the noise slot of the open
+        reservation that the ``offset + j * stride``-th evaluation from now
+        takes, and leaves it there.  Any other layout is refused (see
         :meth:`block`)."""
+        values = self._function(rows)
+        if self._rng is None:
+            return values
+        return values + self._rng.peek(offset + stride * (len(rows) - 1) + 1)[offset::stride]
+
+    def commit(self, m: int) -> None:
+        """Count ``m`` speculated rows as evaluations, taking their noise
+        slots in order."""
+        if self._rng is None:
+            self.n += m
+        else:
+            self._rng.take(m)
+
+    def _function(self, rows: Array) -> Array:
         if rows.shape[1:] != self._shape or not rows.flags.c_contiguous:
             raise ValueError(
                 f"{self._id} expects a C-contiguous (k, {self._shape[0]}) block, got shape {rows.shape}"

@@ -90,9 +90,9 @@ class RandomStream:
         return index_from_uniform(self._gen.random(), n)
 
     def measure_gap(self, counter, positions) -> list:
-        """Evaluate each position with ``counter`` (an objective that counts
-        its calls in ``n``) and return the values, setting :attr:`gap` to the
-        draws every evaluation took from this stream.
+        """Evaluate each position with ``counter`` (an evaluator that counts
+        its calls in ``n``) and return the values, setting :attr:`gap` and
+        ``counter.gap`` to the draws every evaluation took from this stream.
 
         Every evaluation must take the same number of draws, and later
         reservations hold each of ``counter``'s calls to its own slots.
@@ -113,7 +113,8 @@ class RandomStream:
                 f"the objective took {sorted(counts)} draws on different evaluations; "
                 "it must take the same number every time"
             )
-        self.hold_gap(counter, counts.pop() if counts else 0)
+        counter.gap = counts.pop() if counts else 0
+        self.hold_gap(counter, counter.gap)
         return values
 
     def hold_gap(self, counter, gap: int) -> None:
@@ -165,17 +166,31 @@ class RandomStream:
             noise = grid[:, ~segments].ravel().tolist()
         self._gen = _NoiseSlots(noise, gap, self._counter)
 
+    def peek(self, k: int) -> Array:
+        """The next ``k`` noise slots of the open reservation, left for the
+        draws that take them."""
+        return self._open().peek(k)
+
+    def take(self, m: int) -> None:
+        """Take the next ``m`` noise slots of the open reservation as the
+        draws of ``m`` evaluations of the held evaluator, one slot each, and
+        count them in its ``n``."""
+        self._open().take(m)
+
     def settle(self) -> None:
         """Close the open reservation; the objective must have taken exactly
         its noise slots, ``gap`` per evaluation."""
-        slots = self._gen
-        if slots is self._generator:
-            raise ContractViolation("no reservation is open")
+        slots = self._open()
         self._gen = self._generator
         if not slots.used_up():
             raise ContractViolation(
                 f"the objective took fewer than {self.gap} draws per evaluation during an iteration"
             )
+
+    def _open(self):
+        if self._gen is self._generator:
+            raise ContractViolation("no reservation is open")
+        return self._gen
 
 
 def _split_reservation(block: Array, rows: int, widths, lead: int) -> list:
@@ -232,7 +247,9 @@ class _DrawCounter:
 class _NoiseSlots:
     """Generator stand-in during a reservation: hands out its slots in order
     and refuses a draw beyond them.  Given the objective's call counter, it
-    also refuses a draw outside the ``gap`` slots of the evaluation under way."""
+    also refuses a draw outside the ``gap`` slots of the evaluation under way.
+    A speculated block reads the next slots (:meth:`peek`) and takes those
+    of its committed rows at once (:meth:`take`)."""
 
     __slots__ = ("_values", "_next", "_gap", "_counter", "_before")
 
@@ -260,6 +277,16 @@ class _NoiseSlots:
         if size is None:
             return self._values[start]
         return np.array(self._values[start:stop]).reshape(size)
+
+    def peek(self, k: int) -> Array:
+        if self._next + k > len(self._values):
+            raise ContractViolation("a speculated evaluation read past the iteration's noise slots")
+        return np.array(self._values[self._next : self._next + k])
+
+    def take(self, m: int) -> None:
+        self.peek(m)
+        self._next += m
+        self._counter.n += m
 
     def used_up(self) -> bool:
         return self._next == len(self._values)
@@ -425,19 +452,6 @@ def bound_position(x: Array, lower: Array, upper: Array, mode: str) -> Array:
     return np.minimum(clamped, upper, out=clamped)
 
 
-def greedy_replace(old: Agent, candidate: Agent) -> Agent:
-    """Keep the candidate only if it strictly improves fitness.
-
-    Ties keep the old agent.  Candidates with non-finite fitness (NaN/inf
-    from degenerate updates) are rejected outright.
-    """
-    if not old.evaluated or not candidate.evaluated:
-        raise ContractViolation("greedy_replace needs both agents evaluated")
-    if not math.isfinite(candidate.fitness):
-        return old
-    return candidate if candidate.fitness < old.fitness else old
-
-
 def update_best(pop: Population) -> Population:
     """Refresh the best-so-far agent; it never worsens.  NaN ranks after
     every other value (:func:`nan_last`), so the leader is NaN only when
@@ -460,38 +474,75 @@ def nan_last(value: float) -> tuple:
 
 
 def prepare_run(algorithm: Algorithm, config: RunConfig, objective, space: Optional[SearchSpace]):
-    """Common run prologue: the stream, the counted objective and the
-    evaluated initial population, as ``(space, rng, counter, population)``.
-
-    A benchmark spec supplies the space when none is given.  A spec with
-    ``bind`` counts its own calls in one frame; anything else (a plain
-    callable, or an object with only ``evaluate(x, rng)``) is wrapped in an
-    :class:`EvalCounter`.  Either way the counter has ``n``.  The initial
-    evaluations also measure ``rng.gap``, the draws the objective takes from
-    the stream per evaluation, whichever route it takes.  A bound evaluator
-    (one with ``block``) evaluates the population as one block instead and
-    states its own gap.
-    """
+    """Common run prologue: the stream, the run's evaluator of ``objective``
+    (:func:`bind`) and the evaluated initial population, as ``(space, rng,
+    evaluator, population)``.  A speculative evaluator evaluates the
+    population as one block and states its own gap; for any other, the
+    initial evaluations measure ``rng.gap``, the draws the objective takes
+    from the stream per evaluation."""
     algorithm.check_population(config.population)
-    if space is None and hasattr(objective, "space"):
-        space = objective.space()
+    rng = RandomStream(config.seed)
+    evaluator, space = bind(objective, rng, space)
     if space is None:
         raise ConfigurationError("a search space is required for a plain objective")
-    rng = RandomStream(config.seed)
-    if hasattr(objective, "bind"):
-        counter = objective.bind(rng)
-    else:
-        counter = EvalCounter(bind_objective(objective, rng))
     pop = initialize_population(space, config.population, rng)
-    if hasattr(counter, "block"):
-        values = counter.block(pop.positions())
-        rng.hold_gap(counter, counter.gap)
-    else:
-        values = rng.measure_gap(counter, [agent.position for agent in pop.agents])
+    positions = pop.positions()
+    values = evaluator.block(positions) if evaluator.speculative else rng.measure_gap(evaluator, positions)
     for agent, value in zip(pop.agents, values):
         agent.fitness = value
     update_best(pop)
-    return space, rng, counter, pop
+    return space, rng, evaluator, pop
+
+
+def bind(objective, rng: RandomStream, space: Optional[SearchSpace] = None) -> tuple:
+    """``(evaluator, space)``: the evaluator of ``objective`` for a run on
+    the stream ``rng``, and ``space`` or else the objective's own (or None).
+
+    Every evaluator has ``n`` (its evaluations), ``gap`` (its draws from the
+    stream per evaluation), ``function`` (the function over ``(..., dim)``
+    that evaluators of one registry function share, or None), ``__call__(x)``
+    and ``block(rows, owners)`` (row ``j`` of a ``(k, dim)`` block counted
+    for ``owners[j]``).  A ``speculative`` one also has ``speculate(rows,
+    offset, stride)``, the block's values neither counted nor kept (row ``j``
+    with the noise of the ``offset + j * stride``-th evaluation from now),
+    and ``commit(m)``, which counts ``m`` of them.  A benchmark spec binds its
+    evaluator to the stream, which holds it to its noise slots; an
+    evaluator is its own; anything else (a plain callable, or an object with
+    only ``evaluate(x, rng)``) becomes a :class:`CallEvaluator`.
+    """
+    if space is None and hasattr(objective, "space"):
+        space = objective.space()
+    if hasattr(objective, "speculative"):
+        return objective, space
+    if hasattr(objective, "bind"):
+        evaluator = objective.bind(rng)
+        rng.hold_gap(evaluator, evaluator.gap)
+        return evaluator, space
+    if hasattr(objective, "evaluate"):
+        return CallEvaluator(lambda x: objective.evaluate(x, rng)), space
+    return CallEvaluator(objective), space
+
+
+class CallEvaluator:
+    """``f(x) -> float`` as a run's evaluator (see :func:`bind`): it counts
+    its calls in ``n`` and evaluates a block row by row, never
+    speculatively.  Its ``gap`` is what :meth:`RandomStream.measure_gap`
+    finds on a run's initial evaluations."""
+
+    speculative = False
+    function = None
+
+    def __init__(self, call: Objective):
+        self.call = call
+        self.n = 0
+        self.gap = 0
+
+    def __call__(self, x: Array) -> float:
+        self.n += 1
+        return float(self.call(x))
+
+    def block(self, rows: Array, owners=None) -> list:
+        return [self(row) for row in rows]
 
 
 class Group:
@@ -503,9 +554,9 @@ class Group:
     run; every operation is elementwise, so each row holds the bits a run of
     its own computes.  What a run decides on stays its own Python floats
     (``fitness[r][i]``, ``best_f[r]``), and each run keeps its stream and its
-    objective.  A step moves the runs' agents either agent by agent in
-    lockstep (:meth:`move`, :meth:`greedy`, where consecutive runs whose
-    bound evaluators share a function are evaluated by one block call of
+    evaluator (:func:`bind`).  A step moves the runs' agents either agent by
+    agent in lockstep (:meth:`move`, :meth:`greedy`, where consecutive runs
+    whose evaluators share a function are evaluated by one block call of
     it, :meth:`shared_values`), all at once (:meth:`move_all`) or run by run
     in chunks (:meth:`sweep`).  A step sets and reads further per-algorithm
     state on the group (``velocities``, ``leaders`` ...).
@@ -523,9 +574,9 @@ class Group:
         self.width = self.upper - self.lower
         #: ``at[i]``: agent ``i`` of every run, a live ``(R, dim)`` view of ``x``
         self.at = by_agent(self.x)
-        #: ``(start, stop, owners)``: consecutive runs whose objectives are
-        #: bound evaluators of one function (``owners``, one per run), or a
-        #: run whose objective has no ``block`` (``owners`` None)
+        #: ``(start, stop, owners)``: consecutive runs whose evaluators
+        #: (``owners``, one per run) share one ``function``; a run whose
+        #: evaluator has none is a segment of its own
         self.segments = _segments(self.objectives)
 
     @property
@@ -593,11 +644,8 @@ class Group:
         self.x[...] = moved
         n = self.n
         for start, stop, owners in self.segments:
-            if owners is None:
-                values = [self.objectives[start](row) for row in moved[start]]
-            else:
-                rows = moved[start:stop].reshape(-1, self.dim)
-                values = owners[0].block(rows, [owner for owner in owners for _ in range(n)])
+            rows = moved[start:stop].reshape(-1, self.dim)
+            values = owners[0].block(rows, [owner for owner in owners for _ in range(n)])
             for r in range(start, stop):
                 fitness = self.fitness[r]
                 fitness[:] = values[(r - start) * n : (r - start + 1) * n]
@@ -637,9 +685,9 @@ class Group:
                 start = stop
 
     def greedy(self, i: int, candidates: Array) -> None:
-        """:func:`greedy_replace` agent ``i`` of every run by its row of
-        ``candidates``, then make the agent kept the best-so-far if it
-        improves on it."""
+        """Replace agent ``i`` of every run by its row of ``candidates`` when
+        the row's value is finite and strictly lower than the agent's, then
+        make the agent kept the best-so-far if it improves on it."""
         agents = self.at[i]
         shared = self.shared_values(candidates)
         for r, (objective, row, fitness) in enumerate(zip(self.objectives, candidates, self.fitness)):
@@ -657,19 +705,17 @@ def _commit_prefix(objective, rows: Array, cut: float) -> list:
     including the first one below ``cut`` (all of them if none is), each
     counted as one evaluation of ``objective``.
 
-    A noiseless bound evaluator (an objective with ``speculate`` and no
-    noise gap) evaluates every row in one call and counts the prefix.  Any
-    other objective (a noisy one, a plain callable, an evaluate-only proxy)
-    is called row by row as the commit reaches the row, never
-    speculatively.  The rows after the prefix are neither counted nor drawn
-    for.
+    A speculative evaluator evaluates every row in one call, each with the
+    noise slot it takes if the rows are committed in order, and commits the
+    prefix.  Any other is called row by row as the commit reaches the row.
+    The rows after the prefix are neither counted nor drawn for.
     """
-    if hasattr(objective, "speculate") and objective.gap == 0:
+    if objective.speculative:
         speculated = objective.speculate(rows)
         below = speculated < cut
         first = int(below.argmax())
         values = speculated[: first + 1 if below[first] else len(rows)].tolist()
-        objective.n += len(values)
+        objective.commit(len(values))
         return values
     values = []
     for row in rows:
@@ -683,12 +729,12 @@ def _segments(objectives) -> list:
     """:attr:`Group.segments` of a group's objectives, in run order."""
     segments = []
     for r, objective in enumerate(objectives):
-        function = getattr(objective, "function", None) if hasattr(objective, "block") else None
+        function = objective.function
         if function is not None and segments and segments[-1][2] is function:
             segments[-1][1] = r + 1
         else:
             segments.append([r, r + 1, function])
-    return [(start, stop, objectives[start:stop] if function is not None else None) for start, stop, function in segments]
+    return [(start, stop, objectives[start:stop]) for start, stop, _ in segments]
 
 
 def by_agent(block: Array) -> list:
@@ -715,13 +761,15 @@ class Algorithm:
 
     def run(self, config: RunConfig, objective, space: SearchSpace = None) -> RunRecord:
         """One seeded run as a group of one: initialize, iterate, record the
-        best-so-far trace.  ``objective`` is either a plain callable or a
-        benchmark spec (which also supplies the space)."""
+        best-so-far trace.  ``objective`` is anything :func:`bind` takes: a
+        benchmark spec (which also supplies the space), an evaluator or a
+        plain callable."""
         return drive(self, [config], [objective], [space])[0]
 
     def step_state(self, state, objective, space: SearchSpace, rng):
         """Advance a public state object one iteration through :attr:`step`
-        as a group of one run, and return it.
+        as a group of one run, and return it.  ``objective`` is anything
+        :func:`bind` takes, as for :meth:`run`.
 
         The state is a dataclass with a ``population``.  Its other fields
         map onto the group by name: a list of agents to ``name`` (positions)
@@ -730,7 +778,7 @@ class Algorithm:
         step the fields are written back.
         """
         pop = state.population
-        group = Group([rng], [objective], [space], [pop])
+        group = Group([rng], [bind(objective, rng, space)[0]], [space], [pop])
         group.algorithm = self
         fields = [f.name for f in dataclasses.fields(state) if f.name != "population"]
         for name in fields:
@@ -778,8 +826,8 @@ def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
     prepared = [prepare_run(algorithm, c, o, s) for c, o, s in zip(configs, objectives, spaces)]
     if len({space.dim for space, *_ in prepared}) > 1:
         raise ContractViolation("a group's runs must share one dimension")
-    spaces, rngs, counters, populations = zip(*prepared)
-    group = Group(rngs, counters, spaces, populations)
+    spaces, rngs, evaluators, populations = zip(*prepared)
+    group = Group(rngs, evaluators, spaces, populations)
     group.algorithm = algorithm
     group.iteration = 0
     group.max_iterations = config.iterations
@@ -796,30 +844,7 @@ def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
             seed=c.seed,
             trace=trace,
             final_best=float(trace[-1]),
-            evaluations=counter.n,
+            evaluations=evaluator.n,
         )
-        for c, trace, counter in zip(configs, traces, counters)
+        for c, trace, evaluator in zip(configs, traces, evaluators)
     ]
-
-
-def bind_objective(objective, rng: RandomStream) -> Objective:
-    """Turn a benchmark spec or a plain callable into ``f(x) -> float``.
-
-    Benchmark specs evaluate against the run's own stream so that noisy
-    objectives stay deterministic per seed.
-    """
-    if hasattr(objective, "evaluate"):
-        return lambda x: objective.evaluate(x, rng)
-    return objective
-
-
-class EvalCounter:
-    """Wrap an objective to count evaluations."""
-
-    def __init__(self, func: Objective):
-        self.func = func
-        self.n = 0
-
-    def __call__(self, x: Array) -> float:
-        self.n += 1
-        return float(self.func(x))

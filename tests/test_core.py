@@ -12,7 +12,6 @@ from beetleopt.core import (
     RunConfig,
     SearchSpace,
     clamp_to_bounds,
-    greedy_replace,
     initialize_population,
     update_best,
 )
@@ -130,39 +129,6 @@ class TestClampToBounds:
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
             clamp_to_bounds(np.zeros(2), cube(), "wrap")
-
-
-class TestGreedyReplace:
-    def test_strict_improvement_wins(self):
-        old = Agent(np.zeros(2), 5.0)
-        cand = Agent(np.ones(2), 3.0)
-        assert greedy_replace(old, cand) is cand
-
-    def test_tie_keeps_old(self):
-        old = Agent(np.zeros(2), 5.0)
-        cand = Agent(np.ones(2), 5.0)
-        assert greedy_replace(old, cand) is old
-
-    def test_worse_keeps_old(self):
-        old = Agent(np.zeros(2), 5.0)
-        cand = Agent(np.ones(2), 7.0)
-        assert greedy_replace(old, cand) is old
-
-    def test_rejects_nan_and_inf_candidates(self):
-        old = Agent(np.zeros(2), 5.0)
-        assert greedy_replace(old, Agent(np.ones(2), math.nan)) is old
-        assert greedy_replace(old, Agent(np.ones(2), -math.inf)) is old
-
-    def test_unevaluated_agent_is_contract_violation(self):
-        with pytest.raises(ContractViolation):
-            greedy_replace(Agent(np.zeros(2)), Agent(np.ones(2), 1.0))
-
-    def test_never_increases_fitness_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            old = Agent(np.zeros(1), float(rng.normal()))
-            cand = Agent(np.ones(1), float(rng.normal()))
-            assert greedy_replace(old, cand).fitness <= old.fitness
 
 
 class TestUpdateBest:

@@ -17,7 +17,7 @@ import beetleopt as bo
 from beetleopt import baselines, benchmarks, harness
 from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
 from beetleopt.cli import main as cli_main
-from beetleopt.core import Group, RunConfig, drive, prepare_run
+from beetleopt.core import CallEvaluator, Group, RunConfig, drive, prepare_run
 
 #: registry functions by dimension (f7, the noisy one, is among the 30s)
 BY_DIM = {}
@@ -146,6 +146,27 @@ def test_every_record_of_a_group_equals_its_solo_run(group):
             _same(record, bo.ALGORITHMS[algorithm](config, *_objective(fid, other, specs)))
 
 
+@pytest.mark.parametrize("algorithm", ["pso", "bbo"])
+def test_a_noisy_run_in_a_group_is_speculated(algorithm):
+    # f7's chunks are evaluated as blocks, each row with its own noise slot,
+    # and give the records of the evaluate-only proxy, called row by row
+    noisy = []
+    speculate = BoundEvaluator.speculate
+
+    def spy(self, rows, *slots):
+        noisy.append(self.gap)
+        return speculate(self, rows, *slots)
+
+    members = [("f7", 1), ("f1", 2), ("f7", 3)]
+    configs = [RunConfig(algorithm=algorithm, benchmark=fid, population=6, iterations=4, seed=seed) for fid, seed in members]
+    with mock.patch.object(BoundEvaluator, "speculate", spy):
+        records = drive(harness.ENTRIES[algorithm], configs, [BENCHMARKS[fid] for fid, _ in members], [None] * 3)
+    # at least one chunk per iteration of each f7 run
+    assert noisy.count(1) >= 2 * 4
+    for config, (fid, _), record in zip(configs, members, records):
+        _same(record, bo.ALGORITHMS[algorithm](config, EvaluateOnly(BENCHMARKS[fid])))
+
+
 #: the poisoned spec of :func:`poisoned`, inf or NaN on a slab of f9's box
 SLABS = {"inf-slab": poisoned("f9", 0.3, 0.4, math.inf), "nan-slab": poisoned("f9", 0.2, 0.5, math.nan)}
 
@@ -247,19 +268,18 @@ class FailOnSeed:
         return inner if rng.seed != self._seed else _Breaking(inner, self._after)
 
 
-class _Breaking:
+class _Breaking(CallEvaluator):
+    """A bound evaluator's calls, row by row, raising once ``after`` are
+    counted."""
+
     def __init__(self, inner, after):
-        self._inner = inner
+        super().__init__(inner)
         self._after = after
 
-    @property
-    def n(self):
-        return self._inner.n
-
     def __call__(self, x):
-        if self._inner.n >= self._after:
+        if self.n >= self._after:
             raise RuntimeError("objective broke")
-        return self._inner(x)
+        return super().__call__(x)
 
 
 def _plan(**overrides):

@@ -1,5 +1,8 @@
 """The plan file's keys: ``show-defaults`` output and the unknown-key hint,
-pinned byte for byte, and every key's parse round trip."""
+pinned byte for byte, every key's parse round trip, and the plans under
+``tools/plans``."""
+
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +76,17 @@ def test_value_errors_are_pinned(line, message):
     with pytest.raises(ConfigurationError) as info:
         parse_config(line)
     assert str(info.value) == message
+
+
+#: the byte-compare and timing plans of ``tools/bench_pairs.py --plan``
+PLANS = sorted((Path(__file__).resolve().parent.parent / "tools" / "plans").glob("*.plan"))
+
+
+def test_the_referee_plans_are_found():
+    assert {"complete.plan", "complete_modes.plan", "noisy.plan"} <= {path.name for path in PLANS}
+
+
+@pytest.mark.parametrize("path", PLANS, ids=lambda path: path.name)
+def test_every_referee_plan_parses(path):
+    # each plan states its own shape, so none of them is the default plan
+    assert parse_config(path.read_text()) != ExperimentPlan()

@@ -2,6 +2,8 @@
 handed to the objective, the measured gap and the generator calls a run
 makes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,67 @@ def test_reservations_do_not_nest_and_settle_needs_one():
         stream.reserve(1, (2,))
     stream.settle()
     stream.reserve(1, (2,))
+    stream.settle()
+
+
+def _held(seed, rows, widths):
+    """A stream holding a bare counter to one noise slot per evaluation,
+    with a reservation open."""
+    stream, counter = RandomStream(seed), SimpleNamespace(n=0)
+    stream.hold_gap(counter, 1)
+    parts = stream.reserve(rows, widths)
+    return stream, counter, parts
+
+
+def test_peeking_past_the_noise_slots_raises():
+    stream, counter, _ = _held(4, 3, (2,))
+    assert stream.peek(3).shape == (3,)
+    with pytest.raises(ContractViolation):
+        stream.peek(4)
+    stream.take(2)
+    with pytest.raises(ContractViolation):
+        stream.peek(2)
+    with pytest.raises(ContractViolation):
+        stream.take(2)
+    stream.take(1)
+    stream.settle()
+    with pytest.raises(ContractViolation):
+        stream.peek(1)
+
+
+def test_taking_slots_then_settling_is_exact():
+    stream, counter, (block,) = _held(7, 3, (2,))
+    slots = stream.peek(3)
+    assert stream.peek(3).tolist() == slots.tolist()
+    stream.take(3)
+    assert counter.n == 3
+    stream.settle()
+    # each row: its two draws, then its evaluation's noise draw
+    reference = RandomStream(7)
+    expected = np.array([reference.uniform() for _ in range(9)]).reshape(3, 3)
+    assert block.tolist() == expected[:, :2].tolist()
+    assert slots.tolist() == expected[:, 2].tolist()
+    assert stream.uniform() == reference.uniform()
+
+
+def test_settling_after_taking_too_few_slots_raises():
+    stream, _, _ = _held(7, 3, (2,))
+    stream.take(2)
+    with pytest.raises(ContractViolation):
+        stream.settle()
+
+
+def test_a_row_draw_after_a_bulk_take_is_checked_against_n():
+    stream, counter, _ = _held(5, 3, (1,))
+    slots = stream.peek(3).tolist()
+    stream.take(1)
+    # a draw not counted as an evaluation of its own is refused
+    with pytest.raises(ContractViolation):
+        stream.uniform()
+    counter.n += 1
+    assert stream.uniform() == slots[1]
+    stream.take(1)
+    assert counter.n == 3
     stream.settle()
 
 
