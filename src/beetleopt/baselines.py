@@ -181,8 +181,6 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
         for i, (x, *agent) in enumerate(zip(g.at, *map(by_agent, terms))):
             for r, value in enumerate(g.move(i, g.bound(guided(g.leaders, *agent, x)))):
                 _insert_leader(g, r, i, value)
-    g.settle()
-    g.iteration += 1
 
 
 def _velocities_init(g: Group, config: RunConfig) -> None:
@@ -264,8 +262,6 @@ def _pso_step(g: Group) -> None:
 
     g.sweep(propose)
     _update_personal(g)
-    g.settle()
-    g.iteration = t
 
 
 PSO = Algorithm("pso", 2, _personal_init, _pso_step)
@@ -346,8 +342,6 @@ def _sso_step(g: Group) -> None:
 
     g.sweep(propose)
     _update_personal(g)
-    g.settle()
-    g.iteration += 1
 
 
 SSO = Algorithm("sso", 2, _personal_init, _sso_step)
@@ -624,8 +618,6 @@ def _bto_step(g: Group) -> None:
         return g.bound_run(r, pulled * anchor[r])
 
     g.sweep(propose)
-    g.settle()
-    g.iteration = t0 + 1
 
 
 def _bto_init(g: Group, config: RunConfig) -> None:
@@ -735,8 +727,6 @@ def _gsa_step(g: Group) -> None:
 
     g.velocities = damping * g.velocities + accelerations
     g.move_all(bound_position(x + g.velocities, g.lower[:, None], g.upper[:, None], g.bound_mode))
-    g.settle()
-    g.iteration = t0 + 1
 
 
 GSA = Algorithm("gsa", 2, _velocities_init, _gsa_step)

@@ -156,9 +156,6 @@ def _bbo_step(g: Group) -> None:
             # Escape: signed per-dimension hop whose size decays with time.
             g.greedy(i, g.bound(x + hops[i]))
 
-    g.settle()
-    g.iteration = t
-
 
 def _sweep_run(g: Group, r: int, defend, hops: Array) -> None:
     """Both phases of every agent of run ``r``, in chunks.

@@ -458,8 +458,6 @@ class BoundEvaluator:
             return values
         noisy = []
         for owner, value in zip(owners, values):
-            # counted before its draw, as a call is: a stream holding this
-            # evaluator to its noise slots checks each draw against n
             owner.n += 1
             noisy.append(value + owner._rng.uniform())
         return noisy
@@ -479,10 +477,9 @@ class BoundEvaluator:
     def commit(self, m: int) -> None:
         """Count ``m`` speculated rows as evaluations, taking their noise
         slots in order."""
-        if self._rng is None:
-            self.n += m
-        else:
+        if self._rng is not None:
             self._rng.take(m)
+        self.n += m
 
     def _function(self, rows: Array) -> Array:
         if rows.shape[1:] != self._shape or not rows.flags.c_contiguous:

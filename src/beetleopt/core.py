@@ -42,11 +42,14 @@ class RandomStream:
     Every draw derives from one primitive (``Generator.random``), scaled
     affinely for bounded ranges, so the consumption order is the full
     determinism contract: same seed, same sequence of calls, same numbers.
+    :attr:`draws` counts the values drawn so far.
 
     An optimizer iteration takes all its draws at once with :meth:`reserve`.
     A noisy objective draws from the same stream during the iteration; the
     reservation sets aside ``gap`` slots after each segment of a row for
-    those draws, in the order they would have come from the generator.
+    those draws, in the order they would have come from the generator.  The
+    run's evaluator states ``gap`` or measures it (:func:`bind`); the stream
+    knows nothing of evaluators.
     """
 
     def __init__(self, seed: int):
@@ -55,12 +58,12 @@ class RandomStream:
         # what the draws below read: the generator, or the noise slots of an
         # open reservation
         self._gen = self._generator
-        #: Draws the objective takes from this stream per evaluation, as
-        #: :meth:`measure_gap` found them.
-        self.gap = 0
-        # the measured objective's call counter, which tells the noise slots
-        # whose draw they serve
-        self._counter = None
+        self._draws = 0
+
+    @property
+    def draws(self) -> int:
+        """Values drawn through :meth:`uniform`, :meth:`sign` and :meth:`index`."""
+        return self._draws
 
     def uniform(self, low=0.0, high=1.0, size=None):
         """Uniform draw(s) in ``[low, high)``; ``low``/``high`` may be arrays
@@ -72,6 +75,7 @@ class RandomStream:
         reproduce bit for bit.
         """
         u = self._gen.random(size)
+        self._draws += 1 if size is None else u.size
         if isinstance(low, float) and isinstance(high, float) and low == 0.0 and high == 1.0:
             return u
         return low + (high - low) * u
@@ -79,6 +83,7 @@ class RandomStream:
     def sign(self, size=None):
         """Random sign(s): +1.0 where the underlying uniform is < 0.5, else -1.0."""
         u = self._gen.random(size)
+        self._draws += 1 if size is None else u.size
         if size is None:
             return 1.0 if u < 0.5 else -1.0
         return signs_from_uniform(u)
@@ -87,44 +92,10 @@ class RandomStream:
         """Uniform integer in ``[0, n)`` from a single [0, 1) draw."""
         if n <= 0:
             raise ConfigurationError("index() needs n >= 1")
+        self._draws += 1
         return index_from_uniform(self._gen.random(), n)
 
-    def measure_gap(self, counter, positions) -> list:
-        """Evaluate each position with ``counter`` (an evaluator that counts
-        its calls in ``n``) and return the values, setting :attr:`gap` and
-        ``counter.gap`` to the draws every evaluation took from this stream.
-
-        Every evaluation must take the same number of draws, and later
-        reservations hold each of ``counter``'s calls to its own slots.
-        """
-        drawn = _DrawCounter(self._gen)
-        self._gen = drawn
-        values = []
-        counts = set()
-        try:
-            for x in positions:
-                before = drawn.draws
-                values.append(counter(x))
-                counts.add(drawn.draws - before)
-        finally:
-            self._gen = drawn.source
-        if len(counts) > 1:
-            raise ContractViolation(
-                f"the objective took {sorted(counts)} draws on different evaluations; "
-                "it must take the same number every time"
-            )
-        counter.gap = counts.pop() if counts else 0
-        self.hold_gap(counter, counter.gap)
-        return values
-
-    def hold_gap(self, counter, gap: int) -> None:
-        """Set :attr:`gap` to ``gap`` draws per call of ``counter`` (an
-        objective that counts its calls in ``n``), and hold each of its calls
-        in later reservations to its own slots."""
-        self.gap = gap
-        self._counter = counter
-
-    def reserve(self, rows: int, widths, lead: int = 0) -> list:
+    def reserve(self, rows: int, widths, lead: int = 0, gap: int = 0) -> list:
         """Draw ``lead`` values, then ``rows`` rows, as one block.
 
         A row holds one segment per entry of ``widths``, each followed by
@@ -133,14 +104,14 @@ class RandomStream:
         the ``lead`` values (when ``lead > 0``), then one ``(rows, width)``
         array per segment.  Until :meth:`settle`, every draw from this stream
         takes the next noise slot, so the objective's draws get the values
-        the generator would have given them; after :meth:`measure_gap`, a
-        draw outside its evaluation's ``gap`` slots raises.
+        the generator would have given them, and a draw past the last slot
+        raises.
         """
         out = np.empty(lead + rows * sum(widths))
-        self.reserve_into(out, rows, widths, lead)
+        self.reserve_into(out, rows, widths, lead, gap)
         return _split_reservation(out, rows, widths, lead)
 
-    def reserve_into(self, out: Array, rows: int, widths, lead: int = 0) -> None:
+    def reserve_into(self, out: Array, rows: int, widths, lead: int = 0, gap: int = 0) -> None:
         """:meth:`reserve`, writing the draws it returns into ``out``, a
         C-contiguous float vector of ``lead + rows * sum(widths)`` values laid
         out as ``[lead | row | row ...]`` without the noise slots.  Without
@@ -148,7 +119,6 @@ class RandomStream:
         ``random(size)`` would give."""
         if self._gen is not self._generator:
             raise ContractViolation("the previous reservation was not settled")
-        gap = self.gap
         noise = []
         if gap == 0:
             self._generator.random(out=out)
@@ -164,7 +134,7 @@ class RandomStream:
             out[:lead] = block[:lead]
             out[lead:].reshape(rows, -1)[...] = grid[:, segments]
             noise = grid[:, ~segments].ravel().tolist()
-        self._gen = _NoiseSlots(noise, gap, self._counter)
+        self._gen = _NoiseSlots(noise)
 
     def peek(self, k: int) -> Array:
         """The next ``k`` noise slots of the open reservation, left for the
@@ -172,20 +142,17 @@ class RandomStream:
         return self._open().peek(k)
 
     def take(self, m: int) -> None:
-        """Take the next ``m`` noise slots of the open reservation as the
-        draws of ``m`` evaluations of the held evaluator, one slot each, and
-        count them in its ``n``."""
+        """Take the next ``m`` noise slots of the open reservation, as ``m``
+        draws would."""
         self._open().take(m)
 
     def settle(self) -> None:
         """Close the open reservation; the objective must have taken exactly
-        its noise slots, ``gap`` per evaluation."""
+        its noise slots."""
         slots = self._open()
         self._gen = self._generator
         if not slots.used_up():
-            raise ContractViolation(
-                f"the objective took fewer than {self.gap} draws per evaluation during an iteration"
-            )
+            raise ContractViolation("the objective took fewer draws during an iteration than its gap")
 
     def _open(self):
         if self._gen is self._generator:
@@ -207,12 +174,12 @@ def _split_reservation(block: Array, rows: int, widths, lead: int) -> list:
     return out
 
 
-def reserve_into(rng, out: Array, rows: int, widths, lead: int = 0) -> None:
+def reserve_into(rng, out: Array, rows: int, widths, lead: int = 0, gap: int = 0) -> None:
     """:meth:`RandomStream.reserve_into` for any draw source.  Any other
     source (a scripted stand-in) fills ``out`` from one ``uniform`` block and
     leaves no noise slots."""
     if isinstance(rng, RandomStream):
-        rng.reserve_into(out, rows, widths, lead)
+        rng.reserve_into(out, rows, widths, lead, gap)
     else:
         out[...] = rng.uniform(size=out.size)
 
@@ -230,49 +197,23 @@ def settle(rng) -> None:
         rng.settle()
 
 
-class _DrawCounter:
-    """Generator stand-in that counts the draws passing through it."""
-
-    __slots__ = ("source", "draws")
-
-    def __init__(self, source):
-        self.source = source
-        self.draws = 0
-
-    def random(self, size=None):
-        self.draws += 1 if size is None else int(np.prod(size))
-        return self.source.random(size)
-
-
 class _NoiseSlots:
     """Generator stand-in during a reservation: hands out its slots in order
-    and refuses a draw beyond them.  Given the objective's call counter, it
-    also refuses a draw outside the ``gap`` slots of the evaluation under way.
-    A speculated block reads the next slots (:meth:`peek`) and takes those
-    of its committed rows at once (:meth:`take`)."""
+    and refuses a draw beyond them.  A speculated block reads the next slots
+    (:meth:`peek`) and takes those of its committed rows at once
+    (:meth:`take`)."""
 
-    __slots__ = ("_values", "_next", "_gap", "_counter", "_before")
+    __slots__ = ("_values", "_next")
 
-    def __init__(self, values: list, gap: int, counter=None):
+    def __init__(self, values: list):
         self._values = values
         self._next = 0
-        self._gap = gap
-        self._counter = counter
-        self._before = None if counter is None else counter.n
 
     def random(self, size=None):
         start = self._next
         stop = start + (1 if size is None else int(np.prod(size)))
         if stop > len(self._values):
-            raise ContractViolation("the objective took more draws during an iteration than its measured gap")
-        if self._counter is not None:
-            # the k-th evaluation since the reservation (the counter counts a
-            # call before evaluating) owns slots [k * gap, (k + 1) * gap)
-            k = self._counter.n - self._before - 1
-            if start < k * self._gap or stop > (k + 1) * self._gap:
-                raise ContractViolation(
-                    f"an evaluation took other than its measured {self._gap} draws from the stream"
-                )
+            raise ContractViolation("the objective took more draws during an iteration than its gap")
         self._next = stop
         if size is None:
             return self._values[start]
@@ -286,7 +227,6 @@ class _NoiseSlots:
     def take(self, m: int) -> None:
         self.peek(m)
         self._next += m
-        self._counter.n += m
 
     def used_up(self) -> bool:
         return self._next == len(self._values)
@@ -475,20 +415,15 @@ def nan_last(value: float) -> tuple:
 
 def prepare_run(algorithm: Algorithm, config: RunConfig, objective, space: Optional[SearchSpace]):
     """Common run prologue: the stream, the run's evaluator of ``objective``
-    (:func:`bind`) and the evaluated initial population, as ``(space, rng,
-    evaluator, population)``.  A speculative evaluator evaluates the
-    population as one block and states its own gap; for any other, the
-    initial evaluations measure ``rng.gap``, the draws the objective takes
-    from the stream per evaluation."""
+    (:func:`bind`) and the initial population, evaluated as one block, as
+    ``(space, rng, evaluator, population)``."""
     algorithm.check_population(config.population)
     rng = RandomStream(config.seed)
     evaluator, space = bind(objective, rng, space)
     if space is None:
         raise ConfigurationError("a search space is required for a plain objective")
     pop = initialize_population(space, config.population, rng)
-    positions = pop.positions()
-    values = evaluator.block(positions) if evaluator.speculative else rng.measure_gap(evaluator, positions)
-    for agent, value in zip(pop.agents, values):
+    for agent, value in zip(pop.agents, evaluator.block(pop.positions())):
         agent.fitness = value
     update_best(pop)
     return space, rng, evaluator, pop
@@ -506,40 +441,55 @@ def bind(objective, rng: RandomStream, space: Optional[SearchSpace] = None) -> t
     offset, stride)``, the block's values neither counted nor kept (row ``j``
     with the noise of the ``offset + j * stride``-th evaluation from now),
     and ``commit(m)``, which counts ``m`` of them.  A benchmark spec binds its
-    evaluator to the stream, which holds it to its noise slots; an
-    evaluator is its own; anything else (a plain callable, or an object with
-    only ``evaluate(x, rng)``) becomes a :class:`CallEvaluator`.
+    evaluator to the stream, and states its gap; an evaluator is its own;
+    anything else becomes a :class:`CallEvaluator`, which measures its gap
+    on the stream when it takes one (an object with only ``evaluate(x,
+    rng)``) and has none otherwise (a plain callable).
     """
     if space is None and hasattr(objective, "space"):
         space = objective.space()
     if hasattr(objective, "speculative"):
         return objective, space
     if hasattr(objective, "bind"):
-        evaluator = objective.bind(rng)
-        rng.hold_gap(evaluator, evaluator.gap)
-        return evaluator, space
+        return objective.bind(rng), space
     if hasattr(objective, "evaluate"):
-        return CallEvaluator(lambda x: objective.evaluate(x, rng)), space
+        return CallEvaluator(lambda x: objective.evaluate(x, rng), rng), space
     return CallEvaluator(objective), space
 
 
 class CallEvaluator:
     """``f(x) -> float`` as a run's evaluator (see :func:`bind`): it counts
     its calls in ``n`` and evaluates a block row by row, never
-    speculatively.  Its ``gap`` is what :meth:`RandomStream.measure_gap`
-    finds on a run's initial evaluations."""
+    speculatively.
+
+    Given the stream ``rng`` that ``f`` draws from, its first call sets
+    ``gap`` to the draws that call took (:attr:`RandomStream.draws`), and a
+    later call that takes another number raises.  Without one, ``gap`` is 0
+    and nothing is checked."""
 
     speculative = False
     function = None
 
-    def __init__(self, call: Objective):
+    def __init__(self, call: Objective, rng: Optional[RandomStream] = None):
         self.call = call
         self.n = 0
         self.gap = 0
+        self._rng = rng
 
     def __call__(self, x: Array) -> float:
         self.n += 1
-        return float(self.call(x))
+        if self._rng is None:
+            return float(self.call(x))
+        before = self._rng.draws
+        value = float(self.call(x))
+        took = self._rng.draws - before
+        if took != self.gap:
+            if self.n > 1:
+                raise ContractViolation(
+                    f"an evaluation took {took} draws from the stream, not its measured {self.gap}"
+                )
+            self.gap = took
+        return value
 
     def block(self, rows: Array, owners=None) -> list:
         return [self(row) for row in rows]
@@ -596,16 +546,21 @@ class Group:
         return bound_position(rows, self.lower[r], self.upper[r], self.bound_mode)
 
     def reserve(self, widths, lead: int = 0) -> list:
-        """Each run's :func:`reserve`, drawn into its row of one block:
-        ``(R, lead)`` and ``(R, N, width)`` views of it, part by part."""
+        """Each run's :func:`reserve` with its evaluator's ``gap``, drawn
+        into its row of one block: ``(R, lead)`` and ``(R, N, width)`` views
+        of it, part by part.  :meth:`advance` settles them."""
         block = np.empty((len(self.rngs), lead + self.n * sum(widths)))
-        for rng, row in zip(self.rngs, block):
-            reserve_into(rng, row, self.n, widths, lead)
+        for rng, evaluator, row in zip(self.rngs, self.objectives, block):
+            reserve_into(rng, row, self.n, widths, lead, evaluator.gap)
         return _split_reservation(block, self.n, widths, lead)
 
-    def settle(self) -> None:
+    def advance(self) -> None:
+        """One iteration of every run: the algorithm's step, then each run's
+        reservation settled."""
+        self.algorithm.step(self)
         for rng in self.rngs:
             settle(rng)
+        self.iteration += 1
 
     def shared_values(self, rows: Array) -> Optional[list]:
         """Each run's value on its row of a C-contiguous ``(R, dim)`` block,
@@ -747,8 +702,8 @@ def by_agent(block: Array) -> list:
 class Algorithm:
     """One optimizer, as every run of it reads it: its ``id``, the smallest
     population it runs with, ``init(group, config)``, which sets its state
-    on a group of prepared runs, and ``step(group)``, which advances every
-    run of the group one iteration."""
+    on a group of prepared runs, and ``step(group)``, which moves every run
+    of the group through one iteration, inside :meth:`Group.advance`."""
 
     id: str
     min_population: int
@@ -767,7 +722,7 @@ class Algorithm:
         return drive(self, [config], [objective], [space])[0]
 
     def step_state(self, state, objective, space: SearchSpace, rng):
-        """Advance a public state object one iteration through :attr:`step`
+        """Advance a public state object one iteration (:meth:`Group.advance`)
         as a group of one run, and return it.  ``objective`` is anything
         :func:`bind` takes, as for :meth:`run`.
 
@@ -792,7 +747,7 @@ class Algorithm:
                 group.chaos, group.chaos_map = [value.value], value.map_id
             else:
                 setattr(group, name, value)
-        self.step(group)
+        group.advance()
         pop.agents[:] = [Agent(x, f) for x, f in zip(group.x[0], group.fitness[0])]
         pop.best = Agent(group.best_x[0], group.best_f[0])
         for name in fields:
@@ -835,7 +790,7 @@ def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
     algorithm.init(group, config)
     traces = np.empty((len(configs), config.iterations), dtype=float)
     for t in range(config.iterations):
-        algorithm.step(group)
+        group.advance()
         traces[:, t] = group.best_f
     return [
         RunRecord(

@@ -197,15 +197,6 @@ def parse_config(text: str) -> ExperimentPlan:
     return plan
 
 
-def execute_run(algorithm: str, function: str, config: RunConfig) -> RunRecord:
-    """Run one cell once; the benchmark id supplies objective and space."""
-    spec = benchmarks.get(function)
-    return ALGORITHMS[algorithm](config, spec)
-
-
-_EXECUTE_RUN = execute_run
-
-
 def execute_group(algorithm: str, runs) -> tuple:
     """Run a group of ``(function, config)`` runs of one algorithm whose
     functions share a dimension; returns each run's record, or the
@@ -214,14 +205,14 @@ def execute_group(algorithm: str, runs) -> tuple:
     The runs advance in lockstep (:func:`core.drive`).  If that raises, each
     run is repeated alone, so only the failing one is lost and the others
     keep the records they get alone; the fallback ``(algorithm, functions,
-    message)`` says so.  While :func:`execute_run` or
-    ``ALGORITHMS[algorithm]`` is swapped for another callable (a tracer, a
-    test double), that callable runs once per run instead.
+    message)`` says so.  While ``ALGORITHMS[algorithm]`` is swapped for
+    another callable (a tracer, a test double), that callable runs once per
+    run instead, given the run's config and benchmark spec.
     """
     fallback = None
     entry = ENTRIES[algorithm]
     # a bound method equals another only with the same function and object
-    if execute_run is _EXECUTE_RUN and ALGORITHMS[algorithm] == entry.run:
+    if ALGORITHMS[algorithm] == entry.run:
         configs = [config for _, config in runs]
         try:
             records = drive(entry, configs, [benchmarks.get(f) for f, _ in runs], [None] * len(runs))
@@ -233,7 +224,7 @@ def execute_group(algorithm: str, runs) -> tuple:
     outcomes = []
     for function, config in runs:
         try:
-            outcomes.append(execute_run(algorithm, function, config))
+            outcomes.append(ALGORITHMS[algorithm](config, benchmarks.get(function)))
         except Exception as exc:  # recorded, not fatal
             outcomes.append(exc)
     return outcomes, fallback

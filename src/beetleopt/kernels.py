@@ -243,12 +243,6 @@ def chaos_step(map_id: str):
     return SCALAR_STEPS[fn]
 
 
-def advance_chaos(fn, guard, value: float) -> float:
-    """One guarded step of a ``(fn, guard)`` pair taken from :func:`chaos_map`;
-    the map's scalar step applies its guard."""
-    return SCALAR_STEPS[fn](value)
-
-
 def chaos_next(state: ChaosState) -> ChaosState:
     """Advance the map one step; the iterate stays inside its domain."""
     return ChaosState(state.map_id, chaos_step(state.map_id)(state.value), state.steps + 1)

@@ -8,6 +8,7 @@ from beetleopt.cli import main as cli_main
 from beetleopt.core import ConfigurationError
 from beetleopt.harness import (
     ALGORITHMS,
+    ENTRIES,
     ExperimentPlan,
     emit_convergence,
     emit_summary,
@@ -95,6 +96,18 @@ def tiny_plan(**overrides):
     return ExperimentPlan(**defaults)
 
 
+def run_cell(algorithm, function, config):
+    """One run of a cell through the algorithm's own entry."""
+    return ENTRIES[algorithm].run(config, benchmarks.get(function))
+
+
+def swap_runs(monkeypatch, run):
+    """Swap every runner in ``ALGORITHMS`` for ``run(algorithm, function,
+    config)``, as a tracer does; the harness then runs each run alone."""
+    for algorithm in ALGORITHMS:
+        monkeypatch.setitem(ALGORITHMS, algorithm, lambda config, spec, a=algorithm: run(a, spec.id, config))
+
+
 class TestRunExperiment:
     def test_seed_derivation_and_counts(self):
         plan = tiny_plan()
@@ -125,32 +138,28 @@ class TestRunExperiment:
             assert np.array_equal(ra.trace, rb.trace)
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
-        import beetleopt.harness as harness
-
-        real = harness.execute_run
+        real = run_cell
 
         def flaky(algorithm, function, config):
             if algorithm == "pso" and config.seed == 8:
                 raise RuntimeError("boom")
             return real(algorithm, function, config)
 
-        monkeypatch.setattr(harness, "execute_run", flaky)
+        swap_runs(monkeypatch, flaky)
         result = run_experiment(tiny_plan())
         assert len(result.failures) == 2  # pso seed-8 run on both functions
         assert len(result.records) == 6
         assert all(message == "boom" for *_key, message in result.failures)
 
     def test_failure_message_with_comma_and_newline_stays_one_field(self, tmp_path, monkeypatch):
-        import beetleopt.harness as harness
-
-        real = harness.execute_run
+        real = run_cell
 
         def failing_bbo(algorithm, function, config):
             if algorithm == "bbo":
                 raise ValueError("a,b\nc")
             return real(algorithm, function, config)
 
-        monkeypatch.setattr(harness, "execute_run", failing_bbo)
+        swap_runs(monkeypatch, failing_bbo)
         run_and_emit(tiny_plan(out_dir=str(tmp_path)))
         with open(tmp_path / "failures.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -389,16 +398,14 @@ class TestPlanEdges:
         assert not result.failures
 
     def test_partial_failure_emits_na_cells_and_failures(self, tmp_path, monkeypatch):
-        import beetleopt.harness as harness
-
-        real = harness.execute_run
+        real = run_cell
 
         def bbo_fails_on_f1(algorithm, function, config):
             if algorithm == "bbo" and function == "f1":
                 raise RuntimeError("boom")
             return real(algorithm, function, config)
 
-        monkeypatch.setattr(harness, "execute_run", bbo_fails_on_f1)
+        swap_runs(monkeypatch, bbo_fails_on_f1)
         result = run_and_emit(tiny_plan(out_dir=str(tmp_path)))
         assert len(result.records) == 6 and len(result.failures) == 2
 
@@ -423,16 +430,14 @@ class TestPlanEdges:
         assert not (tmp_path / "convergence" / "bbo_f1.csv").exists()
 
     def test_algorithm_whose_every_run_fails_keeps_its_column_and_rank(self, tmp_path, monkeypatch):
-        import beetleopt.harness as harness
-
-        real = harness.execute_run
+        real = run_cell
 
         def bbo_always_fails(algorithm, function, config):
             if algorithm == "bbo":
                 raise RuntimeError("boom")
             return real(algorithm, function, config)
 
-        monkeypatch.setattr(harness, "execute_run", bbo_always_fails)
+        swap_runs(monkeypatch, bbo_always_fails)
         result = run_and_emit(tiny_plan(out_dir=str(tmp_path)))
         assert len(result.records) == 4 and len(result.failures) == 4
 
@@ -455,16 +460,14 @@ class TestPlanEdges:
             assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
 
     def test_function_whose_every_run_fails_keeps_its_rows_and_rank(self, tmp_path, monkeypatch):
-        import beetleopt.harness as harness
-
-        real = harness.execute_run
+        real = run_cell
 
         def f16_always_fails(algorithm, function, config):
             if function == "f16":
                 raise RuntimeError("boom")
             return real(algorithm, function, config)
 
-        monkeypatch.setattr(harness, "execute_run", f16_always_fails)
+        swap_runs(monkeypatch, f16_always_fails)
         result = run_and_emit(tiny_plan(out_dir=str(tmp_path)))
         assert len(result.records) == 4 and len(result.failures) == 4
 

@@ -270,9 +270,6 @@ class TestTentStep:
         assert math.isnan(self._reference(math.nan))
 
     def test_advance_chaos_takes_the_scalar_step(self):
-        fn, guard = kernels.chaos_map("tent")
-        for x in (0.1, 0.7, 0.95, CHAOS_DOMAIN_GUARD):
-            assert kernels.advance_chaos(fn, guard, x) == kernels.tent_step(x)
         assert chaos_next(make_chaos("tent", 0.7)).value == 1.0 - CHAOS_DOMAIN_GUARD
 
 
@@ -303,13 +300,13 @@ class TestScalarChaosSteps:
 
     @pytest.mark.parametrize("map_id", sorted(kernels.CHAOS_MAPS))
     def test_every_map_dispatches_through_the_table(self, map_id):
-        fn, guard = kernels.chaos_map(map_id)
+        fn, _ = kernels.chaos_map(map_id)
         step = kernels.chaos_step(map_id)
         assert kernels.SCALAR_STEPS[fn] is step
         state = make_chaos(map_id, 0.37)
         for _ in range(20):
             following = chaos_next(state)
-            assert following.value == step(state.value) == kernels.advance_chaos(fn, guard, state.value)
+            assert following.value == step(state.value)
             state = following
 
     def test_table_covers_every_map(self):

@@ -2,8 +2,6 @@
 handed to the objective, the measured gap and the generator calls a run
 makes."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +10,16 @@ from hypothesis import strategies as st
 import beetleopt as bo
 from beetleopt import core
 from beetleopt.benchmarks import BENCHMARKS
-from beetleopt.baselines import PSO
-from beetleopt.core import ContractViolation, RandomStream, RunConfig, prepare_run
+from beetleopt.baselines import PSO, PSOState, pso_step
+from beetleopt.core import (
+    CallEvaluator,
+    ContractViolation,
+    RandomStream,
+    RunConfig,
+    initialize_population,
+    prepare_run,
+    update_best,
+)
 
 from conftest import StubStream
 
@@ -40,11 +46,10 @@ def test_reservation_consumes_the_scalar_draw_sequence(
     seed, before, rows, widths, lead, gap, noise_as_block, after
 ):
     stream = RandomStream(seed)
-    stream.gap = gap
     seen = []
     for size in before:
         seen += _flat(stream.uniform(size=size))
-    parts = stream.reserve(rows, widths, lead)
+    parts = stream.reserve(rows, widths, lead, gap=gap)
     if lead:
         seen += list(parts.pop(0))
     assert [part.shape for part in parts] == [(rows, width) for width in widths]
@@ -67,8 +72,7 @@ def test_reservation_consumes_the_scalar_draw_sequence(
 @pytest.mark.parametrize("gap", [0, 1, 2])
 def test_a_draw_beyond_the_noise_slots_raises(gap):
     stream = RandomStream(4)
-    stream.gap = gap
-    stream.reserve(2, (3,))
+    stream.reserve(2, (3,), gap=gap)
     for _ in range(2 * gap):
         stream.uniform()
     with pytest.raises(ContractViolation):
@@ -78,8 +82,7 @@ def test_a_draw_beyond_the_noise_slots_raises(gap):
 @pytest.mark.parametrize("gap", [1, 2])
 def test_unused_noise_slots_raise_on_settle(gap):
     stream = RandomStream(4)
-    stream.gap = gap
-    stream.reserve(3, (1, 2))
+    stream.reserve(3, (1, 2), gap=gap)
     for _ in range(6 * gap - 1):
         stream.uniform()
     with pytest.raises(ContractViolation):
@@ -99,16 +102,16 @@ def test_reservations_do_not_nest_and_settle_needs_one():
 
 
 def _held(seed, rows, widths):
-    """A stream holding a bare counter to one noise slot per evaluation,
-    with a reservation open."""
-    stream, counter = RandomStream(seed), SimpleNamespace(n=0)
-    stream.hold_gap(counter, 1)
-    parts = stream.reserve(rows, widths)
-    return stream, counter, parts
+    """A stream with a reservation of one noise slot per evaluation open,
+    and f7 bound to it."""
+    stream = RandomStream(seed)
+    evaluator = BENCHMARKS["f7"].bind(stream)
+    parts = stream.reserve(rows, widths, gap=1)
+    return stream, evaluator, parts
 
 
 def test_peeking_past_the_noise_slots_raises():
-    stream, counter, _ = _held(4, 3, (2,))
+    stream, _, _ = _held(4, 3, (2,))
     assert stream.peek(3).shape == (3,)
     with pytest.raises(ContractViolation):
         stream.peek(4)
@@ -124,11 +127,11 @@ def test_peeking_past_the_noise_slots_raises():
 
 
 def test_taking_slots_then_settling_is_exact():
-    stream, counter, (block,) = _held(7, 3, (2,))
+    stream, evaluator, (block,) = _held(7, 3, (2,))
     slots = stream.peek(3)
     assert stream.peek(3).tolist() == slots.tolist()
-    stream.take(3)
-    assert counter.n == 3
+    evaluator.commit(3)
+    assert evaluator.n == 3
     stream.settle()
     # each row: its two draws, then its evaluation's noise draw
     reference = RandomStream(7)
@@ -143,20 +146,6 @@ def test_settling_after_taking_too_few_slots_raises():
     stream.take(2)
     with pytest.raises(ContractViolation):
         stream.settle()
-
-
-def test_a_row_draw_after_a_bulk_take_is_checked_against_n():
-    stream, counter, _ = _held(5, 3, (1,))
-    slots = stream.peek(3).tolist()
-    stream.take(1)
-    # a draw not counted as an evaluation of its own is refused
-    with pytest.raises(ContractViolation):
-        stream.uniform()
-    counter.n += 1
-    assert stream.uniform() == slots[1]
-    stream.take(1)
-    assert counter.n == 3
-    stream.settle()
 
 
 def test_a_scripted_source_gives_the_same_parts():
@@ -189,8 +178,8 @@ class EvaluateOnly:
 
 def _gap(objective):
     config = RunConfig(algorithm="pso", population=4, iterations=1, seed=0)
-    _, rng, _, _ = prepare_run(PSO, config, objective, None)
-    return rng.gap
+    _, _, evaluator, _ = prepare_run(PSO, config, objective, None)
+    return evaluator.gap
 
 
 @pytest.mark.parametrize("fid", sorted(BENCHMARKS, key=lambda f: int(f[1:])))
@@ -204,8 +193,64 @@ def test_measured_gap_of_every_registry_function(fid):
 def test_a_plain_callable_takes_no_draws():
     spec = BENCHMARKS["f1"]
     config = RunConfig(algorithm="pso", population=4, iterations=1, seed=0)
-    _, rng, _, _ = prepare_run(PSO, config, spec.evaluator, spec.space())
-    assert rng.gap == 0
+    _, _, evaluator, _ = prepare_run(PSO, config, spec.evaluator, spec.space())
+    assert evaluator.gap == 0
+
+
+def _drawing(stream, counts):
+    """A callable that takes ``counts[k]`` draws from ``stream`` on its
+    ``k``-th call."""
+    calls = iter(counts)
+
+    def call(x):
+        for _ in range(next(calls)):
+            stream.uniform()
+        return float(x.sum())
+
+    return call
+
+
+def test_a_call_evaluator_measures_its_gap_on_its_first_call():
+    x = np.ones(2)
+    stream = RandomStream(5)
+    evaluator = CallEvaluator(_drawing(stream, [2, 2, 1, 2, 3]), stream)
+    assert evaluator(x) == 2.0 and evaluator.gap == 2
+    evaluator(x)
+    with pytest.raises(ContractViolation, match="measured 2"):
+        evaluator(x)
+    # three rows of two noise slots: the second call's three draws fit in
+    # the slots, and the call itself is refused
+    stream.reserve(3, (1,), gap=evaluator.gap)
+    evaluator(x)
+    with pytest.raises(ContractViolation, match="measured 2"):
+        evaluator(x)
+    assert (evaluator.n, evaluator.gap) == (5, 2)
+
+    # a plain callable states no stream and is never checked
+    plain = CallEvaluator(_drawing(RandomStream(5), [0, 3, 1]))
+    for _ in range(3):
+        plain(x)
+    assert (plain.n, plain.gap) == (3, 0)
+
+
+def test_a_public_step_refuses_an_unmeasured_noisy_proxy():
+    # a public step makes no initial evaluations to measure a proxy's draws
+    # on, so the proxy of f7 is refused rather than given a wrong step; f7's
+    # spec states its draws and steps
+    f7 = BENCHMARKS["f7"]
+
+    def step(objective):
+        rng = RandomStream(3)
+        pop = initialize_population(f7.space(), 5, rng)
+        for agent in pop.agents:
+            agent.fitness = f7.evaluate(agent.position, rng)
+        update_best(pop)
+        state = PSOState(pop, [np.zeros(f7.dim) for _ in pop.agents], [a.copy() for a in pop.agents], 10)
+        return pso_step(state, objective, f7.space(), rng)
+
+    assert step(f7).iteration == 1
+    with pytest.raises(ContractViolation):
+        step(EvaluateOnly(f7))
 
 
 POPULATION = 4
