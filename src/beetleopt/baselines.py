@@ -620,13 +620,7 @@ def _bto_step(g: Group) -> None:
     g.sweep(propose)
 
 
-def _bto_init(g: Group, config: RunConfig) -> None:
-    """Seed each run's chaos trajectory with one draw of its own stream."""
-    g.chaos_map = config.chaos_map
-    g.chaos = [kernels.make_chaos(config.chaos_map, rng.uniform()).value for rng in g.rngs]
-
-
-BTO = Algorithm("bto", 2, _bto_init, _bto_step)
+BTO = Algorithm("bto", 2, kernels.seed_chaos, _bto_step)
 run_bto, bto_step = BTO.run, BTO.step_state
 
 

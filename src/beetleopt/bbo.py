@@ -12,13 +12,15 @@ scalar draws it replaces: the ``e`` noise slots go to a noisy objective's
 own draws during the defense and escape evaluations.  The chaos state
 advances once per agent and consumes no draws.  The step advances a
 :class:`~beetleopt.core.Group` of runs, each in chunks with a global-best
-predator and all in lockstep with a random-agent one.  The optimizer is the
+predator and all in lockstep with a random-agent one; it only proposes and
+evaluates, and the group commits what it keeps.  The optimizer is the
 :class:`~beetleopt.core.Algorithm` entry ``BBO``; :func:`bbo_run` and
 :func:`bbo_iteration` are its methods, groups of one run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,8 +111,10 @@ def _bbo_step(g: Group) -> None:
     Every proposal is bound-handled before it is evaluated.  What reads only
     an agent's draws and the iteration's start is worked out for all agents
     before the first proposal.  A global-best predator steps each run in
-    chunks (:func:`_sweep_run`); a random-agent one reads other agents' live
-    positions, so every run steps agent by agent in lockstep."""
+    chunks (:meth:`~beetleopt.core.Group.sweep`, evaluated by
+    :func:`_defend_and_flee`); a random-agent one reads other agents' live
+    positions, so every run steps agent by agent in lockstep
+    (:meth:`~beetleopt.core.Group.move` under greedy selection)."""
     t = g.iteration + 1
     if t > g.max_iterations:
         raise ConfigurationError("run already finished")
@@ -142,8 +146,7 @@ def _bbo_step(g: Group) -> None:
             x = g.x[r, start:]
             return g.bound_run(r, defense_proposal(x, g.best_x[r], areas[r, start:], reactions[r, start:], sprays[r, start:]))
 
-        for r in range(len(g.chaos)):
-            _sweep_run(g, r, defend, hops[r])
+        g.sweep(defend, evaluate=functools.partial(_defend_and_flee, g, hops))
     else:
         # each run's predator, as an index into all runs' agents in a row
         predators = [index_from_uniform(u[5], n) for u in rows]
@@ -152,85 +155,63 @@ def _bbo_step(g: Group) -> None:
         sprays, areas, reactions, hops = (by_agent(a) for a in (sprays, areas, reactions, hops))
         for i, x in enumerate(g.at):
             # Defense: spray scaled by the threat-circle overlap and reaction.
-            g.greedy(i, g.bound(defense_proposal(x, agents[predators[i]], areas[i], reactions[i], sprays[i])))
+            defended = defense_proposal(x, agents[predators[i]], areas[i], reactions[i], sprays[i])
+            g.move(i, g.bound(defended), greedy=True)
             # Escape: signed per-dimension hop whose size decays with time.
-            g.greedy(i, g.bound(x + hops[i]))
+            g.move(i, g.bound(x + hops[i]), greedy=True)
 
 
-def _sweep_run(g: Group, r: int, defend, hops: Array) -> None:
-    """Both phases of every agent of run ``r``, in chunks.
+def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array, below: float) -> tuple:
+    """:meth:`~beetleopt.core.Group.sweep`'s ``evaluate`` for a chunk of run
+    ``r`` from agent ``start``: both phases of each agent, the defense
+    ``proposals`` and then the escape by ``hops`` from the position kept,
+    each kept only if its value is finite and strictly lower.  Returns the
+    positions and values kept, up to and including the first agent whose
+    value is below ``below``, and counts 2 evaluations per agent returned.
 
-    ``defend(r, start)`` returns the bounded defense proposals of agents
-    ``start, ...`` from the live best-so-far; an agent's escape reads only
-    its own position.  A chunk commits agents in order up to and including
-    the first whose defense or escape improves the best-so-far, and the
-    agents after it are proposed again from the new best.  A speculative
-    evaluator evaluates both phases of the whole chunk as two blocks, the
-    escapes from the speculated defense acceptances, and the chunk is
-    committed with array operations.  Any other is called row by row as the
-    commit reaches it (:func:`_commit_rows`).
+    A speculative evaluator evaluates both phases of the whole chunk as two
+    blocks, the escapes from the speculated defense acceptances.  Any other
+    is called row by row as the commit reaches it.
     """
     objective = g.objectives[r]
-    x, fitness = g.x[r], g.fitness[r]
-    start = 0
-    while start < g.n:
-        proposals = defend(r, start)
-        if not objective.speculative:
-            start = _commit_rows(g, r, start, proposals, hops)
-            continue
-        held = np.array(fitness[start:])
+    x, held, hops = g.x[r, start:], g.fitness[r][start:], hops[r, start:]
+    if objective.speculative:
+        held = np.array(held)
         # each agent evaluates its defense, then its escape
         values = objective.speculate(proposals, 0, 2)
         took = np.isfinite(values) & (values < held)
-        kept = np.where(took[:, None], proposals, x[start:])
+        kept = np.where(took[:, None], proposals, x)
         kept_f = np.where(took, values, held)
-        escapes = g.bound_run(r, kept + hops[start:])
+        escapes = g.bound_run(r, kept + hops)
         values = objective.speculate(escapes, 1, 2)
         fled = np.isfinite(values) & (values < kept_f)
         kept = np.where(fled[:, None], escapes, kept)
         kept_f = np.where(fled, values, kept_f)
-        below = kept_f < g.best_f[r]
-        first = int(below.argmax())
-        stop = first + 1 if below[first] else len(kept)
+        improved = kept_f < below
+        first = int(improved.argmax())
+        stop = first + 1 if improved[first] else len(kept)
         objective.commit(2 * stop)
-        x[start : start + stop] = kept[:stop]
-        fitness[start : start + stop] = kept_f[:stop].tolist()
-        if below[first]:
-            g.best_f[r] = fitness[start + first]
-            g.best_x[r] = x[start + first]
-        start += stop
-
-
-def _commit_rows(g: Group, r: int, start: int, proposals: Array, hops: Array) -> int:
-    """Commit agents ``start, ...`` of run ``r`` one by one, up to and
-    including the first that improves the best-so-far, and return the next
-    agent.  Each defense proposal and escape is evaluated as the commit
-    reaches it."""
-    objective = g.objectives[r]
-    x, fitness = g.x[r], g.fitness[r]
-    for j, proposal in enumerate(proposals):
-        i = start + j
-        value = objective(proposal)
-        if math.isfinite(value) and value < fitness[i]:
-            x[i] = proposal
-            fitness[i] = value
-        escape = g.bound_run(r, x[i] + hops[i])
-        value = objective(escape)
-        if math.isfinite(value) and value < fitness[i]:
-            x[i] = escape
-            fitness[i] = value
-        if fitness[i] < g.best_f[r]:
-            g.best_f[r] = fitness[i]
-            g.best_x[r] = x[i]
-            return i + 1
-    return start + len(proposals)
+        return kept[:stop], kept_f[:stop].tolist()
+    kept, kept_f = [], []
+    for proposal, position, value, hop in zip(proposals, x, held, hops):
+        defended = objective(proposal)
+        if math.isfinite(defended) and defended < value:
+            position, value = proposal, defended
+        escape = g.bound_run(r, position + hop)
+        fled = objective(escape)
+        if math.isfinite(fled) and fled < value:
+            position, value = escape, fled
+        kept.append(position)
+        kept_f.append(value)
+        if value < below:
+            break
+    return np.array(kept), kept_f
 
 
 def _bbo_init(g: Group, config: RunConfig) -> None:
-    """Seed each run's chaos trajectory with one draw of its own stream,
-    taken right after the ``N`` initial evaluations."""
-    g.chaos_map = config.chaos_map
-    g.chaos = [kernels.make_chaos(config.chaos_map, rng.uniform()).value for rng in g.rngs]
+    """Seed each run's chaos trajectory (:func:`kernels.seed_chaos`) and set
+    its predator mode."""
+    kernels.seed_chaos(g, config)
     g.predator_mode = config.predator_mode
 
 

@@ -184,13 +184,6 @@ def reserve_into(rng, out: Array, rows: int, widths, lead: int = 0, gap: int = 0
         out[...] = rng.uniform(size=out.size)
 
 
-def reserve(rng, rows: int, widths, lead: int = 0) -> list:
-    """:meth:`RandomStream.reserve` for any draw source (see :func:`reserve_into`)."""
-    out = np.empty(lead + rows * sum(widths))
-    reserve_into(rng, out, rows, widths, lead)
-    return _split_reservation(out, rows, widths, lead)
-
-
 def settle(rng) -> None:
     """:meth:`RandomStream.settle` for any draw source."""
     if isinstance(rng, RandomStream):
@@ -505,11 +498,14 @@ class Group:
     its own computes.  What a run decides on stays its own Python floats
     (``fitness[r][i]``, ``best_f[r]``), and each run keeps its stream and its
     evaluator (:func:`bind`).  A step moves the runs' agents either agent by
-    agent in lockstep (:meth:`move`, :meth:`greedy`, where consecutive runs
-    whose evaluators share a function are evaluated by one block call of
-    it, :meth:`shared_values`), all at once (:meth:`move_all`) or run by run
-    in chunks (:meth:`sweep`).  A step sets and reads further per-algorithm
-    state on the group (``velocities``, ``leaders`` ...).
+    agent in lockstep (:meth:`move`, outright or under greedy selection,
+    where consecutive runs whose evaluators share a function are evaluated
+    by one block call of it, :meth:`shared_values`), all at once
+    (:meth:`move_all`) or run by run in chunks (:meth:`sweep`).  Only these
+    three write the runs' state (``x``, ``fitness``, ``best_x``,
+    ``best_f``): a step proposes, and may say how a chunk is evaluated.  A
+    step sets and reads further per-algorithm state on the group
+    (``velocities``, ``leaders`` ...).
     """
 
     def __init__(self, rngs, objectives, spaces, populations):
@@ -562,34 +558,37 @@ class Group:
             settle(rng)
         self.iteration += 1
 
-    def shared_values(self, rows: Array) -> Optional[list]:
+    def shared_values(self, rows: Array) -> list:
         """Each run's value on its row of a C-contiguous ``(R, dim)`` block,
-        from one block call per segment of runs sharing a function; None if
-        no two runs share one, and each run evaluates its own row in the
-        caller's loop."""
-        if len(self.segments) == len(self.objectives):
-            return None
+        from one call per segment: a block call of the function its runs
+        share, or the lone run's own evaluator."""
         values = []
         for start, stop, owners in self.segments:
             if stop - start == 1:
-                values.append(self.objectives[start](rows[start]))
+                values.append(owners[0](rows[start]))
             else:
                 values += owners[0].block(rows[start:stop], owners)
         return values
 
-    def move(self, i: int, moved: Array) -> list:
-        """Replace agent ``i`` of every run by its row of ``moved``, evaluate
-        it and track the best-so-far; returns the runs' new values."""
-        self.at[i][...] = moved
-        shared = self.shared_values(moved)
-        values = []
-        for r, (objective, row, fitness) in enumerate(zip(self.objectives, moved, self.fitness)):
-            value = objective(row) if shared is None else shared[r]
-            fitness[i] = value
-            if value < self.best_f[r]:
-                self.best_f[r] = value
-                self.best_x[r] = row
-            values.append(value)
+    def move(self, i: int, rows: Array, greedy: bool = False) -> list:
+        """Evaluate each run's row of ``rows`` as agent ``i``'s move and
+        return the values.  The row replaces the agent outright, or with
+        ``greedy`` only when its value is finite and strictly lower than the
+        agent's.  The agent then becomes the best-so-far if it improves on
+        it."""
+        agents = self.at[i]
+        values = self.shared_values(rows)
+        if not greedy:
+            agents[...] = rows
+        for r, (value, fitness) in enumerate(zip(values, self.fitness)):
+            if not greedy:
+                fitness[i] = value
+            elif math.isfinite(value) and value < fitness[i]:
+                agents[r] = rows[r]
+                fitness[i] = value
+            if fitness[i] < self.best_f[r]:
+                self.best_f[r] = fitness[i]
+                self.best_x[r] = agents[r]
         return values
 
     def move_all(self, moved: Array) -> None:
@@ -609,28 +608,30 @@ class Group:
                         self.best_f[r] = value
                         self.best_x[r] = moved[r, i]
 
-    def sweep(self, propose, cut=None, committed=None) -> None:
-        """Move every agent of every run once, in agent order, to its
-        proposal, tracking the best-so-far as :meth:`move` does.
+    def sweep(self, propose, cut=None, committed=None, evaluate=None) -> None:
+        """Move every agent of every run once, in agent order, tracking the
+        best-so-far as :meth:`move` does; the one place a chunk commits.
 
         ``propose(r, start)`` returns the bounded proposals of agents
         ``start, ..., N - 1`` of run ``r`` as one ``(k, dim)`` array, made
-        from the live state.  Run by run, they are evaluated as one block
-        (:func:`_commit_prefix`) and committed in agent order up to and
-        including the first below the run's cut, ``cut(r)``: by default its
-        best-so-far, and never below it, so that only the last agent
-        committed can improve the best.  ``committed(r, i, value)`` then
-        sees that agent, and the agents after it are proposed again from the
-        new state.
+        from the live state.  ``evaluate(r, start, rows, below)`` returns the
+        rows and values the leading agents move to, each counted, up to and
+        including the first whose value is below ``below`` (all of them if
+        none is): by default each proposal as it is (:meth:`_commit_prefix`).
+        ``below`` is the run's cut, ``cut(r)``: by default its best-so-far,
+        and never below it, so that only the last agent committed can
+        improve the best.  Those agents are committed, ``committed(r, i,
+        value)`` sees the last, and the agents after it are proposed again
+        from the new state.
         """
+        evaluate = evaluate or self._commit_prefix
         n = self.n
-        for r, (objective, x, fitness) in enumerate(zip(self.objectives, self.x, self.fitness)):
+        for r, (x, fitness) in enumerate(zip(self.x, self.fitness)):
             start = 0
             while start < n:
-                rows = propose(r, start)
-                values = _commit_prefix(objective, rows, self.best_f[r] if cut is None else cut(r))
+                rows, values = evaluate(r, start, propose(r, start), self.best_f[r] if cut is None else cut(r))
                 stop = start + len(values)
-                x[start:stop] = rows[: len(values)]
+                x[start:stop] = rows
                 fitness[start:stop] = values
                 if values[-1] < self.best_f[r]:
                     self.best_f[r] = values[-1]
@@ -639,45 +640,31 @@ class Group:
                     committed(r, stop - 1, values[-1])
                 start = stop
 
-    def greedy(self, i: int, candidates: Array) -> None:
-        """Replace agent ``i`` of every run by its row of ``candidates`` when
-        the row's value is finite and strictly lower than the agent's, then
-        make the agent kept the best-so-far if it improves on it."""
-        agents = self.at[i]
-        shared = self.shared_values(candidates)
-        for r, (objective, row, fitness) in enumerate(zip(self.objectives, candidates, self.fitness)):
-            value = objective(row) if shared is None else shared[r]
-            if math.isfinite(value) and value < fitness[i]:
-                agents[r] = row
-                fitness[i] = value
-            if fitness[i] < self.best_f[r]:
-                self.best_f[r] = fitness[i]
-                self.best_x[r] = agents[r]
+    def _commit_prefix(self, r: int, start: int, rows: Array, cut: float) -> tuple:
+        """The leading rows of a block of proposals, up to and including the
+        first whose value is below ``cut`` (all of them if none is), and their
+        values, each counted as one evaluation of run ``r``'s evaluator:
+        :meth:`sweep`'s default ``evaluate``.
 
-
-def _commit_prefix(objective, rows: Array, cut: float) -> list:
-    """The values of the leading rows of a block of proposals, up to and
-    including the first one below ``cut`` (all of them if none is), each
-    counted as one evaluation of ``objective``.
-
-    A speculative evaluator evaluates every row in one call, each with the
-    noise slot it takes if the rows are committed in order, and commits the
-    prefix.  Any other is called row by row as the commit reaches the row.
-    The rows after the prefix are neither counted nor drawn for.
-    """
-    if objective.speculative:
-        speculated = objective.speculate(rows)
-        below = speculated < cut
-        first = int(below.argmax())
-        values = speculated[: first + 1 if below[first] else len(rows)].tolist()
-        objective.commit(len(values))
-        return values
-    values = []
-    for row in rows:
-        values.append(objective(row))
-        if values[-1] < cut:
-            break
-    return values
+        A speculative evaluator evaluates every row in one call, each with the
+        noise slot it takes if the rows are committed in order, and commits the
+        prefix.  Any other is called row by row as the commit reaches the row.
+        The rows after the prefix are neither counted nor drawn for.
+        """
+        objective = self.objectives[r]
+        if objective.speculative:
+            speculated = objective.speculate(rows)
+            below = speculated < cut
+            first = int(below.argmax())
+            values = speculated[: first + 1 if below[first] else len(rows)].tolist()
+            objective.commit(len(values))
+            return rows[: len(values)], values
+        values = []
+        for row in rows:
+            values.append(objective(row))
+            if values[-1] < cut:
+                break
+        return rows[: len(values)], values
 
 
 def _segments(objectives) -> list:
@@ -771,10 +758,13 @@ def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
 
     Every run gets its own :func:`prepare_run`.  The algorithm's ``init``
     sets its state, then its ``step`` runs once per iteration and each
-    run's best-so-far is recorded after it.  The configs must differ only
-    in benchmark and seed, and the spaces share one dimension; a run's
-    record is the one it gets alone.
+    run's best-so-far is recorded after it.  The configs must name
+    ``algorithm`` and differ only in benchmark and seed, and the spaces
+    share one dimension; a run's record is the one it gets alone.
     """
+    for c in configs:
+        if c.algorithm != algorithm.id:
+            raise ConfigurationError(f"a {c.algorithm!r} config cannot run as {algorithm.id!r}")
     if len({(c.population, c.iterations, c.bound_mode, c.predator_mode, c.chaos_map) for c in configs}) > 1:
         raise ContractViolation("a group's runs must share every setting but benchmark and seed")
     config = configs[0]

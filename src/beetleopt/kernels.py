@@ -168,6 +168,14 @@ def make_chaos(map_id: str, initial: float) -> ChaosState:
     return ChaosState(map_id, float(guard(initial)), 0)
 
 
+def seed_chaos(group, config) -> None:
+    """Seed each run of a group with a chaos trajectory of
+    ``config.chaos_map`` from one draw of its own stream, taken right after
+    the ``N`` initial evaluations: bto's ``init``, and part of bbo's."""
+    group.chaos_map = config.chaos_map
+    group.chaos = [make_chaos(config.chaos_map, rng.uniform()).value for rng in group.rngs]
+
+
 # --- scalar steps -------------------------------------------------------------
 #
 # Each step below is ``float(guard(fn(np.float64(x))))`` of its map in Python

@@ -4,6 +4,7 @@ same ids in the same order, and every public run and step function is a
 method of its algorithm's entry."""
 
 import ast
+import dataclasses
 import inspect
 import itertools
 from pathlib import Path
@@ -90,3 +91,13 @@ def test_a_runner_swapped_in_runs_run_by_run(monkeypatch):
     plan = harness.ExperimentPlan(algorithms=("pso",), functions=("f1", "f9"), runs=2, population=4, iterations=2)
     result = harness.run_experiment(plan)
     assert sorted(calls) == [1, 1, 2, 2] and len(result.records) == 4
+
+
+@pytest.mark.parametrize("algorithm", list(PUBLIC))
+def test_a_run_refuses_a_config_that_names_another_algorithm(algorithm):
+    other = "pso" if algorithm != "pso" else "gwo"
+    config = bo.RunConfig(algorithm=other, population=6, iterations=2)
+    with pytest.raises(ConfigurationError, match=f"'{other}' config cannot run as '{algorithm}'"):
+        harness.ENTRIES[algorithm].run(config, bo.BENCHMARKS["f1"])
+    record = harness.ENTRIES[algorithm].run(dataclasses.replace(config, algorithm=algorithm), bo.BENCHMARKS["f1"])
+    assert record.algorithm == algorithm

@@ -17,7 +17,7 @@ import beetleopt as bo
 from beetleopt import baselines, benchmarks, harness
 from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
 from beetleopt.cli import main as cli_main
-from beetleopt.core import CallEvaluator, Group, RunConfig, drive, prepare_run
+from beetleopt.core import Agent, CallEvaluator, Group, Population, RunConfig, drive, prepare_run
 
 #: registry functions by dimension (f7, the noisy one, is among the 30s)
 BY_DIM = {}
@@ -232,6 +232,52 @@ def test_a_nan_agent_ranks_after_every_leader():
     assert group.leaders_f[0] == values[least].tolist()
     assert np.array_equal(group.leaders[0], pop.positions()[least])
     assert baselines._best_three([math.nan, 2.0, math.nan, 1.0, math.inf]) == [3, 1, 4]
+
+
+def _two_runs(values):
+    """A hand-built group of two runs of three agents in 2 dims, agent ``i``
+    of run ``r`` at ``(r, i)`` with values 5, 3 and 4 (best: agent 1), whose
+    objectives return ``values`` in call order, run 0 first."""
+    script = iter(values)
+    space = bo.SearchSpace.cube(2, -100.0, 100.0)
+    populations = []
+    for r in range(2):
+        agents = [Agent(np.array([float(r), float(i)]), f) for i, f in enumerate((5.0, 3.0, 4.0))]
+        populations.append(Population(agents, agents[1].copy()))
+    evaluators = [CallEvaluator(lambda x: next(script)) for _ in range(2)]
+    return Group([None, None], evaluators, [space, space], populations)
+
+
+ROWS = np.array([[10.0, 11.0], [20.0, 21.0]])
+
+
+def test_a_greedy_move_keeps_only_a_finite_strictly_lower_value():
+    # NaN, inf, -inf and an equal value never replace an agent
+    for bad in ((math.nan, math.inf), (-math.inf, 5.0)):
+        g = _two_runs(bad)
+        assert g.move(0, ROWS, greedy=True)[1] == bad[1]
+        assert g.x[:, 0].tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert g.fitness == [[5.0, 3.0, 4.0]] * 2
+        assert g.best_f == [3.0, 3.0] and g.best_x.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+    # a lower value replaces; the best moves only where it is also below it
+    g = _two_runs((4.5, 1.0))
+    assert g.move(0, ROWS, greedy=True) == [4.5, 1.0]
+    assert g.x[:, 0].tolist() == ROWS.tolist()
+    assert [f[0] for f in g.fitness] == [4.5, 1.0]
+    assert g.best_f == [3.0, 1.0] and g.best_x.tolist() == [[0.0, 1.0], ROWS[1].tolist()]
+
+
+def test_an_outright_move_always_replaces_and_the_best_moves_only_below_it():
+    g = _two_runs((math.nan, 3.0))
+    assert g.move(2, ROWS)[1] == 3.0
+    assert g.x[:, 2].tolist() == ROWS.tolist()
+    assert math.isnan(g.fitness[0][2]) and g.fitness[1][2] == 3.0
+    # an equal value does not take over the best-so-far
+    assert g.best_f == [3.0, 3.0] and g.best_x.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+    g = _two_runs((7.0, 2.5))
+    g.move(1, ROWS)
+    assert g.x[:, 1].tolist() == ROWS.tolist() and [f[1] for f in g.fitness] == [7.0, 2.5]
+    assert g.best_f == [3.0, 2.5] and g.best_x.tolist() == [[0.0, 1.0], ROWS[1].tolist()]
 
 
 def test_a_protocol_shaped_leader_plan_steps_in_chunks(monkeypatch):

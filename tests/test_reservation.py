@@ -150,7 +150,10 @@ def test_settling_after_taking_too_few_slots_raises():
 
 def test_a_scripted_source_gives_the_same_parts():
     values = [float(v) for v in range(1, 16)]
-    lead_block, first, second = core.reserve(StubStream(values), 3, (1, 3), lead=3)
+    out = np.empty(15)
+    core.reserve_into(StubStream(values), out, 3, (1, 3), lead=3)
+    lead_block, rows = out[:3], out[3:].reshape(3, 4)
+    first, second = rows[:, :1], rows[:, 1:]
     assert lead_block.tolist() == values[:3]
     assert first.tolist() == [[4.0], [8.0], [12.0]]
     assert second.tolist() == [values[4:7], values[8:11], values[12:15]]
