@@ -16,8 +16,7 @@ leader change while their leaders changed rarely in the previous iteration,
 and agent by agent in lockstep otherwise (:func:`_leaders_step`); gsa all
 agents at once.  Each algorithm is one :class:`~beetleopt.core.Algorithm`
 entry (``PSO``, ``SSO``, ``GWO``, ``CDO``, ``BTO``, ``GSA``); the public
-``run_*`` and ``*_step`` functions are its methods, groups of one run, and
-the public per-agent helpers call the same cores for one agent.
+``run_*`` functions are its ``run`` method, a group of one run.
 All of them evaluate the objective exactly N times per iteration.
 The gravitational-search internals follow the standard formulation of that
 algorithm (only its two tuning constants are shared with the rest of the
@@ -29,21 +28,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from . import kernels
 from .core import (
-    Agent,
     Algorithm,
     Array,
     ConfigurationError,
-    ContractViolation,
     Group,
-    Population,
-    RandomStream,
     RunConfig,
     bound_position,
     by_agent,
@@ -100,16 +93,14 @@ def _best_three(fitness: list) -> list:
     return sorted(range(len(fitness)), key=lambda i: nan_last(fitness[i]))[:3]
 
 
-def _three_leaders(pop: Population) -> List[Agent]:
-    return [pop.agents[i].copy() for i in _best_three([a.fitness for a in pop.agents])]
-
-
 def _leaders_init(g: Group, config: RunConfig) -> None:
     """Each run's three best agents as its ``leaders`` ``(R, 3, dim)``, best
-    first, with their values in ``leaders_f``."""
+    first, with their values in ``leaders_f``, and no ``leader_changes``
+    before the first iteration."""
     best = [_best_three(fitness) for fitness in g.fitness]
     g.leaders = np.array([x[i] for x, i in zip(g.x, best)])
     g.leaders_f = [[fitness[k] for k in i] for fitness, i in zip(g.fitness, best)]
+    g.leader_changes = None
 
 
 def _insert_leader(g: Group, r: int, i: int, value: float) -> None:
@@ -164,12 +155,9 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
     changes a leader or the best-so-far; otherwise every run steps agent by
     agent in lockstep.  Both give the same records.
     """
-    # a public step's state can hold fewer agents than a run may
-    g.algorithm.check_population(g.n)
     (u,) = g.reserve((width,))
     terms = terms(u)
-    # a group of one run made for a public step has no previous iteration
-    changes = getattr(g, "leader_changes", None)
+    changes = g.leader_changes
     g.leader_changes = [0] * len(g.rngs)
     if _chunks_pay(changes, g.n):
 
@@ -207,32 +195,6 @@ def _update_personal(g: Group) -> None:
 # --- particle swarm ---------------------------------------------------------
 
 
-@dataclass
-class PSOState:
-    population: Population
-    velocities: List[Array]
-    personal_best: List[Agent]
-    max_iterations: int
-    iteration: int = 0
-    bound_mode: str = "clamp"
-
-
-def pso_velocity(
-    velocity: Array,
-    position: Array,
-    personal_best: Array,
-    global_best: Array,
-    inertia: float,
-    rng: RandomStream,
-) -> Array:
-    """Inertia plus cognitive and social pulls, one random pair per dimension
-    (all r1 draws, then all r2 draws, as one block)."""
-    dim = position.size
-    u = rng.uniform(size=2 * dim)
-    memory = _pso_memory(inertia, velocity, u[:dim], personal_best, position)
-    return _pso_social(memory, u[dim:], global_best, position)
-
-
 def _pso_memory(inertia: float, velocity: Array, r1: Array, personal_best: Array, position: Array) -> Array:
     """Inertia plus cognitive pull, the part of a velocity that does not read
     the live global best; rows of agents or one agent alike."""
@@ -249,6 +211,7 @@ def _pso_step(g: Group) -> None:
     span = max(g.max_iterations - 1, 1)
     inertia = PSO_INERTIA_START - (PSO_INERTIA_START - PSO_INERTIA_END) * (t - 1) / span
     dim = g.dim
+    # per agent, one r1 draw per dimension, then one r2 draw per dimension
     (u,) = g.reserve((2 * dim,))
     memory = _pso_memory(inertia, g.velocities, u[..., :dim], g.personal_best, g.x)
     social = u[..., dim:]
@@ -265,57 +228,17 @@ def _pso_step(g: Group) -> None:
 
 
 PSO = Algorithm("pso", 2, _personal_init, _pso_step)
-run_pso, pso_step = PSO.run, PSO.step_state
+run_pso = PSO.run
 
 
 # --- sperm swarm ------------------------------------------------------------
 
 
-@dataclass
-class SSOState:
-    population: Population
-    velocities: List[Array]
-    personal_best: List[Agent]
-    iteration: int = 0
-    bound_mode: str = "clamp"
-
-
-def sso_velocity(
-    velocity: Array,
-    position: Array,
-    personal_best: Array,
-    global_best: Array,
-    rng: RandomStream,
-) -> Array:
-    """Damped start velocity plus pH/temperature scaled personal and global pulls.
-
-    Draw order: damping, pH1, pH2, temperature1, pH3, temperature2.  The
-    drawn values are validated against their documented ranges so a broken
-    stream is flagged instead of silently skewing the log factors.
-    """
-    draws = _sso_draws(rng)
-    damping, ph1, ph2, temp1, ph3, temp2 = draws
-    if not 0.0 <= damping <= 1.0:
-        raise ContractViolation(f"damping draw out of [0, 1]: {damping!r}")
-    for name, value in (("pH", ph1), ("pH", ph2), ("pH", ph3)):
-        if not SSO_PH_RANGE[0] <= value <= SSO_PH_RANGE[1]:
-            raise ContractViolation(f"{name} draw out of {SSO_PH_RANGE}: {value!r}")
-    for value in (temp1, temp2):
-        if not SSO_TEMPERATURE_RANGE[0] <= value <= SSO_TEMPERATURE_RANGE[1]:
-            raise ContractViolation(f"temperature draw out of {SSO_TEMPERATURE_RANGE}: {value!r}")
-    memory, social = _sso_memory(np.array([draws]), velocity, personal_best, position)
-    return memory[0] + social[0] * (global_best - position)
-
-
-def _sso_draws(rng: RandomStream) -> list:
-    """One velocity block: damping, pH1, pH2, temperature1, pH3, temperature2."""
-    return rng.uniform(_SSO_DRAW_LOW, _SSO_DRAW_HIGH, size=len(_SSO_DRAW_RANGES)).tolist()
-
-
 def _sso_memory(draws: Array, velocity: Array, personal_best: Array, position: Array):
-    """For velocity blocks drawn in range (the last axis): the damped start
-    velocity plus the personal pull, and each block's global-pull factor,
-    both shaped like the blocks with one column each.
+    """For velocity blocks drawn in range (the last axis: damping, pH1, pH2,
+    temperature1, pH3, temperature2): the damped start velocity plus the
+    personal pull, and each block's global-pull factor, both shaped like
+    the blocks with one column each.
 
     Every log factor is ``math.log10`` of one draw, as the scalar formula
     has it.
@@ -345,35 +268,10 @@ def _sso_step(g: Group) -> None:
 
 
 SSO = Algorithm("sso", 2, _personal_init, _sso_step)
-run_sso, sso_step = SSO.run, SSO.step_state
+run_sso = SSO.run
 
 
 # --- grey wolf --------------------------------------------------------------
-
-
-@dataclass
-class GWOState:
-    population: Population
-    leaders: List[Agent]  # alpha, beta, delta: the three best evaluations seen
-    max_iterations: int
-    iteration: int = 0
-    bound_mode: str = "clamp"
-
-
-def gwo_candidate(
-    position: Array,
-    alpha: Array,
-    beta: Array,
-    delta: Array,
-    coefficient: float,
-    rng: RandomStream,
-) -> Array:
-    """Mean of the three leader-guided positions under the standard
-    encircling coefficients A = 2a*r1 - a and C = 2*r2 (fresh per dimension,
-    leaders consumed in alpha/beta/delta order: r1 then r2 per leader, drawn
-    as one block and applied to the three leaders at once)."""
-    a_coef, c_coef = _gwo_coefficients(rng.uniform(size=6 * position.size)[None], coefficient)
-    return _gwo_guided(np.array((alpha, beta, delta)), a_coef[0], c_coef[0], position)
 
 
 def _gwo_coefficients(draws: Array, coefficient: float):
@@ -410,19 +308,10 @@ def _gwo_step(g: Group) -> None:
 
 #: gwo and cdo steer every agent by the three best
 GWO = Algorithm("gwo", 3, _leaders_init, _gwo_step)
-run_gwo, gwo_step = GWO.run, GWO.step_state
+run_gwo = GWO.run
 
 
 # --- chernobyl disaster -----------------------------------------------------
-
-
-@dataclass
-class CDOState:
-    population: Population
-    leaders: List[Agent]  # alpha (best), beta, gamma
-    max_iterations: int
-    iteration: int = 0
-    bound_mode: str = "clamp"
 
 
 def cdo_walk_speed(iteration: int, max_iterations: int) -> float:
@@ -432,30 +321,6 @@ def cdo_walk_speed(iteration: int, max_iterations: int) -> float:
     if not 0 <= iteration <= max_iterations:
         raise ConfigurationError(f"iteration must be in [0, {max_iterations}], got {iteration}")
     return 3.0 - iteration * (3.0 / max_iterations)
-
-
-def cdo_candidate(
-    position: Array,
-    alpha: Array,
-    beta: Array,
-    gamma: Array,
-    walk_speed: float,
-    rng: RandomStream,
-) -> Array:
-    """Weighted average of the gamma/beta/alpha descent terms.
-
-    Per dimension: one walker-disk area shared by the three spread factors,
-    one propagation area shared by the three distance terms, then per
-    particle class a log-speed draw and a walking-speed jitter draw
-    (gamma, beta, alpha order).
-
-    All ``8 * dim`` draws come as one block and the three classes are
-    updated at once; the class weights 1, 0.5 and 0.25 scale the speed and
-    the descent term, and a weight of 1 leaves a value unchanged, bit for bit.
-    """
-    low, high = _cdo_draw_bounds(position.size)
-    area, rho = _cdo_terms(rng.uniform(low, high, size=low.size)[None], walk_speed)
-    return _cdo_descent(np.array((alpha, beta, gamma)), area[0], rho[0], position)
 
 
 def _cdo_terms(draws: Array, walk_speed: float):
@@ -496,8 +361,10 @@ _CDO_WEIGHTS = np.array([[1.0], [0.5], [0.25]])
 
 @functools.lru_cache(maxsize=None)
 def _cdo_draw_bounds(dim: int):
-    """Read-only per-draw ``(low, high)`` of one ``cdo_candidate`` block:
-    region, area, then a speed and a jitter row per class."""
+    """Read-only per-draw ``(low, high)`` of one agent's ``8 * dim`` draws,
+    a row of ``dim`` each: the walker-disk region and the propagation area
+    shared by the three classes, then a log-speed and a walking-speed
+    jitter row per class (gamma, beta, alpha)."""
     low = np.repeat([0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0], dim)
     high = np.repeat([1.0, 1.0, CDO_SPEED_GAMMA, 1.0, CDO_SPEED_BETA, 1.0, CDO_SPEED_ALPHA, 1.0], dim)
     low.flags.writeable = False
@@ -519,19 +386,10 @@ def _cdo_step(g: Group) -> None:
 
 
 CDO = Algorithm("cdo", 3, _leaders_init, _cdo_step)
-run_cdo, cdo_step = CDO.run, CDO.step_state
+run_cdo = CDO.run
 
 
 # --- bermuda triangle -------------------------------------------------------
-
-
-@dataclass
-class BTOState:
-    population: Population
-    chaos: kernels.ChaosState
-    max_iterations: int
-    iteration: int = 0
-    bound_mode: str = "clamp"
 
 
 def bto_zone(iteration: int, max_iterations: int) -> float:
@@ -543,15 +401,9 @@ def bto_zone(iteration: int, max_iterations: int) -> float:
     return BTO_AREA_MIN + iteration * (BTO_AREA_MAX - BTO_AREA_MIN) / max_iterations
 
 
-def bto_acc(iteration: int, max_iterations: int, rng: RandomStream) -> float:
-    """Current acceleration ``r * exp(-20 * iteration / max_iterations)``."""
-    if max_iterations < 1:
-        raise ConfigurationError("max_iterations must be >= 1")
-    return _bto_accelerations([rng.uniform()], bto_decay(iteration, max_iterations))[0]
-
-
 def bto_decay(iteration: int, max_iterations: int) -> float:
-    """The draw-free factor ``exp(-20 * iteration / max_iterations)`` of :func:`bto_acc`."""
+    """The draw-free factor ``exp(-20 * iteration / max_iterations)`` of an
+    agent's acceleration (:func:`_bto_accelerations`)."""
     return math.exp(-20.0 * iteration / max_iterations)
 
 
@@ -621,19 +473,10 @@ def _bto_step(g: Group) -> None:
 
 
 BTO = Algorithm("bto", 2, kernels.seed_chaos, _bto_step)
-run_bto, bto_step = BTO.run, BTO.step_state
+run_bto = BTO.run
 
 
 # --- gravitational search ---------------------------------------------------
-
-
-@dataclass
-class GSAState:
-    population: Population
-    velocities: List[Array]  # one row per agent; a step leaves an (N, dim) array
-    max_iterations: int
-    iteration: int = 0
-    bound_mode: str = "clamp"
 
 
 def gsa_masses(fitness: Array) -> Array:
@@ -724,4 +567,4 @@ def _gsa_step(g: Group) -> None:
 
 
 GSA = Algorithm("gsa", 2, _velocities_init, _gsa_step)
-run_gsa, gsa_step = GSA.run, GSA.step_state
+run_gsa = GSA.run

@@ -14,15 +14,14 @@ advances once per agent and consumes no draws.  The step advances a
 :class:`~beetleopt.core.Group` of runs, each in chunks with a global-best
 predator and all in lockstep with a random-agent one; it only proposes and
 evaluates, and the group commits what it keeps.  The optimizer is the
-:class:`~beetleopt.core.Algorithm` entry ``BBO``; :func:`bbo_run` and
-:func:`bbo_iteration` are its methods, groups of one run.
+:class:`~beetleopt.core.Algorithm` entry ``BBO``; :func:`bbo_run` is its
+``run`` method, a group of one run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +29,7 @@ from . import kernels
 from .core import (
     Algorithm,
     Array,
-    ConfigurationError,
-    ContractViolation,
     Group,
-    Population,
-    RandomStream,
     RunConfig,
     by_agent,
     index_from_uniform,
@@ -45,37 +40,11 @@ from .core import (
 HOT_WATER_VAPOR = 100.0
 
 
-def chemical_reaction(rng: RandomStream) -> float:
-    """Reaction intensity: 100 * oxygen * p-benzoquinone, fresh draws each call.
-
-    The product rule means a missing component annuls the reaction.
-    """
-    oxygen = rng.uniform()
-    benzoquinone = rng.uniform()
-    return reaction_intensity(oxygen, benzoquinone)
-
-
 def reaction_intensity(oxygen: float, benzoquinone: float) -> float:
-    """``100 * oxygen * p-benzoquinone`` for already drawn factors."""
+    """Reaction intensity ``100 * oxygen * p-benzoquinone`` from the two
+    drawn factors; the product rule means a missing component annuls the
+    reaction."""
     return HOT_WATER_VAPOR * oxygen * benzoquinone
-
-
-def defense_update(
-    position: Array,
-    predator_position: Array,
-    intersection_area: float,
-    reaction: float,
-    spray_value: float,
-) -> Array:
-    """Raw defense proposal ``(x + predator * area * reaction * x) / spray``.
-
-    Bound handling happens at the call site, before any evaluation.
-    """
-    if spray_value < kernels.SPRAY_FLOOR:
-        raise ContractViolation(f"spray value below floor: {spray_value!r}")
-    if intersection_area < 0.0:
-        raise ValueError("intersection area must be >= 0")
-    return defense_proposal(position, predator_position, intersection_area, reaction, spray_value)
 
 
 def defense_proposal(
@@ -85,21 +54,13 @@ def defense_proposal(
     reaction: float,
     spray_value: float,
 ) -> Array:
-    """Unchecked core of :func:`defense_update` for inputs the loop keeps valid."""
+    """Raw defense proposal ``(x + predator * area * reaction * x) / spray``.
+
+    The loop keeps the area non-negative and the spray at or above
+    :data:`kernels.SPRAY_FLOOR`; bound handling happens at the call site,
+    before any evaluation.
+    """
     return (position + predator_position * intersection_area * reaction * position) / spray_value
-
-
-@dataclass
-class BBOState:
-    """Evolving run state: the population, the chaos trajectory and the
-    iteration counter (number of completed iterations)."""
-
-    population: Population
-    chaos: kernels.ChaosState
-    max_iterations: int
-    iteration: int = 0
-    predator_mode: str = "global-best"
-    bound_mode: str = "clamp"
 
 
 def _bbo_step(g: Group) -> None:
@@ -116,8 +77,6 @@ def _bbo_step(g: Group) -> None:
     positions, so every run steps agent by agent in lockstep
     (:meth:`~beetleopt.core.Group.move` under greedy selection)."""
     t = g.iteration + 1
-    if t > g.max_iterations:
-        raise ConfigurationError("run already finished")
     n = g.n
     random_predator = g.predator_mode != "global-best"
     defense, escape = g.reserve((6 if random_predator else 5, 4 + g.dim))
@@ -216,4 +175,4 @@ def _bbo_init(g: Group, config: RunConfig) -> None:
 
 
 BBO = Algorithm("bbo", 2, _bbo_init, _bbo_step)
-bbo_run, bbo_iteration = BBO.run, BBO.step_state
+bbo_run = BBO.run

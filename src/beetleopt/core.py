@@ -8,7 +8,6 @@ two runs with the same :class:`RunConfig` reproduce each other bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -172,22 +171,6 @@ def _split_reservation(block: Array, rows: int, widths, lead: int) -> list:
         out.append(grid[..., start : start + width])
         start += width
     return out
-
-
-def reserve_into(rng, out: Array, rows: int, widths, lead: int = 0, gap: int = 0) -> None:
-    """:meth:`RandomStream.reserve_into` for any draw source.  Any other
-    source (a scripted stand-in) fills ``out`` from one ``uniform`` block and
-    leaves no noise slots."""
-    if isinstance(rng, RandomStream):
-        rng.reserve_into(out, rows, widths, lead, gap)
-    else:
-        out[...] = rng.uniform(size=out.size)
-
-
-def settle(rng) -> None:
-    """:meth:`RandomStream.settle` for any draw source."""
-    if isinstance(rng, RandomStream):
-        rng.settle()
 
 
 class _NoiseSlots:
@@ -542,20 +525,23 @@ class Group:
         return bound_position(rows, self.lower[r], self.upper[r], self.bound_mode)
 
     def reserve(self, widths, lead: int = 0) -> list:
-        """Each run's :func:`reserve` with its evaluator's ``gap``, drawn
-        into its row of one block: ``(R, lead)`` and ``(R, N, width)`` views
-        of it, part by part.  :meth:`advance` settles them."""
+        """Each run's :meth:`RandomStream.reserve` with its evaluator's
+        ``gap``, drawn into its row of one block: ``(R, lead)`` and ``(R, N,
+        width)`` views of it, part by part.  :meth:`advance` settles them."""
         block = np.empty((len(self.rngs), lead + self.n * sum(widths)))
         for rng, evaluator, row in zip(self.rngs, self.objectives, block):
-            reserve_into(rng, row, self.n, widths, lead, evaluator.gap)
+            rng.reserve_into(row, self.n, widths, lead, evaluator.gap)
         return _split_reservation(block, self.n, widths, lead)
 
     def advance(self) -> None:
         """One iteration of every run: the algorithm's step, then each run's
-        reservation settled."""
+        reservation settled.  A group that has run all its iterations
+        refuses another."""
+        if self.iteration == self.max_iterations:
+            raise ConfigurationError("run already finished")
         self.algorithm.step(self)
         for rng in self.rngs:
-            settle(rng)
+            rng.settle()
         self.iteration += 1
 
     def shared_values(self, rows: Array) -> list:
@@ -690,7 +676,9 @@ class Algorithm:
     """One optimizer, as every run of it reads it: its ``id``, the smallest
     population it runs with, ``init(group, config)``, which sets its state
     on a group of prepared runs, and ``step(group)``, which moves every run
-    of the group through one iteration, inside :meth:`Group.advance`."""
+    of the group through one iteration, inside :meth:`Group.advance`.  Its
+    public surface is :meth:`run` and :meth:`start`, each for a group of
+    one run."""
 
     id: str
     min_population: int
@@ -708,59 +696,22 @@ class Algorithm:
         plain callable."""
         return drive(self, [config], [objective], [space])[0]
 
-    def step_state(self, state, objective, space: SearchSpace, rng):
-        """Advance a public state object one iteration (:meth:`Group.advance`)
-        as a group of one run, and return it.  ``objective`` is anything
-        :func:`bind` takes, as for :meth:`run`.
-
-        The state is a dataclass with a ``population``.  Its other fields
-        map onto the group by name: a list of agents to ``name`` (positions)
-        and ``name_f`` (values), a list of vectors to an array, a chaos state
-        to ``chaos`` and ``chaos_map``, anything else as it is.  After the
-        step the fields are written back.
-        """
-        pop = state.population
-        group = Group([rng], [bind(objective, rng, space)[0]], [space], [pop])
-        group.algorithm = self
-        fields = [f.name for f in dataclasses.fields(state) if f.name != "population"]
-        for name in fields:
-            value = getattr(state, name)
-            if isinstance(value, list) and isinstance(value[0], Agent):
-                setattr(group, name, np.array([a.position for a in value])[None])
-                setattr(group, name + "_f", [[a.fitness for a in value]])
-            elif isinstance(value, (list, np.ndarray)):
-                setattr(group, name, np.array(value, dtype=float)[None])
-            elif hasattr(value, "map_id"):
-                group.chaos, group.chaos_map = [value.value], value.map_id
-            else:
-                setattr(group, name, value)
-        group.advance()
-        pop.agents[:] = [Agent(x, f) for x, f in zip(group.x[0], group.fitness[0])]
-        pop.best = Agent(group.best_x[0], group.best_f[0])
-        for name in fields:
-            value = getattr(state, name)
-            if isinstance(value, list) and isinstance(value[0], Agent):
-                fitness = map(float, getattr(group, name + "_f")[0])
-                value = [Agent(x, f) for x, f in zip(getattr(group, name)[0], fitness)]
-            elif isinstance(value, (list, np.ndarray)):
-                value = list(getattr(group, name)[0])
-            elif hasattr(value, "map_id"):
-                value = dataclasses.replace(value, value=group.chaos[0], steps=value.steps + len(pop))
-            else:
-                value = getattr(group, name)
-            setattr(state, name, value)
-        return state
+    def start(self, config: RunConfig, objective, space: SearchSpace = None) -> Group:
+        """One seeded run as a started group of one (:func:`start_group`):
+        its initial population evaluated and its state set, ready for
+        ``config.iterations`` calls of :meth:`Group.advance`.  ``objective``
+        is anything :meth:`run` takes."""
+        return start_group(self, [config], [objective], [space])
 
 
-def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
-    """Run each config as one of a group of runs of ``algorithm`` in
-    lockstep and return their records, in order.
+def start_group(algorithm: Algorithm, configs, objectives, spaces) -> Group:
+    """The group of runs of ``algorithm``, one per config, before its first
+    iteration.
 
-    Every run gets its own :func:`prepare_run`.  The algorithm's ``init``
-    sets its state, then its ``step`` runs once per iteration and each
-    run's best-so-far is recorded after it.  The configs must name
+    Every run gets its own :func:`prepare_run`, then the algorithm's
+    ``init`` sets its state on the group.  The configs must name
     ``algorithm`` and differ only in benchmark and seed, and the spaces
-    share one dimension; a run's record is the one it gets alone.
+    share one dimension.
     """
     for c in configs:
         if c.algorithm != algorithm.id:
@@ -778,8 +729,19 @@ def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
     group.max_iterations = config.iterations
     group.bound_mode = config.bound_mode
     algorithm.init(group, config)
-    traces = np.empty((len(configs), config.iterations), dtype=float)
-    for t in range(config.iterations):
+    return group
+
+
+def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
+    """Run each config as one of a group of runs of ``algorithm`` in
+    lockstep (:func:`start_group`) and return their records, in order.
+
+    The group advances once per iteration, and each run's best-so-far is
+    recorded after it; a run's record is the one it gets alone.
+    """
+    group = start_group(algorithm, configs, objectives, spaces)
+    traces = np.empty((len(configs), group.max_iterations), dtype=float)
+    for t in range(group.max_iterations):
         group.advance()
         traces[:, t] = group.best_f
     return [
@@ -791,5 +753,5 @@ def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:
             final_best=float(trace[-1]),
             evaluations=evaluator.n,
         )
-        for c, trace, evaluator in zip(configs, traces, evaluators)
+        for c, trace, evaluator in zip(configs, traces, group.objectives)
     ]

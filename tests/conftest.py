@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from beetleopt.core import SearchSpace
+from beetleopt.core import Group, RandomStream, SearchSpace, bind
 
 
 class StubStream:
     """Scripted stand-in for RandomStream: every draw pops the next value.
 
     Values are the final draw results (already in the target range), which
-    lets tests pin exact inputs into the update rules.
+    lets tests pin exact inputs into the update rules.  A reservation takes
+    its values in block order and leaves no noise slots.
     """
 
     def __init__(self, values):
@@ -24,13 +25,26 @@ class StubStream:
             return self._pop()
         return np.array([self._pop() for _ in range(int(size))])
 
-    def sign(self, size=None):
-        if size is None:
-            return self._pop()
-        return np.array([self._pop() for _ in range(int(size))])
+    def reserve_into(self, out, rows, widths, lead=0, gap=0):
+        out[...] = [self._pop() for _ in range(out.size)]
 
-    def index(self, n):
-        return int(self._pop())
+    def settle(self):
+        pass
+
+
+def hand_group(algorithm, config, population, objective, space, rng=None):
+    """A group of one run of ``algorithm`` from a hand-set, evaluated
+    ``population``, its state set by the algorithm's ``init``, ready for
+    ``config.iterations`` advances.  ``rng`` (by default the config's seeded
+    stream) may be a :class:`StubStream`."""
+    rng = RandomStream(config.seed) if rng is None else rng
+    group = Group([rng], [bind(objective, rng, space)[0]], [space], [population])
+    group.algorithm = algorithm
+    group.iteration = 0
+    group.max_iterations = config.iterations
+    group.bound_mode = config.bound_mode
+    algorithm.init(group, config)
+    return group
 
 
 class CheckedObjective:

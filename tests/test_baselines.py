@@ -8,16 +8,13 @@ from beetleopt.benchmarks import BENCHMARKS
 from beetleopt.core import (
     Agent,
     ConfigurationError,
-    ContractViolation,
     Population,
-    RandomStream,
     RunConfig,
     SearchSpace,
     update_best,
 )
-from beetleopt import kernels
 
-from conftest import CheckedObjective, StubStream
+from conftest import CheckedObjective, StubStream, hand_group
 
 RUNNERS = {
     "pso": bl.run_pso,
@@ -33,27 +30,36 @@ def space2():
     return SearchSpace.cube(2, -100.0, 100.0)
 
 
+def pso_velocity(velocity, position, personal_best, global_best, inertia, draws):
+    """One agent's velocity from pso's group kernels, ``draws`` holding its
+    r1 draws, then its r2 draws."""
+    dim = position.size
+    r1, r2 = np.array(draws[:dim]), np.array(draws[dim:])
+    memory = bl._pso_memory(inertia, velocity, r1, personal_best, position)
+    return bl._pso_social(memory, r2, global_best, position)
+
+
 class TestPSOVelocity:
     def test_all_terms_vanish(self):
         x = np.array([1.0, 2.0])
-        v = bl.pso_velocity(np.zeros(2), x, x, x, 0.0, StubStream([0.1, 0.2, 0.3, 0.4]))
+        v = pso_velocity(np.zeros(2), x, x, x, 0.0, [0.1, 0.2, 0.3, 0.4])
         assert np.array_equal(v, np.zeros(2))
 
     def test_pure_inertia(self):
         x = np.array([1.0, 2.0])
         velocity = np.array([3.0, -1.0])
-        v = bl.pso_velocity(velocity, x, x, x, 0.5, StubStream([0.9, 0.9, 0.9, 0.9]))
+        v = pso_velocity(velocity, x, x, x, 0.5, [0.9, 0.9, 0.9, 0.9])
         assert np.allclose(v, 0.5 * velocity)
 
     def test_direct_substitution(self):
         # w*v + 2*0.5*(pbest-x) + 2*0.5*(gbest-x) = 0.5 + 1 + 2 = 3.5
-        v = bl.pso_velocity(
+        v = pso_velocity(
             np.array([1.0]),
             np.array([0.0]),
             np.array([1.0]),
             np.array([2.0]),
             0.5,
-            StubStream([0.5, 0.5]),
+            [0.5, 0.5],
         )
         assert v[0] == pytest.approx(3.5)
 
@@ -61,52 +67,24 @@ class TestPSOVelocity:
 class TestPSORun:
     def test_personal_best_is_exact_history_minimum(self):
         spec = BENCHMARKS["f9"]
-        space = spec.space()
         history = {}
+        calls = [0]
 
+        # a plain callable is called once per agent per iteration, in agent
+        # order (the initial population first), so call k evaluates agent k % 4
         def tracking(x):
             value = spec.evaluator(x)
-            key = tracking.current
-            history.setdefault(key, []).append(value)
+            history.setdefault(calls[0] % 4, []).append(value)
+            calls[0] += 1
             return value
 
-        rng = RandomStream(5)
-        from beetleopt.core import initialize_population
-
-        pop = initialize_population(space, 4, rng)
-        for i, agent in enumerate(pop.agents):
-            tracking.current = i
-            agent.fitness = tracking(agent.position)
-        update_best(pop)
-        state = bl.PSOState(
-            population=pop,
-            velocities=[np.zeros(space.dim) for _ in pop.agents],
-            personal_best=[a.copy() for a in pop.agents],
-            max_iterations=30,
-        )
+        cfg = RunConfig(algorithm="pso", population=4, iterations=30, seed=5)
+        group = bl.PSO.start(cfg, tracking, spec.space())
         for _ in range(30):
-            t = state.iteration + 1
-            span = max(state.max_iterations - 1, 1)
-            w = bl.PSO_INERTIA_START - (bl.PSO_INERTIA_START - bl.PSO_INERTIA_END) * (t - 1) / span
-            for i, agent in enumerate(pop.agents):
-                tracking.current = i
-                v = bl.pso_velocity(
-                    state.velocities[i], agent.position,
-                    state.personal_best[i].position, pop.best.position, w, rng,
-                )
-                state.velocities[i] = v
-                from beetleopt.core import clamp_to_bounds
-
-                moved = Agent(clamp_to_bounds(agent.position + v, space, "clamp"))
-                moved.fitness = tracking(moved.position)
-                pop.agents[i] = moved
-                if moved.fitness < state.personal_best[i].fitness:
-                    state.personal_best[i] = moved.copy()
-                if moved.fitness < pop.best.fitness:
-                    pop.best = moved.copy()
-            state.iteration += 1
+            group.advance()
+        assert [len(history[i]) for i in range(4)] == [31] * 4
         for i in range(4):
-            assert state.personal_best[i].fitness == min(history[i])
+            assert group.personal_best_f[0][i] == min(history[i])
 
     def test_gbest_matches_min_of_personal_bests(self):
         spec = BENCHMARKS["f1"]
@@ -116,31 +94,24 @@ class TestPSORun:
         assert record.evaluations == 6 + 6 * 40
 
 
+def sso_velocity(velocity, position, personal_best, global_best, draws):
+    """One agent's velocity from sso's group kernel, ``draws`` its damping,
+    pH1, pH2, temperature1, pH3 and temperature2."""
+    memory, social = bl._sso_memory(np.array([draws]), velocity, personal_best, position)
+    return memory[0] + social[0] * (global_best - position)
+
+
 class TestSSOVelocity:
     def test_all_terms_vanish(self):
         x = np.array([3.0, -1.0])
-        stub = StubStream([0.0, 10.0, 10.0, 36.0, 10.0, 36.0])
-        v = bl.sso_velocity(np.array([1.0, 1.0]), x, x, x, stub)
+        v = sso_velocity(np.array([1.0, 1.0]), x, x, x, [0.0, 10.0, 10.0, 36.0, 10.0, 36.0])
         assert np.array_equal(v, np.zeros(2))
 
     def test_initial_term_with_unit_log(self):
         # damping=1, pH1=10 -> log10 = 1, so the start term is the velocity.
         x = np.array([0.0])
-        stub = StubStream([1.0, 10.0, 10.0, 36.0, 10.0, 36.0])
-        v = bl.sso_velocity(np.array([1.0]), x, x, x, stub)
+        v = sso_velocity(np.array([1.0]), x, x, x, [1.0, 10.0, 10.0, 36.0, 10.0, 36.0])
         assert v[0] == pytest.approx(1.0)
-
-    def test_out_of_range_temperature_flagged(self):
-        x = np.array([0.0])
-        stub = StubStream([0.5, 10.0, 10.0, 10.0, 10.0, 36.0])
-        with pytest.raises(ContractViolation):
-            bl.sso_velocity(np.zeros(1), x, x, x, stub)
-
-    def test_out_of_range_ph_flagged(self):
-        x = np.array([0.0])
-        stub = StubStream([0.5, 3.0, 10.0, 36.0, 10.0, 36.0])
-        with pytest.raises(ContractViolation):
-            bl.sso_velocity(np.zeros(1), x, x, x, stub)
 
     def test_pinned_attraction_reduction(self):
         # pH draws pinned to 10 (log10 = 1) and both temperatures pinned to
@@ -151,8 +122,7 @@ class TestSSOVelocity:
         x = np.zeros(2)
         pb = np.array([1.0, 2.0])
         gb = np.array([-2.0, 4.0])
-        stub = StubStream([0.0, 10.0, 10.0, temp, 10.0, temp])
-        v = bl.sso_velocity(np.zeros(2), x, pb, gb, stub)
+        v = sso_velocity(np.zeros(2), x, pb, gb, [0.0, 10.0, 10.0, temp, 10.0, temp])
         assert np.allclose(v, c * (pb - x) + c * (gb - x))
 
 
@@ -168,29 +138,22 @@ class TestSSORun:
 class TestGWO:
     def test_candidate_fixed_point_with_pinned_draws(self):
         x = np.array([2.0, -3.0])
-        stub = StubStream([0.3, 0.3, 0.5, 0.5] * 3)
-        out = bl.gwo_candidate(x, x, x, x, 0.0, stub)
+        a_coef, c_coef = bl._gwo_coefficients(np.array([0.3, 0.3, 0.5, 0.5] * 3), 0.0)
+        out = bl._gwo_guided(np.array([x, x, x]), a_coef, c_coef, x)
         assert np.allclose(out, x)
 
     def test_leaders_stay_sorted_and_dominate_population(self):
         spec = BENCHMARKS["f9"]
-        space = spec.space()
-        rng = RandomStream(8)
-        from beetleopt.core import initialize_population
-
-        pop = initialize_population(space, 6, rng)
-        for agent in pop.agents:
-            agent.fitness = spec.evaluator(agent.position)
-        update_best(pop)
-        state = bl.GWOState(population=pop, leaders=bl._three_leaders(pop), max_iterations=25)
+        cfg = RunConfig(algorithm="gwo", population=6, iterations=25, seed=8)
+        group = bl.GWO.start(cfg, spec.evaluator, spec.space())
         for _ in range(25):
-            bl.gwo_step(state, spec.evaluator, space, rng)
-            fits = [leader.fitness for leader in state.leaders]
+            group.advance()
+            fits = group.leaders_f[0]
             assert fits == sorted(fits)
-            current = sorted(pop.fitness_values())[:3]
+            current = sorted(group.fitness[0])[:3]
             for leader_fit, current_fit in zip(fits, current):
                 assert leader_fit <= current_fit
-            assert state.leaders[0].fitness == pop.best.fitness
+            assert fits[0] == group.best_f[0]
 
     def test_small_population_rejected(self):
         cfg = RunConfig(algorithm="gwo", population=2, iterations=5, seed=1)
@@ -217,8 +180,8 @@ class TestCDO:
 
     def test_origin_is_fixed_point(self):
         x = np.zeros(2)
-        stub = StubStream([0.5] * 16)
-        out = bl.cdo_candidate(x, x, x, x, 0.0, stub)
+        area, rho = bl._cdo_terms(np.full(16, 0.5), 0.0)
+        out = bl._cdo_descent(np.array([x, x, x]), area, rho, x)
         assert np.array_equal(out, np.zeros(2))
 
     def test_zero_distance_terms_scale_by_weights(self):
@@ -227,53 +190,27 @@ class TestCDO:
         # same point scaled by 7/12.
         x = np.array([4.0, -6.0])
         unit_area_draw = 1.0 / math.sqrt(math.pi)
-        script = [0.5, 0.5, unit_area_draw, unit_area_draw]
-        script += [100.0, 100.0, 0.5, 0.5] * 3
-        out = bl.cdo_candidate(x, x, x, x, 1.0, StubStream(script))
+        draws = [0.5, 0.5, unit_area_draw, unit_area_draw]
+        draws += [100.0, 100.0, 0.5, 0.5] * 3
+        area, rho = bl._cdo_terms(np.array(draws), 1.0)
+        out = bl._cdo_descent(np.array([x, x, x]), area, rho, x)
         assert np.allclose(out, (1.0 + 0.5 + 0.25) / 3.0 * x)
 
     def test_leaders_ordered_over_run(self):
         spec = BENCHMARKS["f1"]
-        space = spec.space()
-        rng = RandomStream(12)
-        from beetleopt.core import initialize_population
-
-        pop = initialize_population(space, 5, rng)
-        for agent in pop.agents:
-            agent.fitness = spec.evaluator(agent.position)
-        update_best(pop)
-        state = bl.CDOState(population=pop, leaders=bl._three_leaders(pop), max_iterations=40)
+        cfg = RunConfig(algorithm="cdo", population=5, iterations=40, seed=12)
+        group = bl.CDO.start(cfg, spec.evaluator, spec.space())
         for _ in range(40):
-            bl.cdo_step(state, spec.evaluator, space, rng)
-            fits = [leader.fitness for leader in state.leaders]
+            group.advance()
+            fits = group.leaders_f[0]
             assert fits == sorted(fits)
-        assert state.leaders[0].fitness == pop.best.fitness
+        assert group.leaders_f[0][0] == group.best_f[0]
 
     def test_budget_and_monotonicity(self):
         cfg = RunConfig(algorithm="cdo", benchmark="f5", population=6, iterations=25, seed=3)
         record = bl.run_cdo(cfg, BENCHMARKS["f5"])
         assert record.evaluations == 6 + 6 * 25
         assert np.all(np.diff(record.trace) <= 0)
-
-
-@pytest.mark.parametrize("chunks", [False, True])
-@pytest.mark.parametrize("algo", ["gwo", "cdo"])
-def test_leader_steps_refuse_a_population_below_three(monkeypatch, algo, chunks):
-    # two agents give two leaders; cdo used to fail inside a NumPy broadcast
-    monkeypatch.setattr(bl, "_chunks_pay", lambda changes, n: chunks)
-    spec = BENCHMARKS["f1"]
-    space = spec.space()
-    rng = RandomStream(3)
-    from beetleopt.core import initialize_population
-
-    pop = initialize_population(space, 2, rng)
-    for agent in pop.agents:
-        agent.fitness = spec.evaluator(agent.position)
-    update_best(pop)
-    state_type, step = (bl.GWOState, bl.gwo_step) if algo == "gwo" else (bl.CDOState, bl.cdo_step)
-    state = state_type(population=pop, leaders=bl._three_leaders(pop), max_iterations=5)
-    with pytest.raises(ConfigurationError, match=f"{algo} needs a population of at least 3"):
-        step(state, spec.evaluator, space, rng)
 
 
 class TestBTO:
@@ -292,12 +229,12 @@ class TestBTO:
             bl.bto_zone(0, 0)
 
     def test_acc_endpoints(self):
-        assert bl.bto_acc(0, 1000, StubStream([0.77])) == pytest.approx(0.77)
-        assert bl.bto_acc(1000, 1000, StubStream([1.0])) == pytest.approx(math.exp(-20.0))
-        assert bl.bto_acc(500, 1000, StubStream([0.0])) == 0.0
+        assert bl._bto_accelerations([0.77], bl.bto_decay(0, 1000)) == [pytest.approx(0.77)]
+        assert bl._bto_accelerations([1.0], bl.bto_decay(1000, 1000)) == [pytest.approx(math.exp(-20.0))]
+        assert bl._bto_accelerations([0.0], bl.bto_decay(500, 1000)) == [0.0]
 
     def test_acc_monotone_decreasing_with_pinned_draw(self):
-        values = [bl.bto_acc(t, 100, StubStream([1.0])) for t in range(101)]
+        values = [bl._bto_accelerations([1.0], bl.bto_decay(t, 100))[0] for t in range(101)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_force_probability_clamped(self):
@@ -315,18 +252,17 @@ class TestBTO:
         # constant vector.
         spec = BENCHMARKS["f1"]
         space = spec.space()
+        cfg = RunConfig(algorithm="bto", population=2, iterations=10)
         proposals = []
         for prescience in (0.9, 0.1):
-            pop = Population([Agent(np.full(30, 5.0), spec.evaluator(np.full(30, 5.0)))])
+            pop = Population([Agent(np.full(30, 5.0), spec.evaluator(np.full(30, 5.0))) for _ in range(2)])
             update_best(pop)
-            state = bl.BTOState(
-                population=pop,
-                chaos=kernels.make_chaos("tent", 0.4),
-                max_iterations=10,
-            )
-            stub = StubStream([0.5, 0.5, 0.5, 0.0, prescience])
-            bl.bto_step(state, spec.evaluator, space, stub)
-            proposals.append(pop.agents[0].position.copy())
+            # the chaos seed, then each agent's masses, distance,
+            # acceleration and prescience
+            stub = StubStream([0.4] + [0.5, 0.5, 0.5, 0.0, prescience] * 2)
+            group = hand_group(bl.BTO, cfg, pop, spec.evaluator, space, stub)
+            group.advance()
+            proposals.append(group.x[0].copy())
         assert np.array_equal(proposals[0], proposals[1])
 
     def test_budget_and_monotonicity(self):

@@ -7,16 +7,14 @@ from beetleopt.benchmarks import BENCHMARKS, sphere
 from beetleopt.core import (
     Agent,
     ConfigurationError,
-    ContractViolation,
     Population,
     RandomStream,
     RunConfig,
     SearchSpace,
-    initialize_population,
     update_best,
 )
 
-from conftest import CheckedObjective, StubStream
+from conftest import CheckedObjective, hand_group
 
 
 def small_space(dim=2):
@@ -28,86 +26,70 @@ class TestChemicalReaction:
         assert bbo.HOT_WATER_VAPOR == 100.0
 
     def test_zero_oxygen_annuls(self):
-        assert bbo.chemical_reaction(StubStream([0.0, 0.9])) == 0.0
+        assert bbo.reaction_intensity(0.0, 0.9) == 0.0
 
     def test_maximal_draws(self):
-        assert bbo.chemical_reaction(StubStream([1.0, 1.0])) == 100.0
+        assert bbo.reaction_intensity(1.0, 1.0) == 100.0
 
     def test_direct_product(self):
-        assert bbo.chemical_reaction(StubStream([0.5, 0.2])) == pytest.approx(10.0)
+        assert bbo.reaction_intensity(0.5, 0.2) == pytest.approx(10.0)
 
     def test_range(self):
         rng = RandomStream(3)
         for _ in range(200):
-            assert 0.0 <= bbo.chemical_reaction(rng) < 100.0
+            assert 0.0 <= bbo.reaction_intensity(rng.uniform(), rng.uniform()) < 100.0
 
 
 class TestDefenseUpdate:
     def test_zero_overlap_unit_spray_passes_through(self):
         x = np.array([4.0, -7.0])
-        out = bbo.defense_update(x, np.array([1.0, 1.0]), 0.0, 55.0, 1.0)
+        out = bbo.defense_proposal(x, np.array([1.0, 1.0]), 0.0, 55.0, 1.0)
         assert np.array_equal(out, x)
 
     def test_direct_substitution(self):
         x = np.array([2.0, 2.0])
-        out = bbo.defense_update(x, np.array([1.0, 1.0]), 1.0, 1.0, 2.0)
+        out = bbo.defense_proposal(x, np.array([1.0, 1.0]), 1.0, 1.0, 2.0)
         assert np.allclose(out, [2.0, 2.0])
 
     def test_huge_spray_collapses_proposal(self):
         x = np.array([50.0, -80.0])
         spray = kernels.spray(1.0, 1000, 1000)
-        out = bbo.defense_update(x, np.array([100.0, 100.0]), np.pi, 100.0, spray)
+        out = bbo.defense_proposal(x, np.array([100.0, 100.0]), np.pi, 100.0, spray)
         bound = np.abs(x) * (1.0 + np.pi * 100.0 * 100.0) / spray
         assert np.all(np.abs(out) <= bound)
         assert np.all(np.abs(out) < 1e-35)
 
     def test_best_position_is_fixed_point_at_zero_overlap(self):
         x = np.array([1.5, -2.5, 0.25])
-        out = bbo.defense_update(x, x, 0.0, 42.0, 1.0)
+        out = bbo.defense_proposal(x, x, 0.0, 42.0, 1.0)
         assert np.array_equal(out, x)
 
-    def test_spray_below_floor_rejected(self):
-        with pytest.raises(ContractViolation):
-            bbo.defense_update(np.ones(2), np.ones(2), 1.0, 1.0, 1e-13)
 
-    def test_negative_area_rejected(self):
-        with pytest.raises(ValueError):
-            bbo.defense_update(np.ones(2), np.ones(2), -0.1, 1.0, 1.0)
-
-
-def make_state(space, n, seed, iterations=10, predator_mode="global-best"):
-    rng = RandomStream(seed)
-    pop = initialize_population(space, n, rng)
-    for agent in pop.agents:
-        agent.fitness = sphere(agent.position)
-    update_best(pop)
-    state = bbo.BBOState(
-        population=pop,
-        chaos=kernels.make_chaos("tent", rng.uniform()),
-        max_iterations=iterations,
-        predator_mode=predator_mode,
-    )
-    return state, rng
+def start(objective, space, n, seed, iterations=10, predator_mode="global-best"):
+    """A started bbo run on ``objective``, which also counts the ``n``
+    initial evaluations."""
+    cfg = RunConfig(algorithm="bbo", population=n, iterations=iterations, seed=seed, predator_mode=predator_mode)
+    return bbo.BBO.start(cfg, objective, space)
 
 
 class TestIteration:
     def test_two_evaluations_per_agent(self):
         space = small_space(3)
-        state, rng = make_state(space, 5, seed=11)
         counter = CheckedObjective(sphere, space)
-        bbo.bbo_iteration(state, counter, space, rng)
-        assert counter.n == 10
-        bbo.bbo_iteration(state, counter, space, rng)
-        assert counter.n == 20
+        group = start(counter, space, 5, seed=11)
+        assert counter.n == 5
+        group.advance()
+        assert counter.n == 5 + 10
+        group.advance()
+        assert counter.n == 5 + 20
 
     def test_best_never_worsens(self):
         space = small_space(4)
-        state, rng = make_state(space, 6, seed=5, iterations=50)
-        counter = CheckedObjective(sphere, space)
-        previous = state.population.best.fitness
+        group = start(CheckedObjective(sphere, space), space, 6, seed=5, iterations=50)
+        previous = group.best_f[0]
         for _ in range(50):
-            bbo.bbo_iteration(state, counter, space, rng)
-            current = state.population.best.fitness
+            group.advance()
+            current = group.best_f[0]
             assert current <= previous
             previous = current
 
@@ -115,40 +97,40 @@ class TestIteration:
         space = small_space(2)
         pop = Population([Agent(np.zeros(2), 0.0) for _ in range(4)])
         update_best(pop)
-        state = bbo.BBOState(
-            population=pop,
-            chaos=kernels.make_chaos("tent", 0.4),
-            max_iterations=5,
-        )
-        bbo.bbo_iteration(state, sphere, space, RandomStream(2))
-        assert state.population.best.fitness == 0.0
+        cfg = RunConfig(algorithm="bbo", population=4, iterations=5, seed=2)
+        group = hand_group(bbo.BBO, cfg, pop, sphere, space)
+        group.advance()
+        assert group.best_f[0] == 0.0
 
     def test_random_agent_predator_mode_runs(self):
         space = small_space(2)
-        state, rng = make_state(space, 4, seed=9, predator_mode="random-agent")
         counter = CheckedObjective(sphere, space)
-        bbo.bbo_iteration(state, counter, space, rng)
-        assert counter.n == 8
+        group = start(counter, space, 4, seed=9, predator_mode="random-agent")
+        group.advance()
+        assert counter.n == 4 + 8
 
     def test_refuses_to_run_past_the_end(self):
         space = small_space(2)
-        state, rng = make_state(space, 3, seed=1, iterations=1)
-        bbo.bbo_iteration(state, sphere, space, rng)
+        group = start(sphere, space, 3, seed=1, iterations=1)
+        group.advance()
         with pytest.raises(ConfigurationError):
-            bbo.bbo_iteration(state, sphere, space, rng)
+            group.advance()
 
     def test_nan_objective_candidates_are_rejected(self):
         space = small_space(2)
-        state, rng = make_state(space, 3, seed=8)
         calls = {"n": 0}
 
         def sometimes_nan(x):
             calls["n"] += 1
-            return float("nan") if calls["n"] % 2 == 0 else sphere(x)
+            # finite on the 3 initial evaluations, then NaN on every other
+            # call of the step
+            return float("nan") if calls["n"] > 3 and (calls["n"] - 3) % 2 == 0 else sphere(x)
 
-        bbo.bbo_iteration(state, sometimes_nan, space, rng)
-        for agent in state.population.agents:
-            assert np.isfinite(agent.fitness)
+        group = start(sometimes_nan, space, 3, seed=8)
+        group.advance()
+        assert calls["n"] == 3 + 6
+        for value in group.fitness[0]:
+            assert np.isfinite(value)
 
 
 class TestRun:

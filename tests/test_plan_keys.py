@@ -1,9 +1,12 @@
 """The plan file's keys: ``show-defaults`` output and the unknown-key hint,
-pinned byte for byte, every key's parse round trip, and the plans under
-``tools/plans``."""
+pinned byte for byte, every key's parse round trip, the plans under
+``tools/plans`` and the host class ``tools/bench_pairs.py`` reports."""
 
+import importlib.util
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from beetleopt.cli import main as cli_main
@@ -90,3 +93,14 @@ def test_the_referee_plans_are_found():
 def test_every_referee_plan_parses(path):
     # each plan states its own shape, so none of them is the default plan
     assert parse_config(path.read_text()) != ExperimentPlan()
+
+
+def test_bench_pairs_reports_the_host_class():
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    host = bench_pairs.host()
+    assert host["numpy"] == np.__version__
+    assert host["libc"] == list(platform.libc_ver())
+    assert isinstance(host["cpu_features"], list) and all(isinstance(name, str) for name in host["cpu_features"])

@@ -8,20 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beetleopt as bo
-from beetleopt import core
 from beetleopt.benchmarks import BENCHMARKS
-from beetleopt.baselines import PSO, PSOState, pso_step
+from beetleopt.baselines import PSO
 from beetleopt.core import (
     CallEvaluator,
     ContractViolation,
     RandomStream,
     RunConfig,
-    initialize_population,
     prepare_run,
-    update_best,
 )
-
-from conftest import StubStream
 
 # A draw taken outside a reservation: a scalar (None) or a block of that size.
 outside_draws = st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=4)
@@ -148,18 +143,6 @@ def test_settling_after_taking_too_few_slots_raises():
         stream.settle()
 
 
-def test_a_scripted_source_gives_the_same_parts():
-    values = [float(v) for v in range(1, 16)]
-    out = np.empty(15)
-    core.reserve_into(StubStream(values), out, 3, (1, 3), lead=3)
-    lead_block, rows = out[:3], out[3:].reshape(3, 4)
-    first, second = rows[:, :1], rows[:, 1:]
-    assert lead_block.tolist() == values[:3]
-    assert first.tolist() == [[4.0], [8.0], [12.0]]
-    assert second.tolist() == [values[4:7], values[8:11], values[12:15]]
-    core.settle(StubStream([]))
-
-
 class EvaluateOnly:
     """Benchmark-spec proxy with only ``space`` and ``evaluate``, like a
     timing wrapper; ``draws(call)`` extra draws are taken per evaluation."""
@@ -234,26 +217,6 @@ def test_a_call_evaluator_measures_its_gap_on_its_first_call():
     for _ in range(3):
         plain(x)
     assert (plain.n, plain.gap) == (3, 0)
-
-
-def test_a_public_step_refuses_an_unmeasured_noisy_proxy():
-    # a public step makes no initial evaluations to measure a proxy's draws
-    # on, so the proxy of f7 is refused rather than given a wrong step; f7's
-    # spec states its draws and steps
-    f7 = BENCHMARKS["f7"]
-
-    def step(objective):
-        rng = RandomStream(3)
-        pop = initialize_population(f7.space(), 5, rng)
-        for agent in pop.agents:
-            agent.fitness = f7.evaluate(agent.position, rng)
-        update_best(pop)
-        state = PSOState(pop, [np.zeros(f7.dim) for _ in pop.agents], [a.copy() for a in pop.agents], 10)
-        return pso_step(state, objective, f7.space(), rng)
-
-    assert step(f7).iteration == 1
-    with pytest.raises(ContractViolation):
-        step(EvaluateOnly(f7))
 
 
 POPULATION = 4

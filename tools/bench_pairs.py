@@ -21,7 +21,12 @@ each side (first side alternating), each in a fresh interpreter that imports
 that side's ``src``.  It prints each side's median and quartile wall times
 (and writes them to ``--out`` if given), and exits with status 1 if the two
 sides' artifact trees differ in any file name or byte in any pair.
-Standard library only.
+
+Either report has a top-level ``host`` block naming the host class whose
+bits the runs produced: the NumPy version, its enabled CPU dispatch targets
+and the C library.  Golden bits differ between, say, NumPy's AVX2 and
+AVX-512 loops.  Standard library only; the block is read by a child of the
+running interpreter, which imports NumPy.
 """
 
 import argparse
@@ -89,6 +94,27 @@ def run_plan(tree, plan, out, jobs):
     if proc.returncode != 0:
         raise RuntimeError(f"beetleopt run failed in {tree} (exit {proc.returncode}): {proc.stderr.strip()}")
     return seconds
+
+
+#: print the host class as JSON: NumPy's version and enabled dispatch targets, and the C library
+_HOST = """
+import json, platform, numpy
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+print(json.dumps({
+    "numpy": numpy.__version__,
+    "cpu_features": [name for name, enabled in __cpu_features__.items() if enabled],
+    "libc": list(platform.libc_ver()),
+}))
+"""
+
+
+def host():
+    """The host class of this interpreter (see ``_HOST``)."""
+    proc = subprocess.run([sys.executable, "-c", _HOST], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def tree_bytes(root):
@@ -184,7 +210,7 @@ def main(argv=None):
             report, ok = plan_pairs(args, trees, scratch)
         else:
             report, ok = workload_pairs(args, trees), True
-    report.update(parent=parent_sha, change="working tree")
+    report.update(parent=parent_sha, change="working tree", host=host())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
