@@ -6,10 +6,8 @@ from .baselines import run_bto, run_cdo, run_gsa, run_gwo, run_pso, run_sso
 from .bbo import bbo_run
 from .benchmarks import BENCHMARKS, BenchmarkSpec, known_optimum
 from .core import (
-    Agent,
     ConfigurationError,
     ContractViolation,
-    Population,
     RandomStream,
     RunConfig,
     SearchSpace,
@@ -21,13 +19,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "Agent",
     "BENCHMARKS",
     "BenchmarkSpec",
     "ConfigurationError",
     "ContractViolation",
     "ExperimentPlan",
-    "Population",
     "RandomStream",
     "RunConfig",
     "RunRecord",

@@ -35,7 +35,6 @@ from . import kernels
 from .core import (
     Algorithm,
     Array,
-    ConfigurationError,
     Group,
     RunConfig,
     bound_position,
@@ -316,10 +315,6 @@ run_gwo = GWO.run
 
 def cdo_walk_speed(iteration: int, max_iterations: int) -> float:
     """Walking speed decaying linearly from 3 to 0 across the run."""
-    if max_iterations < 1:
-        raise ConfigurationError("max_iterations must be >= 1")
-    if not 0 <= iteration <= max_iterations:
-        raise ConfigurationError(f"iteration must be in [0, {max_iterations}], got {iteration}")
     return 3.0 - iteration * (3.0 / max_iterations)
 
 
@@ -394,10 +389,6 @@ run_cdo = CDO.run
 
 def bto_zone(iteration: int, max_iterations: int) -> float:
     """Force-zone coefficient interpolating between the log area extremes."""
-    if max_iterations < 1:
-        raise ConfigurationError("max_iterations must be >= 1")
-    if not 0 <= iteration <= max_iterations:
-        raise ConfigurationError(f"iteration must be in [0, {max_iterations}], got {iteration}")
     return BTO_AREA_MIN + iteration * (BTO_AREA_MAX - BTO_AREA_MIN) / max_iterations
 
 

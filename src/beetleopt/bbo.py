@@ -30,7 +30,6 @@ from .core import (
     Algorithm,
     Array,
     Group,
-    RunConfig,
     by_agent,
     index_from_uniform,
     signs_from_uniform,
@@ -167,12 +166,5 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
     return np.array(kept), kept_f
 
 
-def _bbo_init(g: Group, config: RunConfig) -> None:
-    """Seed each run's chaos trajectory (:func:`kernels.seed_chaos`) and set
-    its predator mode."""
-    kernels.seed_chaos(g, config)
-    g.predator_mode = config.predator_mode
-
-
-BBO = Algorithm("bbo", 2, _bbo_init, _bbo_step)
+BBO = Algorithm("bbo", 2, kernels.seed_chaos, _bbo_step)
 bbo_run = BBO.run

@@ -1,13 +1,15 @@
 """Population machinery shared by every optimizer in the package.
 
-A run owns a :class:`SearchSpace`, a :class:`Population` of agents and a
-single seeded :class:`RandomStream`.  Optimizers consume the stream in a
-fixed, documented order (agent-major, dimension-minor), which is what makes
-two runs with the same :class:`RunConfig` reproduce each other bit for bit.
+A run owns a :class:`SearchSpace`, the positions and values of its agents
+(its row of a :class:`Group`) and a single seeded :class:`RandomStream`.
+Optimizers consume the stream in a fixed, documented order (agent-major,
+dimension-minor), which is what makes two runs with the same
+:class:`RunConfig` reproduce each other bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -61,38 +63,18 @@ class RandomStream:
 
     @property
     def draws(self) -> int:
-        """Values drawn through :meth:`uniform`, :meth:`sign` and :meth:`index`."""
+        """Values drawn through :meth:`uniform`."""
         return self._draws
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        """Uniform draw(s) in ``[low, high)``; ``low``/``high`` may be arrays
-        matching ``size``, bounding each draw of a block separately.
+    def uniform(self, size=None):
+        """Uniform draw(s) in [0, 1).
 
         ``Generator.random(k)`` yields the same doubles as ``k`` scalar draws,
         so one block draw consumes the stream exactly like ``k`` scalar calls.
-        The unit range returns the raw draws, which ``0.0 + 1.0 * u`` would
-        reproduce bit for bit.
         """
         u = self._gen.random(size)
         self._draws += 1 if size is None else u.size
-        if isinstance(low, float) and isinstance(high, float) and low == 0.0 and high == 1.0:
-            return u
-        return low + (high - low) * u
-
-    def sign(self, size=None):
-        """Random sign(s): +1.0 where the underlying uniform is < 0.5, else -1.0."""
-        u = self._gen.random(size)
-        self._draws += 1 if size is None else u.size
-        if size is None:
-            return 1.0 if u < 0.5 else -1.0
-        return signs_from_uniform(u)
-
-    def index(self, n: int) -> int:
-        """Uniform integer in ``[0, n)`` from a single [0, 1) draw."""
-        if n <= 0:
-            raise ConfigurationError("index() needs n >= 1")
-        self._draws += 1
-        return index_from_uniform(self._gen.random(), n)
+        return u
 
     def reserve(self, rows: int, widths, lead: int = 0, gap: int = 0) -> list:
         """Draw ``lead`` values, then ``rows`` rows, as one block.
@@ -209,12 +191,12 @@ class _NoiseSlots:
 
 
 def signs_from_uniform(u: Array) -> Array:
-    """+1.0 where a [0, 1) draw is < 0.5, else -1.0 (``RandomStream.sign``)."""
+    """+1.0 where a [0, 1) draw is < 0.5, else -1.0."""
     return np.where(u < 0.5, 1.0, -1.0)
 
 
 def index_from_uniform(u: float, n: int) -> int:
-    """Integer in ``[0, n)`` from one [0, 1) draw (``RandomStream.index``)."""
+    """Integer in ``[0, n)`` from one [0, 1) draw."""
     return min(int(u * n), n - 1)
 
 
@@ -252,42 +234,6 @@ class SearchSpace:
 
 
 @dataclass
-class Agent:
-    """One candidate solution: a position and its cached objective value.
-
-    ``fitness is None`` marks a position that has not been evaluated (or was
-    just mutated); every evaluation sets it exactly once.
-    """
-
-    position: Array
-    fitness: Optional[float] = None
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
-
-    def copy(self) -> "Agent":
-        return Agent(self.position.copy(), self.fitness)
-
-
-@dataclass
-class Population:
-    """Fixed-size set of agents plus the best solution seen so far."""
-
-    agents: list
-    best: Optional[Agent] = None
-
-    def __len__(self) -> int:
-        return len(self.agents)
-
-    def positions(self) -> Array:
-        return np.stack([a.position for a in self.agents])
-
-    def fitness_values(self) -> Array:
-        return np.array([a.fitness for a in self.agents], dtype=float)
-
-
-@dataclass
 class RunConfig:
     """Everything needed to reproduce one optimizer run."""
 
@@ -313,19 +259,18 @@ class RunConfig:
             raise ConfigurationError(f"unknown predator mode {self.predator_mode!r}")
 
 
-def initialize_population(space: SearchSpace, n: int, rng: RandomStream) -> Population:
-    """Draw ``n`` agents uniformly inside the box.
+def initialize_population(space: SearchSpace, n: int, rng: RandomStream) -> Array:
+    """The positions ``(n, dim)`` of ``n`` agents drawn uniformly inside the box.
 
     Each component is ``lower + u * (upper - lower)`` with an independent
     uniform ``u``; agents consume the stream in index order, dimensions
-    within an agent in ascending order.  Fitness starts unset.
+    within an agent in ascending order.
     """
     if n < 1:
         raise ConfigurationError("population size must be >= 1")
     # one block of n * dim draws is the agent-major sequence of n draws of dim
     u = rng.uniform(size=n * space.dim).reshape(n, space.dim)
-    positions = space.lower + u * space.width
-    return Population(agents=[Agent(p) for p in positions], best=None)
+    return space.lower + u * space.width
 
 
 def clamp_to_bounds(position: Array, space: SearchSpace, mode: str = "clamp") -> Array:
@@ -368,41 +313,10 @@ def bound_position(x: Array, lower: Array, upper: Array, mode: str) -> Array:
     return np.minimum(clamped, upper, out=clamped)
 
 
-def update_best(pop: Population) -> Population:
-    """Refresh the best-so-far agent; it never worsens.  NaN ranks after
-    every other value (:func:`nan_last`), so the leader is NaN only when
-    every value is."""
-    if not pop.agents:
-        raise ConfigurationError("cannot track the best of an empty population")
-    for agent in pop.agents:
-        if not agent.evaluated:
-            raise ContractViolation("update_best needs every agent evaluated")
-    leader = min(pop.agents, key=lambda a: nan_last(a.fitness))
-    if pop.best is None or leader.fitness < pop.best.fitness:
-        pop.best = leader.copy()
-    return pop
-
-
 def nan_last(value: float) -> tuple:
     """Sort key ranking NaN after every other value, NaNs among themselves
     in the order given."""
     return (value != value, value)
-
-
-def prepare_run(algorithm: Algorithm, config: RunConfig, objective, space: Optional[SearchSpace]):
-    """Common run prologue: the stream, the run's evaluator of ``objective``
-    (:func:`bind`) and the initial population, evaluated as one block, as
-    ``(space, rng, evaluator, population)``."""
-    algorithm.check_population(config.population)
-    rng = RandomStream(config.seed)
-    evaluator, space = bind(objective, rng, space)
-    if space is None:
-        raise ConfigurationError("a search space is required for a plain objective")
-    pop = initialize_population(space, config.population, rng)
-    for agent, value in zip(pop.agents, evaluator.block(pop.positions())):
-        agent.fitness = value
-    update_best(pop)
-    return space, rng, evaluator, pop
 
 
 def bind(objective, rng: RandomStream, space: Optional[SearchSpace] = None) -> tuple:
@@ -472,7 +386,7 @@ class CallEvaluator:
 
 
 class Group:
-    """R prepared runs of one algorithm and one dimension, stepped in lockstep.
+    """R runs of one algorithm and one dimension, stepped in lockstep.
 
     Agent positions live in one C-contiguous ``(R, N, dim)`` array ``x`` and
     the best-so-far positions in ``best_x`` ``(R, dim)``, so a step's vector
@@ -489,15 +403,30 @@ class Group:
     ``best_f``): a step proposes, and may say how a chunk is evaluated.  A
     step sets and reads further per-algorithm state on the group
     (``velocities``, ``leaders`` ...).
+
+    The constructor is the one place a run's state is created.  It takes,
+    per run, a stream, an evaluator, a space, the ``(N, dim)`` positions
+    ``x`` and their evaluated ``fitness`` (:func:`start_group` draws and
+    evaluates them; a hand-built group may set any).  It reads the run
+    settings from ``config``, takes each run's first least value as its
+    best-so-far (NaN last, :func:`nan_last`, so it is NaN only when every
+    value is) and calls ``algorithm.init``, which may draw from the streams.
     """
 
-    def __init__(self, rngs, objectives, spaces, populations):
+    def __init__(self, algorithm: Algorithm, config: RunConfig, rngs, evaluators, spaces, x, fitness):
+        self.algorithm = algorithm
+        self.iteration = 0
+        self.max_iterations = config.iterations
+        self.bound_mode = config.bound_mode
+        self.predator_mode = config.predator_mode
+        self.chaos_map = config.chaos_map
         self.rngs = list(rngs)
-        self.objectives = list(objectives)
-        self.x = np.array([pop.positions() for pop in populations])
-        self.fitness = [[agent.fitness for agent in pop.agents] for pop in populations]
-        self.best_x = np.array([pop.best.position for pop in populations])
-        self.best_f = [pop.best.fitness for pop in populations]
+        self.objectives = list(evaluators)
+        self.x = np.array(x, dtype=float)
+        self.fitness = [list(values) for values in fitness]
+        best = [min(range(len(values)), key=lambda i: nan_last(values[i])) for values in self.fitness]
+        self.best_x = self.x[range(len(best)), best]
+        self.best_f = [values[i] for values, i in zip(self.fitness, best)]
         self.lower = np.array([space.lower for space in spaces])
         self.upper = np.array([space.upper for space in spaces])
         self.width = self.upper - self.lower
@@ -507,6 +436,7 @@ class Group:
         #: (``owners``, one per run) share one ``function``; a run whose
         #: evaluator has none is a segment of its own
         self.segments = _segments(self.objectives)
+        algorithm.init(self, config)
 
     @property
     def n(self) -> int:
@@ -674,11 +604,11 @@ def by_agent(block: Array) -> list:
 @dataclass(frozen=True)
 class Algorithm:
     """One optimizer, as every run of it reads it: its ``id``, the smallest
-    population it runs with, ``init(group, config)``, which sets its state
-    on a group of prepared runs, and ``step(group)``, which moves every run
-    of the group through one iteration, inside :meth:`Group.advance`.  Its
-    public surface is :meth:`run` and :meth:`start`, each for a group of
-    one run."""
+    population it runs with, ``init(group, config)``, which the
+    :class:`Group` constructor calls to set its state on the group, and
+    ``step(group)``, which moves every run of the group through one
+    iteration, inside :meth:`Group.advance`.  Its public surface is
+    :meth:`run` and :meth:`start`, each for a group of one run."""
 
     id: str
     min_population: int
@@ -708,28 +638,33 @@ def start_group(algorithm: Algorithm, configs, objectives, spaces) -> Group:
     """The group of runs of ``algorithm``, one per config, before its first
     iteration.
 
-    Every run gets its own :func:`prepare_run`, then the algorithm's
-    ``init`` sets its state on the group.  The configs must name
+    Each run binds its evaluator (:func:`bind`) to its own stream, draws its
+    initial positions (:func:`initialize_population`) and evaluates them as
+    one block; the :class:`Group` constructor then takes the runs'
+    best-so-far and calls the algorithm's ``init``.  The configs must name
     ``algorithm`` and differ only in benchmark and seed, and the spaces
     share one dimension.
     """
     for c in configs:
         if c.algorithm != algorithm.id:
             raise ConfigurationError(f"a {c.algorithm!r} config cannot run as {algorithm.id!r}")
-    if len({(c.population, c.iterations, c.bound_mode, c.predator_mode, c.chaos_map) for c in configs}) > 1:
+    settings = [dataclasses.replace(c, benchmark=None, seed=0) for c in configs]
+    if any(other != settings[0] for other in settings):
         raise ContractViolation("a group's runs must share every setting but benchmark and seed")
     config = configs[0]
-    prepared = [prepare_run(algorithm, c, o, s) for c, o, s in zip(configs, objectives, spaces)]
-    if len({space.dim for space, *_ in prepared}) > 1:
+    algorithm.check_population(config.population)
+    runs = []
+    for c, objective, space in zip(configs, objectives, spaces):
+        rng = RandomStream(c.seed)
+        evaluator, space = bind(objective, rng, space)
+        if space is None:
+            raise ConfigurationError("a search space is required for a plain objective")
+        positions = initialize_population(space, config.population, rng)
+        runs.append((rng, evaluator, space, positions, evaluator.block(positions)))
+    rngs, evaluators, spaces, x, fitness = zip(*runs)
+    if len({space.dim for space in spaces}) > 1:
         raise ContractViolation("a group's runs must share one dimension")
-    spaces, rngs, evaluators, populations = zip(*prepared)
-    group = Group(rngs, evaluators, spaces, populations)
-    group.algorithm = algorithm
-    group.iteration = 0
-    group.max_iterations = config.iterations
-    group.bound_mode = config.bound_mode
-    algorithm.init(group, config)
-    return group
+    return Group(algorithm, config, rngs, evaluators, spaces, x, fitness)
 
 
 def drive(algorithm: Algorithm, configs, objectives, spaces) -> list:

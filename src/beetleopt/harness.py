@@ -62,9 +62,9 @@ class ExperimentPlan:
     runs: int = DEFAULT_RUNS
     population: int = DEFAULT_POPULATION
     iterations: int = DEFAULT_ITERATIONS
-    chaos_map: str = "tent"
-    predator_mode: str = "global-best"
-    bound_mode: str = "clamp"
+    chaos_map: str = RunConfig.chaos_map
+    predator_mode: str = RunConfig.predator_mode
+    bound_mode: str = RunConfig.bound_mode
     rank_statistic: str = "best"
     base_seed: int = 1
     out_dir: str = "results"

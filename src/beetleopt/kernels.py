@@ -171,8 +171,7 @@ def make_chaos(map_id: str, initial: float) -> ChaosState:
 def seed_chaos(group, config) -> None:
     """Seed each run of a group with a chaos trajectory of
     ``config.chaos_map`` from one draw of its own stream, taken right after
-    the ``N`` initial evaluations: bto's ``init``, and part of bbo's."""
-    group.chaos_map = config.chaos_map
+    the ``N`` initial evaluations: the ``init`` of bto and bbo."""
     group.chaos = [make_chaos(config.chaos_map, rng.uniform()).value for rng in group.rngs]
 
 

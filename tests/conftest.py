@@ -20,7 +20,7 @@ class StubStream:
             raise AssertionError("stub stream exhausted")
         return self._values.pop(0)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
+    def uniform(self, size=None):
         if size is None:
             return self._pop()
         return np.array([self._pop() for _ in range(int(size))])
@@ -32,19 +32,14 @@ class StubStream:
         pass
 
 
-def hand_group(algorithm, config, population, objective, space, rng=None):
-    """A group of one run of ``algorithm`` from a hand-set, evaluated
-    ``population``, its state set by the algorithm's ``init``, ready for
-    ``config.iterations`` advances.  ``rng`` (by default the config's seeded
-    stream) may be a :class:`StubStream`."""
+def hand_group(algorithm, config, x, fitness, objective, space, rng=None):
+    """A group of one run of ``algorithm`` whose agents sit at the hand-set
+    positions ``x`` ``(N, dim)`` with the values ``fitness``, its state set
+    by the algorithm's ``init``, ready for ``config.iterations`` advances.
+    ``rng`` (by default the config's seeded stream) may be a
+    :class:`StubStream`."""
     rng = RandomStream(config.seed) if rng is None else rng
-    group = Group([rng], [bind(objective, rng, space)[0]], [space], [population])
-    group.algorithm = algorithm
-    group.iteration = 0
-    group.max_iterations = config.iterations
-    group.bound_mode = config.bound_mode
-    algorithm.init(group, config)
-    return group
+    return Group(algorithm, config, [rng], [bind(objective, rng, space)[0]], [space], [x], [fitness])
 
 
 class CheckedObjective:

@@ -4,15 +4,7 @@ import pytest
 import beetleopt.bbo as bbo
 from beetleopt import kernels
 from beetleopt.benchmarks import BENCHMARKS, sphere
-from beetleopt.core import (
-    Agent,
-    ConfigurationError,
-    Population,
-    RandomStream,
-    RunConfig,
-    SearchSpace,
-    update_best,
-)
+from beetleopt.core import ConfigurationError, RandomStream, RunConfig, SearchSpace
 
 from conftest import CheckedObjective, hand_group
 
@@ -95,10 +87,8 @@ class TestIteration:
 
     def test_identical_population_at_optimum_stays(self):
         space = small_space(2)
-        pop = Population([Agent(np.zeros(2), 0.0) for _ in range(4)])
-        update_best(pop)
         cfg = RunConfig(algorithm="bbo", population=4, iterations=5, seed=2)
-        group = hand_group(bbo.BBO, cfg, pop, sphere, space)
+        group = hand_group(bbo.BBO, cfg, np.zeros((4, 2)), [0.0] * 4, sphere, space)
         group.advance()
         assert group.best_f[0] == 0.0
 

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from beetleopt.baselines import PSO
 from beetleopt.core import (
-    Agent,
+    CallEvaluator,
     ConfigurationError,
-    ContractViolation,
-    Population,
+    Group,
     RandomStream,
     RunConfig,
     SearchSpace,
     clamp_to_bounds,
     initialize_population,
-    update_best,
 )
 
 from conftest import StubStream
@@ -50,45 +49,33 @@ class TestRandomStream:
         rng = RandomStream(0)
         draws = rng.uniform(size=10_000)
         assert np.all(draws >= 0.0) and np.all(draws < 1.0)
-        bounded = rng.uniform(7.0, 14.0, size=10_000)
-        assert np.all(bounded >= 7.0) and np.all(bounded < 14.0)
-
-    def test_sign_values(self):
-        rng = RandomStream(1)
-        signs = rng.sign(size=1000)
-        assert set(np.unique(signs)) == {-1.0, 1.0}
-
-    def test_index_range(self):
-        rng = RandomStream(2)
-        assert all(0 <= rng.index(7) < 7 for _ in range(1000))
 
 
 class TestInitializePopulation:
     def test_zero_draw_sits_on_lower_bound(self):
         space = cube()
         stub = StubStream([0.0] * 4)
-        pop = initialize_population(space, 2, stub)
-        for agent in pop.agents:
-            assert np.array_equal(agent.position, space.lower)
-            assert not agent.evaluated
-        assert pop.best is None
+        x = initialize_population(space, 2, stub)
+        assert x.shape == (2, 2)
+        for position in x:
+            assert np.array_equal(position, space.lower)
 
     def test_unit_draw_sits_on_upper_bound(self):
         space = cube()
         stub = StubStream([1.0] * 2)
-        pop = initialize_population(space, 1, stub)
-        assert np.array_equal(pop.agents[0].position, space.upper)
+        x = initialize_population(space, 1, stub)
+        assert np.array_equal(x[0], space.upper)
 
     def test_half_draw_hits_midpoint(self):
         space = cube(1, -100.0, 100.0)
-        pop = initialize_population(space, 1, StubStream([0.5]))
-        assert pop.agents[0].position[0] == 0.0
+        x = initialize_population(space, 1, StubStream([0.5]))
+        assert x[0, 0] == 0.0
 
     def test_positions_inside_box(self):
         space = cube(5, -3.0, 7.0)
-        pop = initialize_population(space, 20, RandomStream(9))
-        for agent in pop.agents:
-            assert space.contains(agent.position)
+        x = initialize_population(space, 20, RandomStream(9))
+        for position in x:
+            assert space.contains(position)
 
     def test_rejects_empty_population(self):
         with pytest.raises(ConfigurationError):
@@ -131,42 +118,44 @@ class TestClampToBounds:
             clamp_to_bounds(np.zeros(2), cube(), "wrap")
 
 
-class TestUpdateBest:
+def hand_built(fitness, **settings):
+    """A group of pso runs built by its constructor, one run per entry of
+    ``fitness``, agent ``i`` of run ``r`` at the 1-dim position
+    ``N * r + i``; ``settings`` go to the config."""
+    runs, n = len(fitness), len(fitness[0])
+    x = np.arange(float(runs * n)).reshape(runs, n, 1)
+    config = RunConfig(algorithm="pso", population=n, iterations=7, **settings)
+    return Group(PSO, config, [None] * runs, [CallEvaluator(abs)] * runs, [cube(1)] * runs, x, fitness)
+
+
+class TestGroupBest:
     def test_first_pass_takes_minimum(self):
-        pop = Population([Agent(np.zeros(1), f) for f in (3.0, 1.0, 2.0)])
-        update_best(pop)
-        assert pop.best.fitness == 1.0
+        g = hand_built([(3.0, 1.0, 2.0)])
+        assert g.best_f == [1.0] and g.best_x.tolist() == [[1.0]]
 
-    def test_best_never_worsens(self):
-        pop = Population([Agent(np.zeros(1), 1.0)])
-        update_best(pop)
-        pop.agents[0].fitness = 0.5
-        update_best(pop)
-        assert pop.best.fitness == 0.5
-        pop.agents[0].fitness = 1.0
-        update_best(pop)
-        assert pop.best.fitness == 0.5
+    def test_the_first_of_tied_values_leads(self):
+        g = hand_built([(2.0, 1.0, 1.0), (0.5, 0.5, 0.5)])
+        assert g.best_f == [1.0, 0.5] and g.best_x.tolist() == [[1.0], [3.0]]
 
-    def test_improvement_is_taken(self):
-        pop = Population([Agent(np.zeros(1), 2.0)])
-        update_best(pop)
-        pop.agents[0] = Agent(np.ones(1), 1.0)
-        update_best(pop)
-        assert pop.best.fitness == 1.0
+    def test_nan_ranks_after_every_value(self):
+        g = hand_built([(math.nan, 2.0, math.nan, math.inf), (math.nan, math.inf, 3.0, math.nan)])
+        assert g.best_f == [2.0, 3.0] and g.best_x.tolist() == [[1.0], [6.0]]
+
+    def test_a_run_whose_every_value_is_nan_leads_with_agent_0(self):
+        g = hand_built([(math.nan,) * 3, (math.nan, -1.0, math.nan)])
+        assert math.isnan(g.best_f[0]) and g.best_f[1] == -1.0
+        assert g.best_x.tolist() == [[0.0], [4.0]]
 
     def test_best_is_a_snapshot(self):
-        pop = Population([Agent(np.zeros(2), 1.0)])
-        update_best(pop)
-        pop.agents[0].position[0] = 99.0
-        assert pop.best.position[0] == 0.0
+        g = hand_built([(1.0, 2.0)])
+        g.x[0, 0, 0] = 99.0
+        assert g.best_x[0, 0] == 0.0
 
-    def test_empty_population(self):
-        with pytest.raises(ConfigurationError):
-            update_best(Population([]))
-
-    def test_unevaluated_agent(self):
-        with pytest.raises(ContractViolation):
-            update_best(Population([Agent(np.zeros(1))]))
+    def test_the_config_sets_the_run_settings_and_init_runs(self):
+        g = hand_built([(1.0, 2.0)], bound_mode="reflect", predator_mode="random-agent", chaos_map="circle")
+        assert (g.algorithm, g.iteration, g.max_iterations) == (PSO, 0, 7)
+        assert (g.bound_mode, g.predator_mode, g.chaos_map) == ("reflect", "random-agent", "circle")
+        assert g.fitness == [[1.0, 2.0]] and g.velocities.shape == (1, 2, 1)
 
 
 class TestRunConfig:
@@ -330,17 +319,16 @@ class TestInitializePopulationBlock:
     def test_matches_the_per_agent_loop(self, dim, n):
         space = SearchSpace(dim, np.linspace(-3.0, -1.0, dim), np.linspace(2.0, 9.0, dim))
         block_stream, loop_stream = RandomStream(41), RandomStream(41)
-        pop = initialize_population(space, n, block_stream)
+        x = initialize_population(space, n, block_stream)
         want = [space.lower + loop_stream.uniform(size=dim) * space.width for _ in range(n)]
-        assert len(pop) == n
-        for agent, position in zip(pop.agents, want):
-            assert agent.position.tobytes() == position.tobytes()
-            assert agent.fitness is None
+        assert x.shape == (n, dim)
+        for position, expected in zip(x, want):
+            assert position.tobytes() == expected.tobytes()
         # both streams consumed the same draws
         assert block_stream.uniform() == loop_stream.uniform()
 
     def test_agents_own_separate_rows(self):
-        pop = initialize_population(cube(3), 4, RandomStream(2))
-        before = pop.agents[1].position.copy()
-        pop.agents[0].position[:] = 0.0
-        assert np.array_equal(pop.agents[1].position, before)
+        x = initialize_population(cube(3), 4, RandomStream(2))
+        before = x[1].copy()
+        x[0] = 0.0
+        assert np.array_equal(x[1], before)

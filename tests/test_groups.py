@@ -17,7 +17,7 @@ import beetleopt as bo
 from beetleopt import baselines, benchmarks, harness
 from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
 from beetleopt.cli import main as cli_main
-from beetleopt.core import Agent, CallEvaluator, Group, Population, RunConfig, drive, prepare_run
+from beetleopt.core import CallEvaluator, ContractViolation, Group, RunConfig, drive, start_group
 
 #: registry functions by dimension (f7, the noisy one, is among the 30s)
 BY_DIM = {}
@@ -210,10 +210,10 @@ def test_a_nan_first_agent_does_not_become_the_best(algorithm):
     # finite, and the least of them is the best, which a run then improves
     spec = SLABS["nan-slab"]
     config = RunConfig(algorithm=algorithm, benchmark="nan-slab", population=16, iterations=20, seed=1)
-    *_, pop = prepare_run(harness.ENTRIES[algorithm], config, spec, None)
-    values = pop.fitness_values()
+    group = harness.ENTRIES[algorithm].start(config, spec)
+    values = np.array(group.fitness[0])
     assert math.isnan(values[0]) and np.isfinite(values).sum() == 7
-    assert pop.best.fitness == np.nanmin(values)
+    assert group.best_f[0] == np.nanmin(values)
     record = bo.ALGORITHMS[algorithm](config, spec)
     assert np.all(np.isfinite(record.trace))
     assert record.trace[0] <= np.nanmin(values)
@@ -223,15 +223,26 @@ def test_a_nan_agent_ranks_after_every_leader():
     # seed 9 has NaN among the initial values; the leaders are the three
     # least of the others, best first
     config = RunConfig(algorithm="gwo", benchmark="nan-slab", population=16, iterations=1, seed=9)
-    space, rng, counter, pop = prepare_run(baselines.GWO, config, SLABS["nan-slab"], None)
-    group = Group([rng], [counter], [space], [pop])
-    baselines.GWO.init(group, config)
-    values = pop.fitness_values()
+    group = baselines.GWO.start(config, SLABS["nan-slab"])
+    values = np.array(group.fitness[0])
     assert np.isnan(values).any()
     least = np.argsort(np.where(np.isnan(values), np.inf, values), kind="stable")[:3]
     assert group.leaders_f[0] == values[least].tolist()
-    assert np.array_equal(group.leaders[0], pop.positions()[least])
+    assert np.array_equal(group.leaders[0], group.x[0][least])
     assert baselines._best_three([math.nan, 2.0, math.nan, 1.0, math.inf]) == [3, 1, 4]
+
+
+def test_a_group_refuses_runs_that_differ_in_any_setting_but_benchmark_and_seed():
+    base = RunConfig(algorithm="pso", benchmark="f1", population=4, iterations=2, seed=1)
+    other = dataclasses.replace(base, benchmark="f2", seed=2)
+    assert start_group(baselines.PSO, [base, other], [BENCHMARKS["f1"], BENCHMARKS["f2"]], [None, None]).n == 4
+    changes = dict(population=5, iterations=3, chaos_map="circle", predator_mode="random-agent", bound_mode="reflect")
+    # every other field of a config is a setting the runs must share
+    assert set(changes) == {f.name for f in dataclasses.fields(RunConfig)} - {"algorithm", "benchmark", "seed"}
+    for field, value in changes.items():
+        configs = [base, dataclasses.replace(base, **{field: value})]
+        with pytest.raises(ContractViolation, match="share every setting"):
+            start_group(baselines.PSO, configs, [BENCHMARKS["f1"]] * 2, [None, None])
 
 
 def _two_runs(values):
@@ -240,12 +251,10 @@ def _two_runs(values):
     objectives return ``values`` in call order, run 0 first."""
     script = iter(values)
     space = bo.SearchSpace.cube(2, -100.0, 100.0)
-    populations = []
-    for r in range(2):
-        agents = [Agent(np.array([float(r), float(i)]), f) for i, f in enumerate((5.0, 3.0, 4.0))]
-        populations.append(Population(agents, agents[1].copy()))
+    positions = [[[float(r), float(i)] for i in range(3)] for r in range(2)]
     evaluators = [CallEvaluator(lambda x: next(script)) for _ in range(2)]
-    return Group([None, None], evaluators, [space, space], populations)
+    config = RunConfig(algorithm="pso", population=3, iterations=1)
+    return Group(baselines.PSO, config, [None, None], evaluators, [space, space], positions, [(5.0, 3.0, 4.0)] * 2)
 
 
 ROWS = np.array([[10.0, 11.0], [20.0, 21.0]])

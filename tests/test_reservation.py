@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 import beetleopt as bo
 from beetleopt.benchmarks import BENCHMARKS
 from beetleopt.baselines import PSO
-from beetleopt.core import (
-    CallEvaluator,
-    ContractViolation,
-    RandomStream,
-    RunConfig,
-    prepare_run,
-)
+from beetleopt.core import CallEvaluator, ContractViolation, RandomStream, RunConfig
 
 # A draw taken outside a reservation: a scalar (None) or a block of that size.
 outside_draws = st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=4)
@@ -164,8 +158,7 @@ class EvaluateOnly:
 
 def _gap(objective):
     config = RunConfig(algorithm="pso", population=4, iterations=1, seed=0)
-    _, _, evaluator, _ = prepare_run(PSO, config, objective, None)
-    return evaluator.gap
+    return PSO.start(config, objective).objectives[0].gap
 
 
 @pytest.mark.parametrize("fid", sorted(BENCHMARKS, key=lambda f: int(f[1:])))
@@ -179,8 +172,7 @@ def test_measured_gap_of_every_registry_function(fid):
 def test_a_plain_callable_takes_no_draws():
     spec = BENCHMARKS["f1"]
     config = RunConfig(algorithm="pso", population=4, iterations=1, seed=0)
-    _, _, evaluator, _ = prepare_run(PSO, config, spec.evaluator, spec.space())
-    assert evaluator.gap == 0
+    assert PSO.start(config, spec.evaluator, spec.space()).objectives[0].gap == 0
 
 
 def _drawing(stream, counts):
