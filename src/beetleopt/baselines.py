@@ -105,16 +105,16 @@ def _leaders_init(g: Group, config: RunConfig) -> None:
 def _insert_leader(g: Group, r: int, i: int, value: float) -> None:
     """Shift-insert agent ``i`` of run ``r`` into its leaders, so they stay
     the three best evaluations seen, and count a change in the run's
-    ``leader_changes``."""
+    ``leader_changes``.  Leaders rank NaN last; a NaN one reads as +inf."""
     rank = g.leaders_f[r]
-    if value < rank[0]:
-        k = 0
-    elif value < rank[1]:
-        k = 1
-    elif value < rank[2]:
-        k = 2
-    else:
+    if not (value < rank[2] or rank[2] != rank[2] and value < math.inf):
         return
+    if value < rank[0] or rank[0] != rank[0]:
+        k = 0
+    elif value < rank[1] or rank[1] != rank[1]:
+        k = 1
+    else:
+        k = 2
     rank[k + 1 :] = rank[k:2]
     rank[k] = value
     leaders = g.leaders[r]
@@ -125,9 +125,9 @@ def _insert_leader(g: Group, r: int, i: int, value: float) -> None:
 
 def _leader_cut(g: Group, r: int) -> float:
     """The value below which an agent of run ``r`` changes one of its leaders
-    or its best-so-far: the largest of them, NaN aside (no value is below
-    NaN, and with all of them NaN none is below the cut)."""
-    return max((v for v in (*g.leaders_f[r], g.best_f[r]) if v == v), default=-math.inf)
+    or its best-so-far: the largest of them, NaN above all (a NaN cut reads
+    as +inf)."""
+    return max((*g.leaders_f[r], g.best_f[r]), key=nan_last)
 
 
 def _chunks_pay(changes, n: int) -> bool:
@@ -191,6 +191,22 @@ def _update_personal(g: Group) -> None:
     g.personal_best[better] = g.x[better]
 
 
+def _velocity_sweep(g: Group, memory: Array, social: Array) -> None:
+    """pso's and sso's move: sweep every agent to ``x + v`` (bounded), with
+    ``v = memory + social * (best_x - x)`` from its run's live best-so-far
+    (``memory``, ``social``: ``(R, N, ...)``), then update personal bests."""
+
+    def propose(r: int, start: int) -> Array:
+        x = g.x[r, start:]
+        v = memory[r, start:] + social[r, start:] * (g.best_x[r] - x)
+        # an agent proposed again overwrites this with its committed velocity
+        g.velocities[r, start:] = v
+        return g.bound_run(r, x + v)
+
+    g.sweep(propose)
+    _update_personal(g)
+
+
 # --- particle swarm ---------------------------------------------------------
 
 
@@ -198,11 +214,6 @@ def _pso_memory(inertia: float, velocity: Array, r1: Array, personal_best: Array
     """Inertia plus cognitive pull, the part of a velocity that does not read
     the live global best; rows of agents or one agent alike."""
     return inertia * velocity + PSO_COGNITIVE * r1 * (personal_best - position)
-
-
-def _pso_social(memory: Array, r2: Array, global_best: Array, position: Array) -> Array:
-    """Add the social pull toward the global best to :func:`_pso_memory`."""
-    return memory + PSO_SOCIAL * r2 * (global_best - position)
 
 
 def _pso_step(g: Group) -> None:
@@ -213,17 +224,7 @@ def _pso_step(g: Group) -> None:
     # per agent, one r1 draw per dimension, then one r2 draw per dimension
     (u,) = g.reserve((2 * dim,))
     memory = _pso_memory(inertia, g.velocities, u[..., :dim], g.personal_best, g.x)
-    social = u[..., dim:]
-
-    def propose(r: int, start: int) -> Array:
-        x = g.x[r, start:]
-        v = _pso_social(memory[r, start:], social[r, start:], g.best_x[r], x)
-        # an agent proposed again overwrites this with its committed velocity
-        g.velocities[r, start:] = v
-        return g.bound_run(r, x + v)
-
-    g.sweep(propose)
-    _update_personal(g)
+    _velocity_sweep(g, memory, PSO_SOCIAL * u[..., dim:])
 
 
 PSO = Algorithm("pso", 2, _personal_init, _pso_step)
@@ -254,16 +255,7 @@ def _sso_memory(draws: Array, velocity: Array, personal_best: Array, position: A
 def _sso_step(g: Group) -> None:
     (u,) = g.reserve((len(_SSO_DRAW_RANGES),))
     draws = _SSO_DRAW_LOW + _SSO_DRAW_SPAN * u
-    memory, social = _sso_memory(draws, g.velocities, g.personal_best, g.x)
-
-    def propose(r: int, start: int) -> Array:
-        x = g.x[r, start:]
-        v = memory[r, start:] + social[r, start:] * (g.best_x[r] - x)
-        g.velocities[r, start:] = v
-        return g.bound_run(r, x + v)
-
-    g.sweep(propose)
-    _update_personal(g)
+    _velocity_sweep(g, *_sso_memory(draws, g.velocities, g.personal_best, g.x))
 
 
 SSO = Algorithm("sso", 2, _personal_init, _sso_step)

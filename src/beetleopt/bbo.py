@@ -123,9 +123,10 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
     """:meth:`~beetleopt.core.Group.sweep`'s ``evaluate`` for a chunk of run
     ``r`` from agent ``start``: both phases of each agent, the defense
     ``proposals`` and then the escape by ``hops`` from the position kept,
-    each kept only if its value is finite and strictly lower.  Returns the
-    positions and values kept, up to and including the first agent whose
-    value is below ``below``, and counts 2 evaluations per agent returned.
+    each kept only if its value is finite and lower than the value held (or
+    that is NaN).  Returns the positions and values kept, up to and
+    including the first agent whose value is below ``below``, and counts 2
+    evaluations per agent returned.
 
     A speculative evaluator evaluates both phases of the whole chunk as two
     blocks, the escapes from the speculated defense acceptances.  Any other
@@ -135,14 +136,14 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
     x, held, hops = g.x[r, start:], g.fitness[r][start:], hops[r, start:]
     if objective.speculative:
         held = np.array(held)
-        # each agent evaluates its defense, then its escape
+        # each agent evaluates its defense, then its escape (``>=`` is false vs NaN)
         values = objective.speculate(proposals, 0, 2)
-        took = np.isfinite(values) & (values < held)
+        took = np.isfinite(values) & ~(values >= held)
         kept = np.where(took[:, None], proposals, x)
         kept_f = np.where(took, values, held)
         escapes = g.bound_run(r, kept + hops)
         values = objective.speculate(escapes, 1, 2)
-        fled = np.isfinite(values) & (values < kept_f)
+        fled = np.isfinite(values) & ~(values >= kept_f)
         kept = np.where(fled[:, None], escapes, kept)
         kept_f = np.where(fled, values, kept_f)
         improved = kept_f < below
@@ -153,11 +154,11 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
     kept, kept_f = [], []
     for proposal, position, value, hop in zip(proposals, x, held, hops):
         defended = objective(proposal)
-        if math.isfinite(defended) and defended < value:
+        if math.isfinite(defended) and not defended >= value:
             position, value = proposal, defended
         escape = g.bound_run(r, position + hop)
         fled = objective(escape)
-        if math.isfinite(fled) and fled < value:
+        if math.isfinite(fled) and not fled >= value:
             position, value = escape, fled
         kept.append(position)
         kept_f.append(value)

@@ -5,9 +5,8 @@ All functions are minimization problems.  f1-f7 are unimodal, f8-f13
 high-dimensional multimodal, f14-f23 fixed-dimension multimodal.  f7 adds
 uniform noise per evaluation, drawn from the owning run's stream.
 
-``REPORTED_OPTIMA`` keeps the rounded target values commonly quoted for
-these functions; ``known_optimum`` returns the sharper value obtained by
-evaluating each function at its recorded argmin.
+``known_optimum`` returns the value of each function at its recorded
+argmin.
 
 Each function is written once over ``(..., dim)`` and reduces along the
 last axis: the public function takes one 1-D float vector and returns a
@@ -556,23 +555,6 @@ BENCHMARKS = {
             [4.000746533, 4.000592935, 3.999663397, 3.999509801],
         ),
     ]
-}
-
-#: Rounded optima as commonly quoted for this suite.  A stray "-1.15044"
-#: circulates alongside them without matching any of the 23 functions; it is
-#: deliberately not a target here (f13's optimum is 0).
-REPORTED_OPTIMA = {
-    "f8": -12569.5,
-    "f14": 0.998,
-    "f15": 0.0003075,
-    "f16": -1.0316,
-    "f17": 0.398,
-    "f18": 3.0,
-    "f19": -3.86,
-    "f20": -3.32,
-    "f21": -10.2,
-    "f22": -10.4,
-    "f23": -10.5,
 }
 
 

@@ -45,12 +45,12 @@ class RandomStream:
     determinism contract: same seed, same sequence of calls, same numbers.
     :attr:`draws` counts the values drawn so far.
 
-    An optimizer iteration takes all its draws at once with :meth:`reserve`.
-    A noisy objective draws from the same stream during the iteration; the
-    reservation sets aside ``gap`` slots after each segment of a row for
-    those draws, in the order they would have come from the generator.  The
-    run's evaluator states ``gap`` or measures it (:func:`bind`); the stream
-    knows nothing of evaluators.
+    An optimizer iteration takes all its draws at once with
+    :meth:`reserve_into`.  A noisy objective draws from the same stream
+    during the iteration; the reservation sets aside ``gap`` slots after each
+    segment of a row for those draws, in the order they would have come from
+    the generator.  The run's evaluator states ``gap`` or measures it
+    (:func:`bind`); the stream knows nothing of evaluators.
     """
 
     def __init__(self, seed: int):
@@ -76,28 +76,16 @@ class RandomStream:
         self._draws += 1 if size is None else u.size
         return u
 
-    def reserve(self, rows: int, widths, lead: int = 0, gap: int = 0) -> list:
-        """Draw ``lead`` values, then ``rows`` rows, as one block.
-
-        A row holds one segment per entry of ``widths``, each followed by
-        ``gap`` noise slots: ``[widths[0] | gap | widths[1] | gap ...]``, the
-        order in which an agent draws a segment and then evaluates.  Returns
-        the ``lead`` values (when ``lead > 0``), then one ``(rows, width)``
-        array per segment.  Until :meth:`settle`, every draw from this stream
+    def reserve_into(self, out: Array, rows: int, widths, lead: int = 0, gap: int = 0) -> None:
+        """Draw ``lead`` values, then ``rows`` rows, as one block into
+        ``out``, a C-contiguous vector laid out as ``[lead | row | row ...]``
+        (:func:`_split_reservation` splits it).  A row holds one segment per
+        entry of ``widths``, each followed by ``gap`` noise slots, the order
+        in which an agent draws a segment and then evaluates; ``out`` holds
+        the segments only.  Until :meth:`settle`, every draw from this stream
         takes the next noise slot, so the objective's draws get the values
         the generator would have given them, and a draw past the last slot
-        raises.
-        """
-        out = np.empty(lead + rows * sum(widths))
-        self.reserve_into(out, rows, widths, lead, gap)
-        return _split_reservation(out, rows, widths, lead)
-
-    def reserve_into(self, out: Array, rows: int, widths, lead: int = 0, gap: int = 0) -> None:
-        """:meth:`reserve`, writing the draws it returns into ``out``, a
-        C-contiguous float vector of ``lead + rows * sum(widths)`` values laid
-        out as ``[lead | row | row ...]`` without the noise slots.  Without
-        noise slots the generator fills ``out`` itself, with the doubles
-        ``random(size)`` would give."""
+        raises."""
         if self._gen is not self._generator:
             raise ContractViolation("the previous reservation was not settled")
         noise = []
@@ -455,7 +443,7 @@ class Group:
         return bound_position(rows, self.lower[r], self.upper[r], self.bound_mode)
 
     def reserve(self, widths, lead: int = 0) -> list:
-        """Each run's :meth:`RandomStream.reserve` with its evaluator's
+        """Each run's :meth:`RandomStream.reserve_into` with its evaluator's
         ``gap``, drawn into its row of one block: ``(R, lead)`` and ``(R, N,
         width)`` views of it, part by part.  :meth:`advance` settles them."""
         block = np.empty((len(self.rngs), lead + self.n * sum(widths)))
@@ -489,21 +477,26 @@ class Group:
     def move(self, i: int, rows: Array, greedy: bool = False) -> list:
         """Evaluate each run's row of ``rows`` as agent ``i``'s move and
         return the values.  The row replaces the agent outright, or with
-        ``greedy`` only when its value is finite and strictly lower than the
+        ``greedy`` only when its value is finite and improves on the
         agent's.  The agent then becomes the best-so-far if it improves on
-        it."""
+        it.  A value improves on a held one when it is less, or when the
+        held one is NaN and it is below +inf.  An agent that keeps its value
+        was already weighed against the best-so-far."""
         agents = self.at[i]
         values = self.shared_values(rows)
         if not greedy:
             agents[...] = rows
+        best_f = self.best_f
         for r, (value, fitness) in enumerate(zip(values, self.fitness)):
-            if not greedy:
-                fitness[i] = value
-            elif math.isfinite(value) and value < fitness[i]:
+            if greedy:
+                # ``>=`` is false against a NaN held value
+                if not math.isfinite(value) or value >= fitness[i]:
+                    continue
                 agents[r] = rows[r]
-                fitness[i] = value
-            if fitness[i] < self.best_f[r]:
-                self.best_f[r] = fitness[i]
+            fitness[i] = value
+            best = best_f[r]
+            if value < best or best != best and value < math.inf:
+                best_f[r] = value
                 self.best_x[r] = agents[r]
         return values
 
@@ -512,7 +505,7 @@ class Group:
         evaluate each segment's agents as one block (each run's rows in
         agent order) and track the best-so-far in agent order."""
         self.x[...] = moved
-        n = self.n
+        n, best_f = self.n, self.best_f
         for start, stop, owners in self.segments:
             rows = moved[start:stop].reshape(-1, self.dim)
             values = owners[0].block(rows, [owner for owner in owners for _ in range(n)])
@@ -520,8 +513,9 @@ class Group:
                 fitness = self.fitness[r]
                 fitness[:] = values[(r - start) * n : (r - start + 1) * n]
                 for i, value in enumerate(fitness):
-                    if value < self.best_f[r]:
-                        self.best_f[r] = value
+                    best = best_f[r]
+                    if value < best or best != best and value < math.inf:
+                        best_f[r] = value
                         self.best_x[r] = moved[r, i]
 
     def sweep(self, propose, cut=None, committed=None, evaluate=None) -> None:
@@ -536,21 +530,26 @@ class Group:
         none is): by default each proposal as it is (:meth:`_commit_prefix`).
         ``below`` is the run's cut, ``cut(r)``: by default its best-so-far,
         and never below it, so that only the last agent committed can
-        improve the best.  Those agents are committed, ``committed(r, i,
-        value)`` sees the last, and the agents after it are proposed again
-        from the new state.
+        improve the best.  A NaN cut reads as +inf, as a NaN best does for
+        :meth:`move`.  Those agents are committed, ``committed(r, i, value)``
+        sees the last, and the agents after it are proposed again from the
+        new state.
         """
         evaluate = evaluate or self._commit_prefix
         n = self.n
         for r, (x, fitness) in enumerate(zip(self.x, self.fitness)):
             start = 0
             while start < n:
-                rows, values = evaluate(r, start, propose(r, start), self.best_f[r] if cut is None else cut(r))
+                below = self.best_f[r] if cut is None else cut(r)
+                if below != below:
+                    below = math.inf
+                rows, values = evaluate(r, start, propose(r, start), below)
                 stop = start + len(values)
                 x[start:stop] = rows
                 fitness[start:stop] = values
-                if values[-1] < self.best_f[r]:
-                    self.best_f[r] = values[-1]
+                value, best = values[-1], self.best_f[r]
+                if value < best or best != best and value < math.inf:
+                    self.best_f[r] = value
                     self.best_x[r] = x[stop - 1]
                 if committed is not None:
                     committed(r, stop - 1, values[-1])

@@ -255,24 +255,23 @@ def chaos_next(state: ChaosState) -> ChaosState:
     return ChaosState(state.map_id, chaos_step(state.map_id)(state.value), state.steps + 1)
 
 
-def spray(chaos_value: float, iteration: int, max_iterations: int, exponent_sign: float = 1.0) -> float:
+def spray(chaos_value: float, iteration: int, max_iterations: int) -> float:
     """Spray magnitude ``|chaos| * 2.7**(100 * iteration / max_iterations)``.
 
     The result is a positive divisor for the defense update, floored at
-    ``SPRAY_FLOOR``.  ``exponent_sign`` flips the schedule from growth to
-    decay; growth is the default.
+    ``SPRAY_FLOOR``.
     """
     if max_iterations < 1:
         raise ConfigurationError("max_iterations must be >= 1")
     if not 1 <= iteration <= max_iterations:
         raise ConfigurationError(f"iteration must be in [1, {max_iterations}], got {iteration}")
-    return spray_divisor(chaos_value, spray_growth(iteration, max_iterations, exponent_sign))
+    return spray_divisor(chaos_value, spray_growth(iteration, max_iterations))
 
 
-def spray_growth(iteration: int, max_iterations: int, exponent_sign: float = 1.0) -> float:
+def spray_growth(iteration: int, max_iterations: int) -> float:
     """The schedule factor ``2.7**(100 * iteration / max_iterations)`` of :func:`spray`,
     shared by every agent of one iteration."""
-    return SPRAY_BASE ** (exponent_sign * SPRAY_EXPONENT_SCALE * iteration / max_iterations)
+    return SPRAY_BASE ** (SPRAY_EXPONENT_SCALE * iteration / max_iterations)
 
 
 def spray_divisor(chaos_value: float, growth: float) -> float:
@@ -280,31 +279,9 @@ def spray_divisor(chaos_value: float, growth: float) -> float:
     return max(abs(chaos_value) * growth, SPRAY_FLOOR)
 
 
-@dataclass(frozen=True)
-class LiftParams:
-    """Flapping-flight inputs: lift coefficient, air density, wing velocity
-    and effective wing area, each drawn uniform [0, 1] per update."""
-
-    coefficient: float
-    air_density: float
-    velocity: float
-    wing_area: float
-
-    def __post_init__(self):
-        for name in ("coefficient", "air_density", "velocity", "wing_area"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
-
-
-def lift(p: LiftParams) -> float:
-    """Lift magnitude ``LC * 0.5 * rho * V**2 * A``."""
-    return lift_magnitude(p.coefficient, p.air_density, p.velocity, p.wing_area)
-
-
 def lift_magnitude(coefficient: float, air_density: float, velocity: float, wing_area: float) -> float:
-    """Unchecked core of :func:`lift` for inputs known to be finite and >= 0."""
+    """Lift magnitude ``LC * 0.5 * rho * V**2 * A`` of the flapping-flight
+    inputs, each drawn uniform [0, 1] per update."""
     return coefficient * 0.5 * air_density * velocity ** 2 * wing_area
 
 

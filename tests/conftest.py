@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beetleopt.core import Group, RandomStream, SearchSpace, bind
+from beetleopt.core import Group, RandomStream, SearchSpace, _split_reservation, bind
 
 
 class StubStream:
@@ -30,6 +30,14 @@ class StubStream:
 
     def settle(self):
         pass
+
+
+def reserve(stream, rows, widths, lead=0, gap=0):
+    """One stream's reservation as :meth:`Group.reserve` draws it: into a
+    block of its own, returned as its parts."""
+    block = np.empty(lead + rows * sum(widths))
+    stream.reserve_into(block, rows, widths, lead, gap)
+    return _split_reservation(block, rows, widths, lead)
 
 
 def hand_group(algorithm, config, x, fitness, objective, space, rng=None):

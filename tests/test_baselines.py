@@ -24,12 +24,12 @@ def space2():
 
 
 def pso_velocity(velocity, position, personal_best, global_best, inertia, draws):
-    """One agent's velocity from pso's group kernels, ``draws`` holding its
-    r1 draws, then its r2 draws."""
+    """One agent's velocity: pso's memory kernel plus its social pull toward
+    the global best, ``draws`` holding its r1 draws, then its r2 draws."""
     dim = position.size
     r1, r2 = np.array(draws[:dim]), np.array(draws[dim:])
     memory = bl._pso_memory(inertia, velocity, r1, personal_best, position)
-    return bl._pso_social(memory, r2, global_best, position)
+    return memory + bl.PSO_SOCIAL * r2 * (global_best - position)
 
 
 class TestPSOVelocity:

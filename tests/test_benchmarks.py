@@ -5,7 +5,7 @@ from beetleopt import benchmarks
 from beetleopt.benchmarks import BENCHMARKS, evaluate, known_optimum, penalty_u
 from beetleopt.core import RandomStream
 
-from conftest import StubStream
+from conftest import StubStream, reserve
 
 ALL_IDS = [f"f{i}" for i in range(1, 24)]
 
@@ -402,7 +402,7 @@ class TestBlocks:
         block_stream, row_stream = RandomStream(5), RandomStream(5)
         bound, single = BENCHMARKS["f7"].bind(block_stream), BENCHMARKS["f7"].bind(row_stream)
         for stream in (block_stream, row_stream):
-            stream.reserve(len(rows), (2,), gap=1)
+            reserve(stream, len(rows), (2,), gap=1)
         assert bound.block(rows) == [single(x) for x in rows]
         block_stream.settle()
         row_stream.settle()

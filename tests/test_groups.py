@@ -232,6 +232,59 @@ def test_a_nan_agent_ranks_after_every_leader():
     assert baselines._best_three([math.nan, 2.0, math.nan, 1.0, math.inf]) == [3, 1, 4]
 
 
+class NanFirst:
+    """A run's evaluator of the sphere that is NaN on its first ``k``
+    evaluations, in the order the run commits them.  A ``speculative`` one
+    values a block's rows by the evaluations they become if committed, so
+    chunks evaluate it as blocks.  ``values`` holds every committed value."""
+
+    gap = 0
+    function = None
+
+    def __init__(self, k: int, speculative: bool):
+        self.k = k
+        self.speculative = speculative
+        self.n = 0
+        self.values = []
+        self._pending = {}
+
+    def _value(self, x, index):
+        return math.nan if index < self.k else float(np.sum(x * x))
+
+    def __call__(self, x):
+        self.values.append(self._value(x, self.n))
+        self.n += 1
+        return self.values[-1]
+
+    def block(self, rows, owners=None):
+        return [self(row) for row in rows]
+
+    def speculate(self, rows, offset=0, stride=1):
+        indices = [self.n + offset + j * stride for j in range(len(rows))]
+        self._pending.update((i, self._value(row, i)) for i, row in zip(indices, rows))
+        return np.array([self._pending[i] for i in indices])
+
+    def commit(self, m):
+        self.values += [self._pending[i] for i in range(self.n, self.n + m)]
+        self.n += m
+        self._pending = {}
+
+
+@pytest.mark.parametrize("modes", MODE_SETS, ids=["default-modes", "other-modes"])
+@pytest.mark.parametrize("speculative", [False, True], ids=["rows", "blocks"])
+@pytest.mark.parametrize("algorithm", sorted(bo.ALGORITHMS))
+def test_a_run_whose_initial_values_are_all_nan_ends_at_its_least_finite_value(algorithm, speculative, modes):
+    # every initial value of the 6 agents is NaN and every later one finite:
+    # a later value replaces a NaN best-so-far, leader or greedy agent
+    objective = NanFirst(6, speculative)
+    config = RunConfig(algorithm=algorithm, population=6, iterations=10, seed=1, **modes)
+    record = bo.ALGORITHMS[algorithm](config, objective, bo.SearchSpace.cube(2, -100.0, 100.0))
+    per_iteration = 12 if algorithm == "bbo" else 6
+    assert record.evaluations == len(objective.values) == 6 + 10 * per_iteration
+    assert all(math.isnan(v) for v in objective.values[:6])
+    assert record.final_best == min(objective.values[6:])
+
+
 def test_a_group_refuses_runs_that_differ_in_any_setting_but_benchmark_and_seed():
     base = RunConfig(algorithm="pso", benchmark="f1", population=4, iterations=2, seed=1)
     other = dataclasses.replace(base, benchmark="f2", seed=2)
@@ -287,6 +340,19 @@ def test_an_outright_move_always_replaces_and_the_best_moves_only_below_it():
     g.move(1, ROWS)
     assert g.x[:, 1].tolist() == ROWS.tolist() and [f[1] for f in g.fitness] == [7.0, 2.5]
     assert g.best_f == [3.0, 2.5] and g.best_x.tolist() == [[0.0, 1.0], ROWS[1].tolist()]
+
+
+def test_a_nan_best_or_leader_reads_as_inf():
+    # any value below +inf replaces a NaN best-so-far; +inf and NaN do not
+    g = _two_runs((math.inf, 7.0))
+    g.best_f = [math.nan, math.nan]
+    g.move(0, ROWS)
+    assert math.isnan(g.best_f[0]) and g.best_f[1] == 7.0
+    assert g.best_x[1].tolist() == ROWS[1].tolist()
+    # a NaN leader makes the cut NaN, which a sweep reads as +inf
+    g.leaders_f = [[1.0, 2.0, math.nan], [1.0, 2.0, 3.0]]
+    g.best_f = [1.0, 1.0]
+    assert math.isnan(baselines._leader_cut(g, 0)) and baselines._leader_cut(g, 1) == 3.0
 
 
 def test_a_protocol_shaped_leader_plan_steps_in_chunks(monkeypatch):

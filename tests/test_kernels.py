@@ -10,11 +10,10 @@ from beetleopt.kernels import (
     CHAOS_MAPS,
     ChaosState,
     CirclePair,
-    LiftParams,
     chaos_next,
     circle_intersection_area,
     escape_step,
-    lift,
+    lift_magnitude,
     make_chaos,
     spray,
 )
@@ -180,14 +179,6 @@ class TestSpray:
         values = [spray(0.3, t, 100) for t in range(1, 101)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_sign_toggle_decays(self):
-        values = [spray(1.0, t, 100, exponent_sign=-1.0) for t in range(1, 101)]
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        # strictly decaying until it bottoms out on the floor
-        above_floor = [v for v in values if v > kernels.SPRAY_FLOOR]
-        assert all(b < a for a, b in zip(above_floor, above_floor[1:]))
-        assert values[-1] == kernels.SPRAY_FLOOR
-
     def test_counter_validation(self):
         with pytest.raises(ConfigurationError):
             spray(0.5, 1, 0)
@@ -199,21 +190,17 @@ class TestSpray:
 
 class TestLift:
     def test_zero_velocity(self):
-        assert lift(LiftParams(1.0, 1.0, 0.0, 1.0)) == 0.0
+        assert lift_magnitude(1.0, 1.0, 0.0, 1.0) == 0.0
 
     def test_direct_substitution(self):
-        assert lift(LiftParams(1.0, 1.0, 2.0, 1.0)) == pytest.approx(2.0)
-        assert lift(LiftParams(0.5, 0.5, 1.0, 1.0)) == pytest.approx(0.125)
+        assert lift_magnitude(1.0, 1.0, 2.0, 1.0) == pytest.approx(2.0)
+        assert lift_magnitude(0.5, 0.5, 1.0, 1.0) == pytest.approx(0.125)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             c, d, v, a = rng.random(4)
-            assert lift(LiftParams(c, d, v, a)) >= 0.0
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            LiftParams(-0.1, 1.0, 1.0, 1.0)
+            assert lift_magnitude(c, d, v, a) >= 0.0
 
 
 class TestEscapeStep:

@@ -12,6 +12,8 @@ from beetleopt.benchmarks import BENCHMARKS
 from beetleopt.baselines import PSO
 from beetleopt.core import CallEvaluator, ContractViolation, RandomStream, RunConfig
 
+from conftest import reserve
+
 # A draw taken outside a reservation: a scalar (None) or a block of that size.
 outside_draws = st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=4)
 
@@ -38,7 +40,7 @@ def test_reservation_consumes_the_scalar_draw_sequence(
     seen = []
     for size in before:
         seen += _flat(stream.uniform(size=size))
-    parts = stream.reserve(rows, widths, lead, gap=gap)
+    parts = reserve(stream, rows, widths, lead, gap=gap)
     if lead:
         seen += list(parts.pop(0))
     assert [part.shape for part in parts] == [(rows, width) for width in widths]
@@ -61,7 +63,7 @@ def test_reservation_consumes_the_scalar_draw_sequence(
 @pytest.mark.parametrize("gap", [0, 1, 2])
 def test_a_draw_beyond_the_noise_slots_raises(gap):
     stream = RandomStream(4)
-    stream.reserve(2, (3,), gap=gap)
+    reserve(stream, 2, (3,), gap=gap)
     for _ in range(2 * gap):
         stream.uniform()
     with pytest.raises(ContractViolation):
@@ -71,7 +73,7 @@ def test_a_draw_beyond_the_noise_slots_raises(gap):
 @pytest.mark.parametrize("gap", [1, 2])
 def test_unused_noise_slots_raise_on_settle(gap):
     stream = RandomStream(4)
-    stream.reserve(3, (1, 2), gap=gap)
+    reserve(stream, 3, (1, 2), gap=gap)
     for _ in range(6 * gap - 1):
         stream.uniform()
     with pytest.raises(ContractViolation):
@@ -82,11 +84,11 @@ def test_reservations_do_not_nest_and_settle_needs_one():
     stream = RandomStream(4)
     with pytest.raises(ContractViolation):
         stream.settle()
-    stream.reserve(1, (2,))
+    reserve(stream, 1, (2,))
     with pytest.raises(ContractViolation):
-        stream.reserve(1, (2,))
+        reserve(stream, 1, (2,))
     stream.settle()
-    stream.reserve(1, (2,))
+    reserve(stream, 1, (2,))
     stream.settle()
 
 
@@ -95,7 +97,7 @@ def _held(seed, rows, widths):
     and f7 bound to it."""
     stream = RandomStream(seed)
     evaluator = BENCHMARKS["f7"].bind(stream)
-    parts = stream.reserve(rows, widths, gap=1)
+    parts = reserve(stream, rows, widths, gap=1)
     return stream, evaluator, parts
 
 
@@ -198,7 +200,7 @@ def test_a_call_evaluator_measures_its_gap_on_its_first_call():
         evaluator(x)
     # three rows of two noise slots: the second call's three draws fit in
     # the slots, and the call itself is refused
-    stream.reserve(3, (1,), gap=evaluator.gap)
+    reserve(stream, 3, (1,), gap=evaluator.gap)
     evaluator(x)
     with pytest.raises(ContractViolation, match="measured 2"):
         evaluator(x)
