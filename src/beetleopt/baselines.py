@@ -130,13 +130,11 @@ def _leader_cut(g: Group, r: int) -> float:
     return max((*g.leaders_f[r], g.best_f[r]), key=nan_last)
 
 
-def _chunks_pay(changes, n: int) -> bool:
-    """Whether a leader step sweeps its runs in chunks this iteration:
-    ``changes`` are the runs' leader changes in the previous iteration (None
-    before the first), so a run is expected to take ``c + 1`` chunks, each
-    one block call; chunks pay while they total at most a quarter of the
-    ``n`` lockstep agent steps."""
-    return changes is not None and sum(changes) + len(changes) <= n // 4
+def _busy(changes: int, n: int) -> bool:
+    """Whether a run whose leaders changed ``changes`` times in the previous
+    iteration steps agent by agent in this one: its expected chunks, ``changes
+    + 1``, each one block call, exceed a quarter of its ``n`` agent steps."""
+    return changes + 1 > n // 4
 
 
 def _leaders_step(g: Group, width: int, terms, guided) -> None:
@@ -148,26 +146,34 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
     and its position, and shift-insert it into the leaders.
 
     An agent that changes no leader leaves the next agents' proposals as
-    they were.  So when few agents changed a leader in the previous
-    iteration (:func:`_chunks_pay`), the runs sweep in chunks
+    they were.  So a run whose leaders changed rarely in the previous
+    iteration (not :func:`_busy`) sweeps in chunks
     (:meth:`~beetleopt.core.Group.sweep`), each cut at its first agent that
-    changes a leader or the best-so-far; otherwise every run steps agent by
-    agent in lockstep.  Both give the same records.
+    changes a leader or the best-so-far.  A busy run steps agent by agent:
+    alone, one proposal and one evaluation per agent, when it is the only
+    busy one, and otherwise with every run of the group in lockstep, as in
+    the first iteration.  Every path gives the same records.
     """
     (u,) = g.reserve((width,))
     terms = terms(u)
     changes = g.leader_changes
     g.leader_changes = [0] * len(g.rngs)
-    if _chunks_pay(changes, g.n):
-
-        def propose(r: int, start: int) -> Array:
-            return g.bound_run(r, guided(g.leaders[r], *(t[r, start:] for t in terms), g.x[r, start:]))
-
-        g.sweep(propose, functools.partial(_leader_cut, g), functools.partial(_insert_leader, g))
-    else:
+    busy = [] if changes is None else [r for r, c in enumerate(changes) if _busy(c, g.n)]
+    if changes is None or len(busy) > 1:
         for i, (x, *agent) in enumerate(zip(g.at, *map(by_agent, terms))):
             for r, value in enumerate(g.move(i, g.bound(guided(g.leaders, *agent, x)))):
                 _insert_leader(g, r, i, value)
+        return
+
+    def propose(r: int, start: int) -> Array:
+        return g.bound_run(r, guided(g.leaders[r], *(t[r, start:] for t in terms), g.x[r, start:]))
+
+    quiet = [r for r in range(len(changes)) if r not in busy]
+    g.sweep(propose, functools.partial(_leader_cut, g), functools.partial(_insert_leader, g), runs=quiet)
+    for r in busy:
+        x, leaders = g.x[r], g.leaders[r]
+        for i, agent in enumerate(zip(*(t[r] for t in terms))):
+            _insert_leader(g, r, i, g.place(r, i, g.bound_run(r, guided(leaders, *agent, x[i]))))
 
 
 def _velocities_init(g: Group, config: RunConfig) -> None:
@@ -182,11 +188,13 @@ def _personal_init(g: Group, config: RunConfig) -> None:
 
 
 def _update_personal(g: Group) -> None:
-    """Make every agent that moved below its personal best that best.  An
-    agent moves once per iteration and nothing reads a personal best before
-    the next one, so this runs once, after the sweep."""
+    """Make every agent that moved below its personal best (or below +inf,
+    against a NaN one) that best.  An agent moves once per iteration and
+    nothing reads a personal best before the next one, so this runs once,
+    after the sweep."""
     fitness = np.array(g.fitness)
-    better = fitness < g.personal_best_f
+    # the group's rule: a NaN held value reads as +inf
+    better = fitness < np.fmin(g.personal_best_f, math.inf)
     g.personal_best_f = np.where(better, fitness, g.personal_best_f)
     g.personal_best[better] = g.x[better]
 
@@ -285,9 +293,10 @@ def _gwo_guided(leaders: Array, a_coef: Array, c_coef: Array, position: Array) -
 
 
 def _mean_of_three(terms: Array) -> Array:
-    """``(t0 + t1 + t2) / 3`` of the three rows of ``terms`` ``(..., 3, dim)``."""
-    mean = terms[..., 0, :] + terms[..., 1, :]
-    mean += terms[..., 2, :]
+    """``(t0 + t1 + t2) / 3`` of the three rows of ``terms`` ``(..., 3, dim)``:
+    reducing that axis adds the rows in order, from -0.0, which keeps the
+    first row's bits (from +0.0, three -0.0 rows would sum to +0.0)."""
+    mean = np.add.reduce(terms, -2, initial=-0.0)
     mean /= 3.0
     return mean
 
@@ -386,31 +395,33 @@ def bto_zone(iteration: int, max_iterations: int) -> float:
 
 def bto_decay(iteration: int, max_iterations: int) -> float:
     """The draw-free factor ``exp(-20 * iteration / max_iterations)`` of an
-    agent's acceleration (:func:`_bto_accelerations`)."""
+    agent's acceleration (:func:`_bto_scales`)."""
     return math.exp(-20.0 * iteration / max_iterations)
 
 
-def _bto_accelerations(draws, decay: float) -> list:
-    """Acceleration ``r * decay`` for each draw ``r``."""
-    return [r * decay for r in draws]
+def _bto_scales(chaos: Array, draws: Array, decay: float) -> Array:
+    """Each agent's pull scale ``chaos * area * acceleration`` from its chaos
+    value and its row of five draws (``(..., 1)`` and ``(..., 5)``): the
+    triangle area when prescience (the fifth draw) is above 0.5, else the
+    ring, and the acceleration ``r * decay`` of the fourth draw ``r``."""
+    area = np.where(draws[..., 4:] > 0.5, BTO_TRIANGLE_AREA, BTO_RING_AREA)
+    return chaos * area * (draws[..., 3:4] * decay)
 
 
-def _bto_force_probability(iteration: int, max_iterations: int, gforce: float) -> float:
-    """Probability of force ``1 - (t - 1/G)/(T - 1/G)``, clamped into [0, 1].
+def _bto_force_probabilities(iteration: int, max_iterations: int, gforce: Array) -> Array:
+    """Probability of force ``1 - (t - 1/G)/(T - 1/G)`` of each force ``G``,
+    clamped into [0, 1] as ``min(1, max(0, raw))``.
 
     The 1/G pole is sanitized: zero force means no pull at all, so the
-    degenerate cases collapse to probability 0.
+    degenerate cases (``G <= 0``, the pole, a non-finite raw value, NaN)
+    collapse to probability 0.
     """
-    if gforce <= 0.0:
-        return 0.0
-    inverse = 1.0 / gforce
-    denominator = max_iterations - inverse
-    if denominator == 0.0:
-        return 0.0
-    raw = 1.0 - (iteration - inverse) / denominator
-    if not math.isfinite(raw):
-        return 0.0
-    return min(1.0, max(0.0, raw))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inverse = 1.0 / gforce
+        denominator = max_iterations - inverse
+        raw = 1.0 - (iteration - inverse) / denominator
+    raw = np.where((gforce > 0.0) & (denominator != 0.0) & np.isfinite(raw), raw, 0.0)
+    return np.where(raw < 1.0, np.where(raw > 0.0, raw, 0.0), 1.0)
 
 
 def _bto_step(g: Group) -> None:
@@ -422,30 +433,19 @@ def _bto_step(g: Group) -> None:
     Prescience above 0.5 selects the triangle area (strong pull), otherwise
     the surrounding ring area; either way the position is replaced outright
     and only the best-so-far is tracked greedily.  Each agent's pull scale
-    ``chaos * area * acceleration`` and force probability read only its
-    draws, so they are worked out for all agents before the first moves.
+    and force probability read only its draws and chaos value, so they are
+    worked out for all agents as ``(R, N, 1)`` arrays before the first
+    moves.
     """
     t0 = g.iteration
     zone = bto_zone(t0, g.max_iterations)
     (u,) = g.reserve((5,))
-    next_chaos = kernels.chaos_step(g.chaos_map)
-    decay = bto_decay(t0, g.max_iterations)
-    scales = []
-    probabilities = []
-    for r, rows in enumerate(u.tolist()):
-        chaos = g.chaos[r]
-        accelerations = _bto_accelerations([row[3] for row in rows], decay)
-        for (mass_center, mass_pulled, distance, _, prescience), acceleration in zip(rows, accelerations):
-            chaos = next_chaos(chaos)
-            numerator = BTO_GRAVITATION * mass_center * mass_pulled
-            gforce = numerator / (distance * distance) if distance > 0.0 else math.inf
-            probabilities.append(_bto_force_probability(t0, g.max_iterations, gforce))
-            area = BTO_TRIANGLE_AREA if prescience > 0.5 else BTO_RING_AREA
-            scales.append(chaos * area * acceleration)
-        g.chaos[r] = chaos
-    shape = (len(g.chaos), g.n, 1)
-    scales = np.array(scales).reshape(shape)
-    probabilities = np.array(probabilities).reshape(shape)
+    scales = _bto_scales(kernels.chaos_rows(g), u, bto_decay(t0, g.max_iterations))
+    # force G * m1 * m2 / d^2, +inf at distance 0
+    distance = u[..., 2:3]
+    gforce = np.full(distance.shape, math.inf)
+    np.divide(BTO_GRAVITATION * u[..., 0:1] * u[..., 1:2], distance * distance, out=gforce, where=distance > 0.0)
+    probabilities = _bto_force_probabilities(t0, g.max_iterations, gforce)
     anchor = g.width * zone + g.lower
 
     def propose(r: int, start: int) -> Array:
@@ -463,24 +463,25 @@ run_bto = BTO.run
 
 
 def gsa_masses(fitness: Array) -> Array:
-    """Normalized masses from the finite fitness values; a flat population
-    weighs 1/N each.  A non-finite value weighs 0, and with none finite
-    every mass is 0."""
+    """Normalized masses from the finite fitness values along the last axis
+    (one population per row); a flat population weighs 1/N each.  A
+    non-finite value weighs 0, and with none finite every mass is 0."""
     finite = np.isfinite(fitness)
-    if not finite.any():
-        return np.zeros_like(fitness)
-    best_f = float(np.min(fitness[finite]))
-    worst_f = float(np.max(fitness[finite]))
-    if best_f == worst_f:
-        raw = finite.astype(float)
-    else:
-        raw = np.where(finite, (fitness - worst_f) / (best_f - worst_f), 0.0)
-    return raw / np.sum(raw)
+    best = np.minimum.reduce(np.where(finite, fitness, np.inf), -1, keepdims=True)
+    worst = np.maximum.reduce(np.where(finite, fitness, -np.inf), -1, keepdims=True)
+    # a flat row has best - worst == 0, a row with none finite +inf
+    spread = best - worst
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = (fitness - worst) / spread
+    raw = np.where(finite, np.where(spread == 0.0, 1.0, raw), 0.0)
+    total = np.add.reduce(raw, -1, keepdims=True)
+    raw /= np.where(total > 0.0, total, 1.0)
+    return raw
 
 
 def _gsa_ranking(fitness: Array) -> Array:
-    """Agent indices best first; non-finite values rank after every finite
-    one, in index order."""
+    """Agent indices best first along the last axis; non-finite values rank
+    after every finite one, in index order."""
     return np.argsort(np.where(np.isfinite(fitness), fitness, np.inf), kind="stable")
 
 
@@ -494,56 +495,68 @@ def _gsa_kbest(n: int, iteration: int, max_iterations: int) -> int:
     return max(1, int(round(n - (n - 1) * iteration / span)))
 
 
+#: Most elements one temporary of gsa's attractor sweep holds: a block of
+#: attractors is swept at once while its pulls fit (at least one attractor)
+_GSA_BLOCK = 8192
+
+
 def _gsa_step(g: Group) -> None:
     """Synchronous force/velocity/position sweep.
 
     Forces come from the k best agents of the iteration-start snapshot
     (k shrinking linearly from N to 1), with one random vector per attracting
     pair, drawn agent by agent in attractor order; then each agent draws one
-    damping vector for its velocity update and is evaluated.  The force
-    sweep runs attractor by attractor across all agents (of every run of a
-    group) at once, so each agent still sums its pulls in attractor order.
-    Nothing reads a live evaluation, so every velocity and bounded position
-    is computed before the first evaluation, and the moved population is
-    evaluated at once (:meth:`~beetleopt.core.Group.move_all`).
+    damping vector for its velocity update and is evaluated.  The ranks,
+    masses and pull rows of every run come from the group's ``(R, N)``
+    values at once, and the force sweep works out the pulls of a block of
+    attractors on all agents of every run at once, then adds them to the
+    accelerations one attractor at a time, so each agent still sums its
+    pulls in attractor order.  Nothing reads a live evaluation, so every
+    velocity and bounded position is computed before the first evaluation,
+    and the moved population is evaluated at once
+    (:meth:`~beetleopt.core.Group.move_all`).
     """
     n, dim, t0 = g.n, g.dim, g.iteration
     gravity = gsa_gravity(t0, g.max_iterations)
     kbest = _gsa_kbest(n, t0, g.max_iterations)
-    masses, attractors, rows = [], [], []
-    for fitness in g.fitness:
-        fitness = np.array(fitness, dtype=float)
-        masses.append(gsa_masses(fitness))
-        order = _gsa_ranking(fitness)[:kbest]
-        # agent i's vector for attractor k is row rows[i, k] of the pulls
-        # drawn agent by agent; an attractor pulls on every agent but itself,
-        # so it draws none for its own slot, whose row is another's (zeroed
-        # below)
-        drawn = np.ones((n, kbest), dtype=bool)
-        drawn[order, np.arange(kbest)] = False
-        rows.append(np.cumsum(drawn).reshape(n, kbest) - 1)
-        attractors.append(order)
+    fitness = np.array(g.fitness, dtype=float)
+    runs = np.arange(len(fitness))
+    attractors = _gsa_ranking(fitness)[:, :kbest]
+    # agent i's vector for attractor k is row rows[k, r, i] of run r's pulls
+    # drawn agent by agent; an attractor pulls on every agent but itself, so
+    # it draws none for its own slot, whose row is another's (zeroed below)
+    drawn = np.ones((len(runs), n, kbest), dtype=bool)
+    drawn[runs[:, None], attractors, np.arange(kbest)] = False
+    rows = (np.cumsum(drawn.reshape(len(runs), -1), 1) - 1).reshape(drawn.shape).transpose(2, 0, 1)
     flat, damping = g.reserve((dim,), lead=(n - 1) * kbest * dim)
-    # the runs' agents and masses each in one stack of rows, with the
-    # attractors' indices into them, and each run's pull rows (views of its
-    # reservation), attractor by attractor
+    # the attractors' indices into the runs' agents in one stack of rows,
+    # with their positions and masses, attractor by attractor
     x = g.x
-    runs = np.arange(len(flat))
-    pulls = flat.reshape(len(flat), -1, dim)
-    rows = np.array(rows).transpose(2, 0, 1)
-    selves = np.array(attractors).T + runs * n
+    pulls = flat.reshape(len(runs), -1, dim)
+    selves = attractors.T + runs * n
     attracting = x.reshape(-1, dim)[selves]
-    weights = np.array(masses).ravel()[selves][..., None, None]
+    weights = gsa_masses(fitness).ravel()[selves][..., None, None]
     accelerations = np.zeros_like(x)
-    for k in range(kbest):
-        offset = attracting[k][:, None] - x
+    block = max(1, _GSA_BLOCK // x.size)
+    for k in range(0, kbest, block):
+        ks = slice(k, k + block)
+        offset = attracting[ks, :, None] - x
         # the batched row products round exactly like np.linalg.norm per row
         distance = np.sqrt(offset[..., None, :] @ offset[..., :, None])[..., 0]
-        pull = pulls[runs[:, None], rows[k]] * gravity * weights[k] * offset / (distance + _GSA_EPS)
+        distance += _GSA_EPS
+        # pulls * gravity * weight * offset / (distance + eps), in place
+        pull = pulls[runs[:, None], rows[ks]]
+        pull *= gravity
+        pull *= weights[ks]
+        pull *= offset
+        pull /= distance
         # adding +0.0 leaves every sum unchanged (it starts at +0.0, so it is
         # never -0.0); this also drops a non-finite self term
-        pull.reshape(-1, dim)[selves[k]] = 0.0
-        accelerations += pull
+        pull.reshape(len(pull), -1, dim)[np.arange(len(pull))[:, None], selves[ks]] = 0.0
+        # one attractor at a time: a reduce over the block would add in
+        # another order unless one block held every attractor
+        for one in pull:
+            accelerations += one
 
     g.velocities = damping * g.velocities + accelerations
     g.move_all(bound_position(x + g.velocities, g.lower[:, None], g.upper[:, None], g.bound_mode))

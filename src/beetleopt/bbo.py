@@ -39,10 +39,10 @@ from .core import (
 HOT_WATER_VAPOR = 100.0
 
 
-def reaction_intensity(oxygen: float, benzoquinone: float) -> float:
+def reaction_intensity(oxygen, benzoquinone):
     """Reaction intensity ``100 * oxygen * p-benzoquinone`` from the two
-    drawn factors; the product rule means a missing component annuls the
-    reaction."""
+    drawn factors (or arrays of them); the product rule means a missing
+    component annuls the reaction."""
     return HOT_WATER_VAPOR * oxygen * benzoquinone
 
 
@@ -80,22 +80,12 @@ def _bbo_step(g: Group) -> None:
     random_predator = g.predator_mode != "global-best"
     defense, escape = g.reserve((6 if random_predator else 5, 4 + g.dim))
 
-    # each agent's lens area, reaction, spray divisor and predator index,
-    # and its whole escape step ``lift * width / t * signs``, run by run
-    next_chaos = kernels.chaos_step(g.chaos_map)
-    growth = kernels.spray_growth(t, g.max_iterations)
-    sprays = []
-    for r, chaos in enumerate(g.chaos):
-        for _ in range(n):
-            chaos = next_chaos(chaos)
-            sprays.append(kernels.spray_divisor(chaos, growth))
-        g.chaos[r] = chaos
-    rows = defense.reshape(-1, defense.shape[-1]).tolist()
-    shape = (len(g.chaos), n, 1)
-    sprays = np.array(sprays).reshape(shape)
-    areas = np.array([kernels.lens_area(u[0], u[1], u[2]) for u in rows]).reshape(shape)
-    reactions = np.array([reaction_intensity(u[3], u[4]) for u in rows]).reshape(shape)
-    lifts = np.array([kernels.lift_magnitude(*u) for u in escape[..., :4].reshape(-1, 4).tolist()]).reshape(shape)
+    # each agent's spray divisor, lens area, reaction and predator index,
+    # and its whole escape step ``lift * width / t * signs``, as (R, N, ...)
+    sprays = kernels.spray_divisor(kernels.chaos_rows(g), kernels.spray_growth(t, g.max_iterations))
+    areas = kernels.lens_areas(defense[..., 0:1], defense[..., 1:2], defense[..., 2:3])
+    reactions = reaction_intensity(defense[..., 3:4], defense[..., 4:5])
+    lifts = kernels.lift_magnitude(escape[..., 0:1], escape[..., 1:2], escape[..., 2:3], escape[..., 3:4])
     hops = kernels.escape_hop(lifts, g.width[:, None], t) * signs_from_uniform(escape[..., 4:])
 
     if not random_predator:
@@ -107,8 +97,8 @@ def _bbo_step(g: Group) -> None:
         g.sweep(defend, evaluate=functools.partial(_defend_and_flee, g, hops))
     else:
         # each run's predator, as an index into all runs' agents in a row
-        predators = [index_from_uniform(u[5], n) for u in rows]
-        predators = by_agent((np.array(predators) + np.arange(len(rows)) // n * n).reshape(shape[:2]))
+        runs = np.arange(len(defense))[:, None]
+        predators = by_agent(index_from_uniform(defense[..., 5], n) + runs * n)
         agents = g.x.reshape(-1, g.dim)
         sprays, areas, reactions, hops = (by_agent(a) for a in (sprays, areas, reactions, hops))
         for i, x in enumerate(g.at):

@@ -183,9 +183,10 @@ def signs_from_uniform(u: Array) -> Array:
     return np.where(u < 0.5, 1.0, -1.0)
 
 
-def index_from_uniform(u: float, n: int) -> int:
-    """Integer in ``[0, n)`` from one [0, 1) draw."""
-    return min(int(u * n), n - 1)
+def index_from_uniform(u: Array, n: int) -> Array:
+    """Integers in ``[0, n)`` from [0, 1) draws: ``min(int(u * n), n - 1)``
+    of each."""
+    return np.minimum((u * n).astype(np.intp), n - 1)
 
 
 @dataclass(frozen=True)
@@ -386,8 +387,9 @@ class Group:
     agent in lockstep (:meth:`move`, outright or under greedy selection,
     where consecutive runs whose evaluators share a function are evaluated
     by one block call of it, :meth:`shared_values`), all at once
-    (:meth:`move_all`) or run by run in chunks (:meth:`sweep`).  Only these
-    three write the runs' state (``x``, ``fitness``, ``best_x``,
+    (:meth:`move_all`), run by run in chunks (:meth:`sweep`, over every run
+    or some) or, for one run, agent by agent (:meth:`place`).  Only these
+    four write the runs' state (``x``, ``fitness``, ``best_x``,
     ``best_f``): a step proposes, and may say how a chunk is evaluated.  A
     step sets and reads further per-algorithm state on the group
     (``velocities``, ``leaders`` ...).
@@ -500,6 +502,19 @@ class Group:
                 self.best_x[r] = agents[r]
         return values
 
+    def place(self, r: int, i: int, row: Array) -> float:
+        """Evaluate ``row`` as agent ``i`` of run ``r`` alone, replace the
+        agent outright and track the best-so-far, as :meth:`move` does for
+        agent ``i`` of every run; return the value."""
+        value = self.objectives[r](row)
+        self.x[r, i] = row
+        self.fitness[r][i] = value
+        best = self.best_f[r]
+        if value < best or best != best and value < math.inf:
+            self.best_f[r] = value
+            self.best_x[r] = row
+        return value
+
     def move_all(self, moved: Array) -> None:
         """Replace every agent of every run by ``moved`` ``(R, N, dim)``,
         evaluate each segment's agents as one block (each run's rows in
@@ -518,9 +533,10 @@ class Group:
                         best_f[r] = value
                         self.best_x[r] = moved[r, i]
 
-    def sweep(self, propose, cut=None, committed=None, evaluate=None) -> None:
-        """Move every agent of every run once, in agent order, tracking the
-        best-so-far as :meth:`move` does; the one place a chunk commits.
+    def sweep(self, propose, cut=None, committed=None, evaluate=None, runs=None) -> None:
+        """Move every agent of every run (or of the runs listed in ``runs``)
+        once, in agent order, tracking the best-so-far as :meth:`move` does;
+        the one place a chunk commits.
 
         ``propose(r, start)`` returns the bounded proposals of agents
         ``start, ..., N - 1`` of run ``r`` as one ``(k, dim)`` array, made
@@ -537,7 +553,8 @@ class Group:
         """
         evaluate = evaluate or self._commit_prefix
         n = self.n
-        for r, (x, fitness) in enumerate(zip(self.x, self.fitness)):
+        for r in range(len(self.x)) if runs is None else runs:
+            x, fitness = self.x[r], self.fitness[r]
             start = 0
             while start < n:
                 below = self.best_f[r] if cut is None else cut(r)

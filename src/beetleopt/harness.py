@@ -243,9 +243,15 @@ def plan_groups(plan: ExperimentPlan) -> List[Tuple[str, list]]:
 def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for ``jobs`` requested over ``tasks`` groups.
 
-    Never more than the CPUs or the groups there are; 1 means the serial path.
+    Never more than the CPUs this process may run on (its affinity mask,
+    where the platform has one, else the CPU count) or the groups there
+    are; 1 means the serial path.
     """
-    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, tasks))
 
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmarks import _square
 from .core import Array, ConfigurationError, SearchSpace
 
 #: Base and exponent scale of the spray schedule value
@@ -43,7 +44,8 @@ class CirclePair:
 
 
 def circle_intersection_area(pair: CirclePair) -> float:
-    """Area of the lens shared by two circles.
+    """Area of the lens shared by two circles (:func:`lens_areas` of one
+    pair).
 
     Disjoint circles (``d >= R + r``) share nothing; full containment
     (``d <= |R - r|``) yields the smaller disk.  In between, each radius
@@ -51,26 +53,43 @@ def circle_intersection_area(pair: CirclePair) -> float:
     arguments and the root are clipped against rounding at the case
     boundaries.
     """
-    return lens_area(pair.radius_a, pair.radius_b, pair.distance)
+    return float(lens_areas(pair.radius_a, pair.radius_b, pair.distance))
 
 
-def lens_area(big: float, small: float, d: float) -> float:
-    """Unchecked core of :func:`circle_intersection_area` for radii and a
-    distance already known to be finite and >= 0."""
-    if d >= big + small:
-        return 0.0
-    if d <= abs(big - small):
-        return math.pi * min(big, small) ** 2
-    cos_b = (d * d + small * small - big * big) / (2.0 * d * small)
-    cos_a = (d * d + big * big - small * small) / (2.0 * d * big)
-    cos_b = max(-1.0, min(1.0, cos_b))
-    cos_a = max(-1.0, min(1.0, cos_a))
-    root = max(0.0, (-d + small + big) * (d + small - big) * (d - small + big) * (d + small + big))
-    return (
-        small * small * math.acos(cos_b)
-        + big * big * math.acos(cos_a)
-        - 0.5 * math.sqrt(root)
-    )
+def lens_areas(big, small, d) -> Array:
+    """Unchecked core of :func:`circle_intersection_area`, elementwise over
+    radii and distances given as arrays of one shape (or scalars), all
+    finite and >= 0.
+
+    Each area has the bits of the scalar formula in Python floats: the
+    arithmetic is spelled in its order, the arccos is ``math.acos`` of each
+    value and the smaller radius is squared with Python's float power
+    (:func:`~beetleopt.benchmarks._square`), because ``np.arccos`` and
+    ``x * x`` round some values differently from those.
+    """
+    shape = np.shape(d)
+    big, small, d = (np.ravel(a) for a in (big, small, d))
+    out = np.zeros(d.shape)
+    disjoint = d >= big + small
+    contained = d <= np.abs(big - small)
+    contained &= ~disjoint
+    out[contained] = math.pi * _square(np.minimum(big, small)[contained])
+    lens = ~(disjoint | contained)
+    big, small, d = big[lens], small[lens], d[lens]
+    big2, small2, d2, near = big * big, small * small, 2.0 * d, d + small
+    cos_b = (d * d + small2 - big2) / (d2 * small)
+    cos_a = (d * d + big2 - small2) / (d2 * big)
+    root = (-d + small + big) * (near - big) * (d - small + big) * (near + big)
+    acos = _acos(np.concatenate((cos_b, cos_a)))
+    out[lens] = small2 * acos[: len(d)] + big2 * acos[len(d) :] - 0.5 * np.sqrt(np.where(root > 0.0, root, 0.0))
+    return out.reshape(shape)
+
+
+def _acos(cosines: Array) -> Array:
+    """``math.acos(max(-1.0, min(1.0, c)))`` of each cosine ``c``."""
+    clipped = np.where(cosines < 1.0, cosines, 1.0)
+    clipped = np.where(clipped > -1.0, clipped, -1.0)
+    return np.array(list(map(math.acos, clipped.tolist())))
 
 
 # --- chaotic maps -----------------------------------------------------------
@@ -222,9 +241,12 @@ def gauss_mouse_step(x: float) -> float:
 
 
 def tent_step(value: float) -> float:
-    """``guard_unit(tent_map(value))`` in Python floats, the same bits."""
+    """``guard_unit(tent_map(value))`` in Python floats, the same bits.  The
+    default map's guards spell out the comparisons ``max`` and ``min``
+    make, at a third of the cost of calling them."""
     y = value / 0.7 if value < 0.7 else (10.0 / 3.0) * (1.0 - value)
-    return min(max(y, CHAOS_DOMAIN_GUARD), _UNIT_HIGH)
+    y = CHAOS_DOMAIN_GUARD if CHAOS_DOMAIN_GUARD > y else y
+    return _UNIT_HIGH if _UNIT_HIGH < y else y
 
 
 def iterative_step(x: float) -> float:
@@ -250,6 +272,22 @@ def chaos_step(map_id: str):
     return SCALAR_STEPS[fn]
 
 
+def chaos_rows(group) -> Array:
+    """Advance each run's chaos value of a group once per agent, in agent
+    order: the ``(R, N, 1)`` values, agent ``i``'s in row ``i``.  The
+    recursion is the one part of bbo's and bto's per-agent terms that
+    stays a scalar loop."""
+    step = chaos_step(group.chaos_map)
+    values = []
+    append = values.append
+    for r, value in enumerate(group.chaos):
+        for _ in range(group.n):
+            value = step(value)
+            append(value)
+        group.chaos[r] = value
+    return np.array(values).reshape(len(group.chaos), group.n, 1)
+
+
 def chaos_next(state: ChaosState) -> ChaosState:
     """Advance the map one step; the iterate stays inside its domain."""
     return ChaosState(state.map_id, chaos_step(state.map_id)(state.value), state.steps + 1)
@@ -265,7 +303,7 @@ def spray(chaos_value: float, iteration: int, max_iterations: int) -> float:
         raise ConfigurationError("max_iterations must be >= 1")
     if not 1 <= iteration <= max_iterations:
         raise ConfigurationError(f"iteration must be in [1, {max_iterations}], got {iteration}")
-    return spray_divisor(chaos_value, spray_growth(iteration, max_iterations))
+    return float(spray_divisor(chaos_value, spray_growth(iteration, max_iterations)))
 
 
 def spray_growth(iteration: int, max_iterations: int) -> float:
@@ -274,15 +312,19 @@ def spray_growth(iteration: int, max_iterations: int) -> float:
     return SPRAY_BASE ** (SPRAY_EXPONENT_SCALE * iteration / max_iterations)
 
 
-def spray_divisor(chaos_value: float, growth: float) -> float:
-    """``|chaos| * growth`` floored at ``SPRAY_FLOOR`` (see :func:`spray`)."""
-    return max(abs(chaos_value) * growth, SPRAY_FLOOR)
+def spray_divisor(chaos_value, growth: float):
+    """``|chaos| * growth`` floored at ``SPRAY_FLOOR`` (see :func:`spray`),
+    elementwise over an array of chaos values."""
+    return np.maximum(np.abs(chaos_value) * growth, SPRAY_FLOOR)
 
 
-def lift_magnitude(coefficient: float, air_density: float, velocity: float, wing_area: float) -> float:
+def lift_magnitude(coefficient, air_density, velocity, wing_area):
     """Lift magnitude ``LC * 0.5 * rho * V**2 * A`` of the flapping-flight
-    inputs, each drawn uniform [0, 1] per update."""
-    return coefficient * 0.5 * air_density * velocity ** 2 * wing_area
+    inputs, each drawn uniform [0, 1] per update, elementwise over arrays of
+    one shape.  ``V**2`` is Python's float power of each value
+    (:func:`~beetleopt.benchmarks._square`)."""
+    v = np.asarray(velocity, dtype=float)
+    return coefficient * 0.5 * air_density * _square(v.ravel()).reshape(v.shape) * wing_area
 
 
 def escape_step(lift_value: float, space: SearchSpace, iteration: int) -> Array:

@@ -200,6 +200,26 @@ class TestCDO:
         assert np.all(np.diff(record.trace) <= 0)
 
 
+def bto_acceleration(draw, decay):
+    """An agent's acceleration ``draw * decay``, read through its pull scale
+    with a chaos value that cancels the triangle area it picks."""
+    row = np.array([[0.5, 0.5, 0.5, draw, 0.9]])
+    return float(bl._bto_scales(np.array([[1.0 / bl.BTO_TRIANGLE_AREA]]), row, decay)[0, 0])
+
+
+def force_probability(iteration, max_iterations, gforce):
+    return float(bl._bto_force_probabilities(iteration, max_iterations, np.array([gforce]))[0])
+
+
+def test_mean_of_three_adds_the_rows_in_order():
+    rng = np.random.default_rng(2)
+    for shape in ((3, 30), (7, 3, 30), (2, 5, 3, 4), (3, 1)):
+        terms = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        terms.flat[::5] = -0.0
+        want = terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]
+        assert bl._mean_of_three(terms).tobytes() == (want / 3.0).tobytes()
+
+
 class TestBTO:
     def test_zone_endpoints(self):
         assert bl.bto_zone(0, 1000) == pytest.approx(math.log(500_000.0))
@@ -212,22 +232,47 @@ class TestBTO:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_acc_endpoints(self):
-        assert bl._bto_accelerations([0.77], bl.bto_decay(0, 1000)) == [pytest.approx(0.77)]
-        assert bl._bto_accelerations([1.0], bl.bto_decay(1000, 1000)) == [pytest.approx(math.exp(-20.0))]
-        assert bl._bto_accelerations([0.0], bl.bto_decay(500, 1000)) == [0.0]
+        assert bto_acceleration(0.77, bl.bto_decay(0, 1000)) == pytest.approx(0.77)
+        assert bto_acceleration(1.0, bl.bto_decay(1000, 1000)) == pytest.approx(math.exp(-20.0))
+        assert bto_acceleration(0.0, bl.bto_decay(500, 1000)) == 0.0
 
     def test_acc_monotone_decreasing_with_pinned_draw(self):
-        values = [bl._bto_accelerations([1.0], bl.bto_decay(t, 100))[0] for t in range(101)]
+        values = [bto_acceleration(1.0, bl.bto_decay(t, 100)) for t in range(101)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_force_probability_clamped(self):
-        assert 0.0 <= bl._bto_force_probability(5, 100, 1e-12) <= 1.0
-        assert bl._bto_force_probability(5, 100, 0.0) == 0.0
-        assert bl._bto_force_probability(5, 100, math.inf) == pytest.approx(0.95)
+        assert 0.0 <= force_probability(5, 100, 1e-12) <= 1.0
+        assert force_probability(5, 100, 0.0) == 0.0
+        assert force_probability(5, 100, math.inf) == pytest.approx(0.95)
         rng = np.random.default_rng(3)
         for _ in range(500):
             g = 10.0 ** rng.uniform(-12, 3)
-            assert 0.0 <= bl._bto_force_probability(17, 200, g) <= 1.0
+            assert 0.0 <= force_probability(17, 200, g) <= 1.0
+
+    def test_force_probabilities_match_the_scalar_rule(self):
+        def scalar(iteration, max_iterations, gforce):
+            if gforce <= 0.0:
+                return 0.0
+            inverse = 1.0 / gforce
+            denominator = max_iterations - inverse
+            if denominator == 0.0:
+                return 0.0
+            raw = 1.0 - (iteration - inverse) / denominator
+            if not math.isfinite(raw):
+                return 0.0
+            return min(1.0, max(0.0, raw))
+
+        rng = np.random.default_rng(11)
+        # 0, -0.0, a negative force, +inf, the 1/G pole (1/G == T), NaN,
+        # forces around the pole and a log-uniform spread
+        edges = [0.0, -0.0, -1.0, math.inf, 0.25, math.nan, 0.25 * (1 + 1e-15), 1e-300, 5e-324]
+        gforce = np.array(edges + (10.0 ** rng.uniform(-12, 3, 20_000)).tolist())
+        for iteration, max_iterations in ((0, 4), (3, 4), (5, 100), (17, 200), (200, 200)):
+            got = bl._bto_force_probabilities(iteration, max_iterations, gforce.reshape(-1, 1))
+            want = [scalar(iteration, max_iterations, g) for g in gforce.tolist()]
+            assert got.shape == (gforce.size, 1)
+            assert got.ravel().tobytes() == np.array(want).tobytes()
+        assert bl._bto_force_probabilities(3, 4, np.array([0.25]))[0] == 0.0
 
     def test_zero_products_collapse_both_branches(self):
         # acceleration draw of zero and a vanishing force probability kill
@@ -264,6 +309,36 @@ class TestGSA:
         assert masses.sum() == pytest.approx(1.0)
         assert masses[0] == masses.max()
         assert masses[2] == 0.0
+
+    def test_masses_of_a_stack_equal_each_run_alone(self):
+        # the group's (R, N) masses hold each row's masses of the per-run
+        # rule, bit for bit
+        def one_run(fitness):
+            finite = np.isfinite(fitness)
+            if not finite.any():
+                return np.zeros_like(fitness)
+            best_f = float(np.min(fitness[finite]))
+            worst_f = float(np.max(fitness[finite]))
+            if best_f == worst_f:
+                raw = finite.astype(float)
+            else:
+                raw = np.where(finite, (fitness - worst_f) / (best_f - worst_f), 0.0)
+            return raw / np.sum(raw)
+
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 8, 9, 30, 31, 130):
+            stack = rng.normal(size=(12, n)) * 10.0 ** rng.integers(-3, 4, size=(12, 1))
+            stack[0] = 3.3
+            stack[1, ::2] = -0.0
+            stack[2] = math.nan
+            stack[3, ::3] = math.inf
+            stack[4, 1::2] = math.nan
+            stack[5, : n // 2] = -math.inf
+            masses = bl.gsa_masses(stack)
+            ranking = bl._gsa_ranking(stack)
+            for row, got, order in zip(stack, masses, ranking):
+                assert got.tobytes() == one_run(row).tobytes()
+                assert order.tolist() == bl._gsa_ranking(row).tolist()
 
     def test_initial_gravity_constant(self):
         assert bl.gsa_gravity(0, 1000) == 1.0

@@ -5,6 +5,7 @@ one task per group."""
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -82,12 +83,23 @@ def _same(a, b):
     assert float(a.final_best).hex() == float(b.final_best).hex()
 
 
-#: gwo's and cdo's choice between chunks and lockstep: every iteration
-#: chunked, none, or the real rule
+def _first_run_busy(runs):
+    """A ``baselines._busy`` that holds for run 0 of a group of ``runs`` runs
+    alone: it is asked once per run, in run order, every iteration after
+    the first."""
+    calls = itertools.count()
+    return lambda changes, n: next(calls) % runs == 0
+
+
+#: gwo's and cdo's choice of path, as a ``baselines._busy`` for a group of
+#: ``runs`` runs: every run chunked after the first iteration, every run
+#: busy (lockstep, or a lone run stepping alone), run 0 busy and the others
+#: chunked, or the real rule
 LEADER_PATHS = {
-    "chunks": lambda changes, n: True,
-    "lockstep": lambda changes, n: False,
-    "rule": baselines._chunks_pay,
+    "chunks": lambda runs: lambda changes, n: False,
+    "lockstep": lambda runs: lambda changes, n: True,
+    "mixed": _first_run_busy,
+    "rule": lambda runs: baselines._busy,
 }
 
 
@@ -134,7 +146,7 @@ def test_every_record_of_a_group_equals_its_solo_run(group):
         for fid, _, seed in members
     ]
     objectives, spaces = zip(*(_objective(fid, route, specs) for fid, route, _ in members))
-    with mock.patch.object(baselines, "_chunks_pay", LEADER_PATHS[path]):
+    with mock.patch.object(baselines, "_busy", LEADER_PATHS[path](len(members))):
         records = drive(harness.ENTRIES[algorithm], configs, objectives, spaces)
     per_iteration = 2 if algorithm == "bbo" else 1
     for config, (fid, route, _), record in zip(configs, members, records):
@@ -196,12 +208,46 @@ def test_leader_steps_give_the_same_records_on_either_path(algorithm, members):
     by_path = {}
     for path, rule in LEADER_PATHS.items():
         objectives, spaces = zip(*(_objective(fid, route, specs) for fid, route, _ in members))
-        with mock.patch.object(baselines, "_chunks_pay", rule):
+        with mock.patch.object(baselines, "_busy", rule(len(members))):
             by_path[path] = drive(harness.ENTRIES[algorithm], configs, objectives, spaces)
     for records in zip(*by_path.values()):
         assert records[0].evaluations == population + population * iterations
         for other in records[1:]:
             _same(records[0], other)
+
+
+@pytest.mark.parametrize("block", [1, 2**30])
+def test_gsa_gives_the_same_records_whatever_its_attractor_blocks(block):
+    # one attractor per block or all of them in one: the pulls are added in
+    # attractor order either way, with inf and NaN values among the runs
+    specs = {**BENCHMARKS, **SLABS}
+    members = [("f9", 1), ("inf-slab", 2), ("nan-slab", 3), ("f7", 4), ("f9", 5)]
+    configs = [RunConfig(algorithm="gsa", benchmark=fid, population=12, iterations=15, seed=seed) for fid, seed in members]
+    objectives, spaces = [specs[fid] for fid, _ in members], [None] * len(members)
+    # the default block holds 8192 elements: 4 attractors of these 5 runs,
+    # so the 12 attractors of the first iteration take 3 blocks
+    assert baselines._GSA_BLOCK // (len(members) * 12 * 30) == 4
+    values = np.array(start_group(baselines.GSA, configs, objectives, spaces).fitness)
+    assert np.isinf(values[1]).any() and np.isnan(values[2]).any()
+    default = drive(baselines.GSA, configs, objectives, spaces)
+    with mock.patch.object(baselines, "_GSA_BLOCK", block):
+        patched = drive(baselines.GSA, configs, objectives, spaces)
+    for a, b in zip(default, patched):
+        _same(a, b)
+
+
+@pytest.mark.parametrize("algorithm", ["pso", "sso"])
+def test_a_nan_personal_best_gives_way_to_a_finite_value(algorithm):
+    # every initial value is NaN and every later one finite: each agent's
+    # personal best takes its first finite value, as the best-so-far does
+    objective = NanFirst(6, speculative=True)
+    config = RunConfig(algorithm=algorithm, population=6, iterations=10, seed=1)
+    group = harness.ENTRIES[algorithm].start(config, objective, bo.SearchSpace.cube(2, -100.0, 100.0))
+    assert np.isnan(group.personal_best_f).all()
+    for _ in range(10):
+        group.advance()
+    assert np.isfinite(group.personal_best_f).all() and math.isfinite(group.best_f[0])
+    assert group.best_f[0] == group.personal_best_f.min()
 
 
 @pytest.mark.parametrize("algorithm", sorted(bo.ALGORITHMS))
@@ -356,20 +402,39 @@ def test_a_nan_best_or_leader_reads_as_inf():
 
 
 def test_a_protocol_shaped_leader_plan_steps_in_chunks(monkeypatch):
-    # a rule that never picks chunks changes no record, only the speed
-    chosen = []
+    # a rule that never picks chunks changes no record, only the speed;
+    # f1's leaders change often and f9's rarely, so f9 sweeps in chunks
+    # while f1 steps alone
+    chosen, steps = [], []
+    rule, sweep, place = baselines._busy, Group.sweep, Group.place
 
     def spy(changes, n):
-        chosen.append(LEADER_PATHS["rule"](changes, n))
+        chosen.append(rule(changes, n))
         return chosen[-1]
 
-    monkeypatch.setattr(baselines, "_chunks_pay", spy)
+    def spy_sweep(self, *args, runs=None, **kwargs):
+        steps.append(("sweep", runs))
+        return sweep(self, *args, runs=runs, **kwargs)
+
+    def spy_place(self, r, i, row):
+        steps.append(("place", r, i))
+        return place(self, r, i, row)
+
+    monkeypatch.setattr(baselines, "_busy", spy)
+    monkeypatch.setattr(Group, "sweep", spy_sweep)
+    monkeypatch.setattr(Group, "place", spy_place)
     plan = harness.parse_config("algorithms = gwo cdo\nfunctions = f1 f9 f21\nruns = 1\npopulation = 30\niterations = 50\n")
     result = harness.run_experiment(plan)
     assert not result.failures and not result.fallbacks
-    # two groups (f1 f9, f21) per algorithm, 50 iterations each
-    assert len(chosen) == 2 * 2 * 50
+    # two groups (f1 f9, f21) per algorithm, three runs, asked after each
+    # of the 49 iterations after the first
+    assert len(chosen) == 2 * 3 * 49
     assert any(chosen) and not all(chosen)
+    # the mixed path: f9 (run 1) chunked, then f1 (run 0) alone, agent by agent
+    mixed = [k for k, step in enumerate(steps[:-30]) if step == ("sweep", [1])]
+    assert len(mixed) > 10
+    for k in mixed:
+        assert steps[k + 1 : k + 31] == [("place", 0, i) for i in range(30)]
 
 
 class FailOnSeed:
@@ -437,7 +502,7 @@ def test_a_group_that_falls_back_is_recorded(monkeypatch, jobs):
     monkeypatch.setattr(benchmarks, "get", get)
     if jobs > 1:
         FakePool.tasks = []
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     result = harness.run_experiment(plan, jobs=jobs)
     assert result.fallbacks == [("pso", ("f1", "f9"), "objective broke")]
@@ -565,7 +630,7 @@ def test_jobs_submit_one_task_per_algorithm_and_dimension(monkeypatch):
     plan = _plan(algorithms=("gwo", "bto"), functions=("f1", "f9", "f14", "f15", "f21"))
     serial = harness.run_experiment(plan)
     FakePool.tasks = []
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     pooled = harness.run_experiment(plan, jobs=2)
 

@@ -174,7 +174,7 @@ class TestRunExperiment:
 
 class TestWorkerCount:
     def test_bounded_by_cpus_and_tasks(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert worker_count(2, 21) == 2
         assert worker_count(64, 21) == 2
         assert worker_count(64, 1) == 1
@@ -183,7 +183,17 @@ class TestWorkerCount:
         assert worker_count(2, 0) == 1
 
     def test_unknown_cpu_count_means_serial(self, monkeypatch):
+        # without an affinity mask the CPU count caps the workers
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert worker_count(8, 21) == 1
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert worker_count(8, 21) == 2
+
+    def test_bounded_by_the_affinity_mask_not_the_cpu_count(self, monkeypatch):
+        # 8 CPUs on the machine, one of them allowed to this process
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3}, raising=False)
         assert worker_count(8, 21) == 1
 
     def test_single_worker_takes_the_serial_path(self, monkeypatch):

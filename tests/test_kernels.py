@@ -88,6 +88,63 @@ class TestCircleIntersectionArea:
             CirclePair(1.0, 1.0, math.inf)
 
 
+def scalar_lens_area(big, small, d):
+    """The lens formula in Python floats, one pair at a time."""
+    if d >= big + small:
+        return 0.0
+    if d <= abs(big - small):
+        return math.pi * min(big, small) ** 2
+    cos_b = (d * d + small * small - big * big) / (2.0 * d * small)
+    cos_a = (d * d + big * big - small * small) / (2.0 * d * big)
+    cos_b = max(-1.0, min(1.0, cos_b))
+    cos_a = max(-1.0, min(1.0, cos_a))
+    root = max(0.0, (-d + small + big) * (d + small - big) * (d - small + big) * (d + small + big))
+    return small * small * math.acos(cos_b) + big * big * math.acos(cos_a) - 0.5 * math.sqrt(root)
+
+
+class TestArrayKernels:
+    """The array kernels bbo computes its per-agent terms with give every
+    element the bits of the scalar formula in Python floats."""
+
+    def test_lens_areas_equal_the_scalar_formula(self):
+        rng = np.random.default_rng(17)
+        # bbo's [0, 1) draws, then circle pairs of other scales
+        triples = rng.random((300_000, 3))
+        triples[200_000:] *= rng.uniform(0.0, 4.0, size=(100_000, 3))
+        big, small = rng.random(2000), rng.random(2000)
+        edges = [
+            # disjoint and tangent from outside, containment and tangent
+            # from inside, a point circle, concentric and equal circles
+            *zip(big, small, big + small),
+            *zip(big, small, np.abs(big - small)),
+            *zip(big, small, np.nextafter(big + small, 0.0)),
+            *zip(big, small, np.nextafter(np.abs(big - small), 1.0)),
+            (0.0, 0.5, 0.2), (0.5, 0.0, 0.7), (0.0, 0.0, 0.0), (0.3, 0.8, 0.0),
+            (0.6, 0.6, 0.0), (0.6, 0.6, 1.2), (0.6, 0.6, 0.6), (1.0, 1.0, 1.0),
+            (0.0, 0.0, -0.0), (-0.0, 0.4, 0.1),
+        ]
+        triples = np.concatenate([triples, np.array(edges)])
+        want = np.array([scalar_lens_area(*t) for t in triples.tolist()])
+        got = kernels.lens_areas(triples[:, 0:1], triples[:, 1:2], triples[:, 2:3])
+        assert got.shape == (len(triples), 1)
+        assert got.ravel().tobytes() == want.tobytes()
+        # scalars, and the checked public kernel, take the same path
+        for t in edges:
+            assert float(kernels.lens_areas(*t)).hex() == scalar_lens_area(*t).hex()
+            assert circle_intersection_area(CirclePair(*t)).hex() == scalar_lens_area(*t).hex()
+
+    def test_lifts_and_sprays_equal_the_scalar_formulas(self):
+        rng = np.random.default_rng(19)
+        draws = rng.random((300_000, 4))
+        want = [c * 0.5 * rho * v**2 * a for c, rho, v, a in draws.tolist()]
+        got = lift_magnitude(*(draws[:, k : k + 1] for k in range(4)))
+        assert got.ravel().tobytes() == np.array(want).tobytes()
+        chaos = np.concatenate([rng.uniform(-1.0, 1.0, 100_000), [0.0, -0.0, 1e-30, -1e-30]])
+        for growth in (1.0, kernels.spray_growth(3, 7), kernels.spray_growth(1000, 1000)):
+            want = [max(abs(c) * growth, kernels.SPRAY_FLOOR) for c in chaos.tolist()]
+            assert kernels.spray_divisor(chaos, growth).tobytes() == np.array(want).tobytes()
+
+
 # Iterate sequences frozen from direct evaluation of the adopted formulas,
 # five steps from x0 = 0.7.
 CHAOS_FIXTURES = {
