@@ -36,18 +36,12 @@ _prod = np.multiply.reduce
 _max = np.maximum.reduce
 
 
-def penalty_u(z, a: float, k: float, m_exp: float):
-    """Boundary penalty: k*(|z| - a)**m_exp outside [-a, a], zero inside."""
-    z = np.asarray(z, dtype=float)
-    overshoot = np.where(z > a, z - a, np.where(z < -a, -z - a, 0.0))
-    out = k * overshoot ** m_exp
-    return float(out) if out.ndim == 0 else out
-
-
 def _overshoot(z: Array, a: float) -> Array:
-    """:func:`penalty_u`'s overshoot for a float vector, the same bits:
-    ``|z| - a`` outside [-a, a] (``|z|`` is exactly ``z`` or ``-z``), 0.0
-    inside, at the bounds and for NaN, which ``fmax`` drops."""
+    """The overshoot of the boundary penalty ``100 * overshoot**4`` of f12
+    and f13: ``|z| - a`` outside [-a, a], 0.0 inside, at the bounds and for
+    NaN, which ``fmax`` drops.  The bits are those of ``np.where(z > a, z -
+    a, np.where(z < -a, -z - a, 0.0))`` (``|z|`` is exactly ``z`` or
+    ``-z``)."""
     return np.fmax(np.abs(z) - a, 0.0)
 
 
@@ -393,7 +387,17 @@ class BenchmarkSpec:
         return np.asarray(self.argmin, dtype=float)
 
     def evaluate(self, position: Array, rng: Optional[RandomStream] = None) -> float:
-        return evaluate(self, position, rng)
+        """The value at one position, any array-like of ``dim`` floats, plus
+        the noise draw from ``rng`` where the function is noisy."""
+        x = np.asarray(position, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"{self.id} expects a vector of length {self.dim}, got shape {x.shape}")
+        value = self.evaluator(x)
+        if self.noisy:
+            if rng is None:
+                raise ValueError(f"{self.id} is noisy and needs the run's random stream")
+            value += rng.uniform()
+        return float(value)
 
     def bind(self, rng: RandomStream) -> "BoundEvaluator":
         """This function bound to one run's stream, counting its calls."""
@@ -406,11 +410,11 @@ class BoundEvaluator:
     in one call of the function, and :meth:`speculate` does so without
     counting (the evaluator protocol of :func:`beetleopt.core.bind`).
 
-    Same values and draws as :func:`evaluate`, in one Python frame: the
-    optimizers pass float64 positions they built themselves, so only the
-    shape check stays (a tuple compare) and ``np.asarray`` is skipped.  A
-    noisy function adds one ``rng.uniform()`` draw after each value, in the
-    slot :func:`evaluate` takes it.
+    Same values and draws as :meth:`BenchmarkSpec.evaluate`: the optimizers
+    pass float64 positions they built themselves, so only the shape check
+    stays (a tuple compare) and ``np.asarray`` is skipped.  A noisy function
+    adds one ``rng.uniform()`` draw after each value, in the slot
+    :meth:`BenchmarkSpec.evaluate` takes it.
     """
 
     __slots__ = ("n", "gap", "function", "_id", "_shape", "_rng")
@@ -491,19 +495,6 @@ class BoundEvaluator:
 def _row_by_row(evaluator):
     """A one-vector evaluator as a function over ``(..., dim)``."""
     return lambda z: evaluator(z) if z.ndim == 1 else np.array([evaluator(row) for row in z])
-
-
-def evaluate(spec: BenchmarkSpec, position: Array, rng: Optional[RandomStream] = None) -> float:
-    """Evaluate a registry function, adding the noise draw where required."""
-    x = np.asarray(position, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"{spec.id} expects a vector of length {spec.dim}, got shape {x.shape}")
-    value = spec.evaluator(x)
-    if spec.noisy:
-        if rng is None:
-            raise ValueError(f"{spec.id} is noisy and needs the run's random stream")
-        value += rng.uniform()
-    return float(value)
 
 
 def _spec(fid, dim, lower, upper, optimum, evaluator, argmin, noisy=False):

@@ -206,8 +206,9 @@ class SearchSpace:
             raise ConfigurationError("search space needs dim >= 1")
         if lower.shape != (self.dim,) or upper.shape != (self.dim,):
             raise ConfigurationError("bounds must have exactly dim entries")
-        if not np.all(lower < upper):
-            raise ConfigurationError("every lower bound must be < its upper bound")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, a width past the range
+            if not np.all((lower < upper) & np.isfinite(upper - lower)):
+                raise ConfigurationError("bounds must be finite, each lower < its upper, with a finite width")
 
     @classmethod
     def cube(cls, dim: int, lower: float, upper: float) -> "SearchSpace":
@@ -246,6 +247,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown bound mode {self.bound_mode!r}")
         if self.predator_mode not in PREDATOR_MODES:
             raise ConfigurationError(f"unknown predator mode {self.predator_mode!r}")
+        from .kernels import chaos_step  # kernels imports this module
+        chaos_step(self.chaos_map)
 
 
 def initialize_population(space: SearchSpace, n: int, rng: RandomStream) -> Array:

@@ -94,121 +94,27 @@ def _acos(cosines: Array) -> Array:
 
 # --- chaotic maps -----------------------------------------------------------
 #
-# Standard one-dimensional chaotic maps; works on scalars and arrays alike.
-# "unit" maps live on the open interval (0, 1), "signed" maps on [-1, 1].
-
-
-def sinusoidal_map(x):
-    return 2.3 * x * x * np.sin(np.pi * x)
-
-
-def chebyshev_map(x):
-    return np.cos(4.0 * np.arccos(np.minimum(np.maximum(x, -1.0), 1.0)))
-
-
-def circle_map(x):
-    return np.mod(x + 0.2 - (0.5 / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x), 1.0)
-
-
-def singer_map(x):
-    # spelled as products: scalar and vectorized paths round identically
-    x2 = x * x
-    return 1.07 * (7.86 * x - 23.31 * x2 + 28.75 * x2 * x - 13.302875 * x2 * x2)
-
-
-def gauss_mouse_map(x):
-    x = np.asarray(x, dtype=float)
-    safe = np.where(x == 0.0, 1.0, x)
-    out = np.where(x == 0.0, 0.0, np.mod(1.0 / safe, 1.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def tent_map(x):
-    x = np.asarray(x)
-    out = np.where(x < 0.7, x / 0.7, (10.0 / 3.0) * (1.0 - x))
-    return float(out) if out.ndim == 0 else out
-
-
-def iterative_map(x):
-    x = np.asarray(x, dtype=float)
-    safe = np.where(np.abs(x) < CHAOS_DOMAIN_GUARD, CHAOS_DOMAIN_GUARD, x)
-    out = np.sin(0.7 * np.pi / safe)
-    return float(out) if out.ndim == 0 else out
-
-
-# np.minimum(np.maximum(x, low), high) is np.clip(x, low, high) without its
-# Python-level dispatch, which dominates the cost of a scalar step.
-
-
-def guard_unit(x):
-    """Pin a unit-interval iterate into [guard, 1 - guard]."""
-    return np.minimum(np.maximum(x, CHAOS_DOMAIN_GUARD), 1.0 - CHAOS_DOMAIN_GUARD)
-
-
-def guard_signed(x):
-    """Pin a signed iterate into [-1, 1], lifting exact zeros off the origin."""
-    x = np.minimum(np.maximum(x, -1.0), 1.0)
-    out = np.where(np.abs(np.asarray(x)) < CHAOS_DOMAIN_GUARD, CHAOS_DOMAIN_GUARD, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-#: map id -> (step function, guard, documented domain)
-CHAOS_MAPS = {
-    "sinusoidal": (sinusoidal_map, guard_unit, (0.0, 1.0)),
-    "chebyshev": (chebyshev_map, guard_signed, (-1.0, 1.0)),
-    "circle": (circle_map, guard_unit, (0.0, 1.0)),
-    "singer": (singer_map, guard_unit, (0.0, 1.0)),
-    "gauss-mouse": (gauss_mouse_map, guard_unit, (0.0, 1.0)),
-    "tent": (tent_map, guard_unit, (0.0, 1.0)),
-    "iterative": (iterative_map, guard_signed, (-1.0, 1.0)),
-}
-
-
-@dataclass(frozen=True)
-class ChaosState:
-    """Current iterate of a named chaotic map."""
-
-    map_id: str
-    value: float
-    steps: int = 0
-
-
-def chaos_map(map_id: str):
-    """The (step function, guard) pair of a named map."""
-    if map_id not in CHAOS_MAPS:
-        raise ConfigurationError(f"unknown chaos map {map_id!r}; known: {sorted(CHAOS_MAPS)}")
-    fn, guard, _ = CHAOS_MAPS[map_id]
-    return fn, guard
-
-
-def make_chaos(map_id: str, initial: float) -> ChaosState:
-    """Start a chaos trajectory, guarding the seed into the map's domain."""
-    _, guard = chaos_map(map_id)
-    return ChaosState(map_id, float(guard(initial)), 0)
-
-
-def seed_chaos(group, config) -> None:
-    """Seed each run of a group with a chaos trajectory of
-    ``config.chaos_map`` from one draw of its own stream, taken right after
-    the ``N`` initial evaluations: the ``init`` of bto and bbo."""
-    group.chaos = [make_chaos(config.chaos_map, rng.uniform()).value for rng in group.rngs]
-
-
-# --- scalar steps -------------------------------------------------------------
-#
-# Each step below is ``float(guard(fn(np.float64(x))))`` of its map in Python
-# floats, the same bits: the arithmetic is spelled in the map's order, the
-# guards take ``max`` before ``min`` with the iterate first (so NaN passes as
+# Seven standard one-dimensional chaotic maps, each a guarded step of one
+# Python float; "unit" maps live on (0, 1), "signed" maps on [-1, 1].  A
+# step returns the bits of its map's NumPy form ``guard(fn(np.float64(x)))``
+# (the tests' oracle): the arithmetic is spelled in that form's order, the
+# guards take ``max`` before ``min`` with the iterate first (NaN passes, as
 # through ``np.maximum``/``np.minimum``), and the transcendental calls stay
-# NumPy's own, because ``math.sin``/``math.cos``/``math.acos`` round
-# differently from NumPy's vectorized loops on some inputs.
+# NumPy's, because ``math.sin``/``math.cos``/``math.acos`` round some inputs
+# differently.  The unit steps spell :func:`_unit` out: a run takes one step
+# per agent and iteration.
 
 _UNIT_HIGH = 1.0 - CHAOS_DOMAIN_GUARD
 _CIRCLE_GAIN = 0.5 / (2.0 * np.pi)
 
 
+def _unit(y: float) -> float:
+    """Pin a unit-interval iterate into [guard, 1 - guard]."""
+    return min(max(y, CHAOS_DOMAIN_GUARD), _UNIT_HIGH)
+
+
 def _signed(y: float) -> float:
-    """:func:`guard_signed` for one Python float."""
+    """Pin a signed iterate into [-1, 1], lifting exact zeros off the origin."""
     y = min(max(y, -1.0), 1.0)
     return CHAOS_DOMAIN_GUARD if abs(y) < CHAOS_DOMAIN_GUARD else y
 
@@ -241,9 +147,8 @@ def gauss_mouse_step(x: float) -> float:
 
 
 def tent_step(value: float) -> float:
-    """``guard_unit(tent_map(value))`` in Python floats, the same bits.  The
-    default map's guards spell out the comparisons ``max`` and ``min``
-    make, at a third of the cost of calling them."""
+    """The default map.  Its guard spells out the comparisons ``max`` and
+    ``min`` make, at a third of the cost of calling them."""
     y = value / 0.7 if value < 0.7 else (10.0 / 3.0) * (1.0 - value)
     y = CHAOS_DOMAIN_GUARD if CHAOS_DOMAIN_GUARD > y else y
     return _UNIT_HIGH if _UNIT_HIGH < y else y
@@ -254,22 +159,50 @@ def iterative_step(x: float) -> float:
     return _signed(float(np.sin(0.7 * np.pi / safe)))
 
 
-#: map function -> its guarded scalar step
-SCALAR_STEPS = {
-    sinusoidal_map: sinusoidal_step,
-    chebyshev_map: chebyshev_step,
-    circle_map: circle_step,
-    singer_map: singer_step,
-    gauss_mouse_map: gauss_mouse_step,
-    tent_map: tent_step,
-    iterative_map: iterative_step,
+#: map id -> (guarded step, guard, documented domain); the guard pins a seed
+#: into the domain the step keeps its iterates in
+CHAOS_MAPS = {
+    "sinusoidal": (sinusoidal_step, _unit, (0.0, 1.0)),
+    "chebyshev": (chebyshev_step, _signed, (-1.0, 1.0)),
+    "circle": (circle_step, _unit, (0.0, 1.0)),
+    "singer": (singer_step, _unit, (0.0, 1.0)),
+    "gauss-mouse": (gauss_mouse_step, _unit, (0.0, 1.0)),
+    "tent": (tent_step, _unit, (0.0, 1.0)),
+    "iterative": (iterative_step, _signed, (-1.0, 1.0)),
 }
 
 
+def _chaos_entry(map_id: str) -> tuple:
+    try:
+        return CHAOS_MAPS[map_id]
+    except KeyError:
+        raise ConfigurationError(f"unknown chaos map {map_id!r}; known: {list(CHAOS_MAPS)}") from None
+
+
 def chaos_step(map_id: str):
-    """The guarded scalar step ``value -> next value`` of a named map."""
-    fn, _ = chaos_map(map_id)
-    return SCALAR_STEPS[fn]
+    """The guarded step ``value -> next value`` of a named map."""
+    return _chaos_entry(map_id)[0]
+
+
+@dataclass(frozen=True)
+class ChaosState:
+    """Current iterate of a named chaotic map."""
+
+    map_id: str
+    value: float
+    steps: int = 0
+
+
+def make_chaos(map_id: str, initial: float) -> ChaosState:
+    """Start a chaos trajectory, guarding the seed into the map's domain."""
+    return ChaosState(map_id, float(_chaos_entry(map_id)[1](initial)), 0)
+
+
+def seed_chaos(group, config) -> None:
+    """Seed each run of a group with a chaos trajectory of
+    ``config.chaos_map`` from one draw of its own stream, taken right after
+    the ``N`` initial evaluations: the ``init`` of bto and bbo."""
+    group.chaos = [make_chaos(config.chaos_map, rng.uniform()).value for rng in group.rngs]
 
 
 def chaos_rows(group) -> Array:

@@ -31,6 +31,24 @@ class TestSearchSpace:
         with pytest.raises(ConfigurationError):
             SearchSpace(0, np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("lower, upper", [
+        (-math.inf, 1.0),
+        (0.0, math.inf),
+        (-math.inf, math.inf),
+        (math.nan, 1.0),
+        (-1e308, 1e308),  # the width overflows to inf
+    ])
+    def test_refuses_a_box_that_is_not_finite(self, lower, upper):
+        # a run on such a box would draw and evaluate NaN coordinates
+        with pytest.raises(ConfigurationError, match="finite"):
+            SearchSpace(2, [lower, 0.0], [upper, 1.0])
+        with pytest.raises(ConfigurationError, match="finite"):
+            SearchSpace.cube(3, lower, upper)
+
+    def test_a_wide_finite_box_is_accepted(self):
+        space = SearchSpace.cube(2, -8e307, 8e307)
+        assert np.all(np.isfinite(space.width))
+
     def test_width_and_contains(self):
         space = cube(3, -1.0, 2.0)
         assert np.allclose(space.width, 3.0)
@@ -177,6 +195,13 @@ class TestRunConfig:
             RunConfig(algorithm="bbo", bound_mode="wrap")
         with pytest.raises(ConfigurationError):
             RunConfig(algorithm="bbo", predator_mode="self")
+
+    def test_rejects_an_unknown_chaos_map_for_every_algorithm(self):
+        # only bto and bbo step a chaos map, but a config names one for any
+        for algorithm in ("bbo", "pso", "gwo"):
+            with pytest.raises(ConfigurationError, match="unknown chaos map 'nope'"):
+                RunConfig(algorithm=algorithm, chaos_map="nope", population=4, iterations=2)
+        assert RunConfig(algorithm="pso", chaos_map="iterative").chaos_map == "iterative"
 
     def test_rejects_a_negative_seed(self):
         # the run's generator takes only non-negative seeds

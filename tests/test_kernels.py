@@ -145,6 +145,74 @@ class TestArrayKernels:
             assert kernels.spray_divisor(chaos, growth).tobytes() == np.array(want).tobytes()
 
 
+# --- the chaos maps' NumPy array forms --------------------------------------
+#
+# The oracle of the package's guarded scalar steps (``kernels.CHAOS_MAPS``):
+# each step of ``x`` must return the bits of ``float(guard(fn(np.float64(x))))``.
+# They work on scalars and arrays alike.
+
+
+def sinusoidal_map(x):
+    return 2.3 * x * x * np.sin(np.pi * x)
+
+
+def chebyshev_map(x):
+    return np.cos(4.0 * np.arccos(np.minimum(np.maximum(x, -1.0), 1.0)))
+
+
+def circle_map(x):
+    return np.mod(x + 0.2 - (0.5 / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x), 1.0)
+
+
+def singer_map(x):
+    x2 = x * x
+    return 1.07 * (7.86 * x - 23.31 * x2 + 28.75 * x2 * x - 13.302875 * x2 * x2)
+
+
+def gauss_mouse_map(x):
+    x = np.asarray(x, dtype=float)
+    safe = np.where(x == 0.0, 1.0, x)
+    out = np.where(x == 0.0, 0.0, np.mod(1.0 / safe, 1.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def tent_map(x):
+    x = np.asarray(x)
+    out = np.where(x < 0.7, x / 0.7, (10.0 / 3.0) * (1.0 - x))
+    return float(out) if out.ndim == 0 else out
+
+
+def iterative_map(x):
+    x = np.asarray(x, dtype=float)
+    safe = np.where(np.abs(x) < CHAOS_DOMAIN_GUARD, CHAOS_DOMAIN_GUARD, x)
+    out = np.sin(0.7 * np.pi / safe)
+    return float(out) if out.ndim == 0 else out
+
+
+def guard_unit(x):
+    """Pin a unit-interval iterate into [guard, 1 - guard]."""
+    return np.minimum(np.maximum(x, CHAOS_DOMAIN_GUARD), 1.0 - CHAOS_DOMAIN_GUARD)
+
+
+def guard_signed(x):
+    """Pin a signed iterate into [-1, 1], lifting exact zeros off the origin."""
+    x = np.minimum(np.maximum(x, -1.0), 1.0)
+    out = np.where(np.abs(np.asarray(x)) < CHAOS_DOMAIN_GUARD, CHAOS_DOMAIN_GUARD, x)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+#: map id -> (array map, array guard), in the package table's order
+ARRAY_MAPS = {
+    "sinusoidal": (sinusoidal_map, guard_unit),
+    "chebyshev": (chebyshev_map, guard_signed),
+    "circle": (circle_map, guard_unit),
+    "singer": (singer_map, guard_unit),
+    "gauss-mouse": (gauss_mouse_map, guard_unit),
+    "tent": (tent_map, guard_unit),
+    "iterative": (iterative_map, guard_signed),
+}
+
+
 # Iterate sequences frozen from direct evaluation of the adopted formulas,
 # five steps from x0 = 0.7.
 CHAOS_FIXTURES = {
@@ -193,7 +261,8 @@ class TestChaosMaps:
     def test_domain_invariant_long_runs(self, map_id):
         # 50 seeded trajectories advanced together through the same map
         # formula the scalar path uses.
-        fn, guard, (low, high) = CHAOS_MAPS[map_id]
+        fn, guard = ARRAY_MAPS[map_id]
+        _, _, (low, high) = CHAOS_MAPS[map_id]
         values = np.random.default_rng(101).random(50)
         values = guard(values)
         for _ in range(100_000):
@@ -202,7 +271,7 @@ class TestChaosMaps:
 
     @pytest.mark.parametrize("map_id", sorted(CHAOS_MAPS))
     def test_scalar_path_matches_vector_path(self, map_id):
-        fn, guard, _ = CHAOS_MAPS[map_id]
+        fn, guard = ARRAY_MAPS[map_id]
         state = make_chaos(map_id, 0.37)
         value = np.array([0.37])
         value = guard(value)
@@ -286,7 +355,7 @@ class TestEscapeStep:
 class TestTentStep:
     @staticmethod
     def _reference(x):
-        return float(kernels.guard_unit(kernels.tent_map(np.float64(x))))
+        return float(guard_unit(tent_map(np.float64(x))))
 
     def test_matches_guarded_array_map_bit_for_bit(self):
         rng = np.random.default_rng(8)
@@ -331,7 +400,8 @@ class TestScalarChaosSteps:
 
     @pytest.mark.parametrize("map_id", sorted(kernels.CHAOS_MAPS))
     def test_bits_match_the_guarded_array_map(self, map_id):
-        fn, guard, (low, high) = kernels.CHAOS_MAPS[map_id]
+        fn, guard = ARRAY_MAPS[map_id]
+        _, _, (low, high) = kernels.CHAOS_MAPS[map_id]
         step = kernels.chaos_step(map_id)
         rng = np.random.default_rng(len(map_id))
         inputs = [*rng.uniform(low, high, 100_000).tolist(), *rng.uniform(-3.0, 3.0, 1000).tolist(), *self.EDGES]
@@ -343,10 +413,22 @@ class TestScalarChaosSteps:
                 assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), x
 
     @pytest.mark.parametrize("map_id", sorted(kernels.CHAOS_MAPS))
+    def test_seed_guard_matches_the_array_guard(self, map_id):
+        # make_chaos guards a seed given as a Python float or a float64
+        _, guard = ARRAY_MAPS[map_id]
+        rng = np.random.default_rng(len(map_id) + 50)
+        inputs = [*rng.uniform(-3.0, 3.0, 2000), *map(np.float64, self.EDGES)]
+        for x in inputs:
+            want = np.float64(guard(x)).view(np.uint64)
+            for seed in (x, float(x)):
+                got = make_chaos(map_id, seed).value
+                assert type(got) is float
+                assert np.float64(got).view(np.uint64) == want, x
+
+    @pytest.mark.parametrize("map_id", sorted(kernels.CHAOS_MAPS))
     def test_every_map_dispatches_through_the_table(self, map_id):
-        fn, _ = kernels.chaos_map(map_id)
         step = kernels.chaos_step(map_id)
-        assert kernels.SCALAR_STEPS[fn] is step
+        assert kernels.CHAOS_MAPS[map_id][0] is step
         state = make_chaos(map_id, 0.37)
         for _ in range(20):
             following = chaos_next(state)
@@ -354,7 +436,8 @@ class TestScalarChaosSteps:
             state = following
 
     def test_table_covers_every_map(self):
-        assert set(kernels.SCALAR_STEPS) == {fn for fn, _, _ in kernels.CHAOS_MAPS.values()}
+        # every map of the package table has its oracle here
+        assert list(ARRAY_MAPS) == list(kernels.CHAOS_MAPS)
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ConfigurationError):
