@@ -39,6 +39,8 @@ from .core import (
     RunConfig,
     bound_position,
     by_agent,
+    improved,
+    improves,
     nan_last,
 )
 
@@ -94,40 +96,30 @@ def _best_three(fitness: list) -> list:
 
 def _leaders_init(g: Group, config: RunConfig) -> None:
     """Each run's three best agents as its ``leaders`` ``(R, 3, dim)``, best
-    first, with their values in ``leaders_f``, and no ``leader_changes``
-    before the first iteration."""
+    first, with their values in ``leaders_f``, and every run busy
+    (:func:`_busy`) before the first iteration: ``N`` ``leader_changes``.
+    The first leader is the best-so-far, and stays it, as both change
+    under :func:`~beetleopt.core.improves`."""
     best = [_best_three(fitness) for fitness in g.fitness]
     g.leaders = np.array([x[i] for x, i in zip(g.x, best)])
     g.leaders_f = [[fitness[k] for k in i] for fitness, i in zip(g.fitness, best)]
-    g.leader_changes = None
+    g.leader_changes = [g.n] * len(g.rngs)
 
 
 def _insert_leader(g: Group, r: int, i: int, value: float) -> None:
     """Shift-insert agent ``i`` of run ``r`` into its leaders, so they stay
     the three best evaluations seen, and count a change in the run's
-    ``leader_changes``.  Leaders rank NaN last; a NaN one reads as +inf."""
+    ``leader_changes``.  Leaders rank NaN last."""
     rank = g.leaders_f[r]
-    if not (value < rank[2] or rank[2] != rank[2] and value < math.inf):
+    if not improves(value, rank[2]):
         return
-    if value < rank[0] or rank[0] != rank[0]:
-        k = 0
-    elif value < rank[1] or rank[1] != rank[1]:
-        k = 1
-    else:
-        k = 2
+    k = 0 if improves(value, rank[0]) else 1 if improves(value, rank[1]) else 2
     rank[k + 1 :] = rank[k:2]
     rank[k] = value
     leaders = g.leaders[r]
     leaders[k + 1 :] = leaders[k:2]
     leaders[k] = g.x[r, i]
     g.leader_changes[r] += 1
-
-
-def _leader_cut(g: Group, r: int) -> float:
-    """The value below which an agent of run ``r`` changes one of its leaders
-    or its best-so-far: the largest of them, NaN above all (a NaN cut reads
-    as +inf)."""
-    return max((*g.leaders_f[r], g.best_f[r]), key=nan_last)
 
 
 def _busy(changes: int, n: int) -> bool:
@@ -149,17 +141,17 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
     they were.  So a run whose leaders changed rarely in the previous
     iteration (not :func:`_busy`) sweeps in chunks
     (:meth:`~beetleopt.core.Group.sweep`), each cut at its first agent that
-    changes a leader or the best-so-far.  A busy run steps agent by agent:
-    alone, one proposal and one evaluation per agent, when it is the only
-    busy one, and otherwise with every run of the group in lockstep, as in
-    the first iteration.  Every path gives the same records.
+    changes a leader, whose value improves on the third (the first is the
+    best-so-far).  A busy run steps agent by agent: alone, one proposal and
+    one evaluation per agent, when it is the only busy one, and otherwise
+    with every run of the group in lockstep.  Every path gives the same
+    records.
     """
     (u,) = g.reserve((width,))
     terms = terms(u)
-    changes = g.leader_changes
+    busy = [r for r, c in enumerate(g.leader_changes) if _busy(c, g.n)]
     g.leader_changes = [0] * len(g.rngs)
-    busy = [] if changes is None else [r for r, c in enumerate(changes) if _busy(c, g.n)]
-    if changes is None or len(busy) > 1:
+    if len(busy) > 1:
         for i, (x, *agent) in enumerate(zip(g.at, *map(by_agent, terms))):
             for r, value in enumerate(g.move(i, g.bound(guided(g.leaders, *agent, x)))):
                 _insert_leader(g, r, i, value)
@@ -168,8 +160,8 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
     def propose(r: int, start: int) -> Array:
         return g.bound_run(r, guided(g.leaders[r], *(t[r, start:] for t in terms), g.x[r, start:]))
 
-    quiet = [r for r in range(len(changes)) if r not in busy]
-    g.sweep(propose, functools.partial(_leader_cut, g), functools.partial(_insert_leader, g), runs=quiet)
+    quiet = [r for r in range(len(g.rngs)) if r not in busy]
+    g.sweep(propose, lambda r: g.leaders_f[r][2], functools.partial(_insert_leader, g), runs=quiet)
     for r in busy:
         x, leaders = g.x[r], g.leaders[r]
         for i, agent in enumerate(zip(*(t[r] for t in terms))):
@@ -188,13 +180,11 @@ def _personal_init(g: Group, config: RunConfig) -> None:
 
 
 def _update_personal(g: Group) -> None:
-    """Make every agent that moved below its personal best (or below +inf,
-    against a NaN one) that best.  An agent moves once per iteration and
-    nothing reads a personal best before the next one, so this runs once,
-    after the sweep."""
+    """Make every agent whose value improves on its personal best that
+    best.  An agent moves once per iteration and nothing reads a personal
+    best before the next one, so this runs once, after the sweep."""
     fitness = np.array(g.fitness)
-    # the group's rule: a NaN held value reads as +inf
-    better = fitness < np.fmin(g.personal_best_f, math.inf)
+    better = improved(fitness, g.personal_best_f)
     g.personal_best_f = np.where(better, fitness, g.personal_best_f)
     g.personal_best[better] = g.x[better]
 

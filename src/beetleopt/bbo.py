@@ -31,6 +31,8 @@ from .core import (
     Array,
     Group,
     by_agent,
+    improved,
+    improves,
     index_from_uniform,
     signs_from_uniform,
 )
@@ -113,10 +115,10 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
     """:meth:`~beetleopt.core.Group.sweep`'s ``evaluate`` for a chunk of run
     ``r`` from agent ``start``: both phases of each agent, the defense
     ``proposals`` and then the escape by ``hops`` from the position kept,
-    each kept only if its value is finite and lower than the value held (or
-    that is NaN).  Returns the positions and values kept, up to and
-    including the first agent whose value is below ``below``, and counts 2
-    evaluations per agent returned.
+    each kept only if its value is finite and improves on the value held
+    (:func:`~beetleopt.core.improves`).  Returns the positions and values
+    kept, up to and including the first agent whose value is below
+    ``below``, and counts 2 evaluations per agent returned.
 
     A speculative evaluator evaluates both phases of the whole chunk as two
     blocks, the escapes from the speculated defense acceptances.  Any other
@@ -126,29 +128,29 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
     x, held, hops = g.x[r, start:], g.fitness[r][start:], hops[r, start:]
     if objective.speculative:
         held = np.array(held)
-        # each agent evaluates its defense, then its escape (``>=`` is false vs NaN)
+        # each agent evaluates its defense, then its escape
         values = objective.speculate(proposals, 0, 2)
-        took = np.isfinite(values) & ~(values >= held)
+        took = np.isfinite(values) & improved(values, held)
         kept = np.where(took[:, None], proposals, x)
         kept_f = np.where(took, values, held)
         escapes = g.bound_run(r, kept + hops)
         values = objective.speculate(escapes, 1, 2)
-        fled = np.isfinite(values) & ~(values >= kept_f)
+        fled = np.isfinite(values) & improved(values, kept_f)
         kept = np.where(fled[:, None], escapes, kept)
         kept_f = np.where(fled, values, kept_f)
-        improved = kept_f < below
-        first = int(improved.argmax())
-        stop = first + 1 if improved[first] else len(kept)
+        cut = kept_f < below
+        first = int(cut.argmax())
+        stop = first + 1 if cut[first] else len(kept)
         objective.commit(2 * stop)
         return kept[:stop], kept_f[:stop].tolist()
     kept, kept_f = [], []
     for proposal, position, value, hop in zip(proposals, x, held, hops):
         defended = objective(proposal)
-        if math.isfinite(defended) and not defended >= value:
+        if math.isfinite(defended) and improves(defended, value):
             position, value = proposal, defended
         escape = g.bound_run(r, position + hop)
         fled = objective(escape)
-        if math.isfinite(fled) and not fled >= value:
+        if math.isfinite(fled) and improves(fled, value):
             position, value = escape, fled
         kept.append(position)
         kept_f.append(value)

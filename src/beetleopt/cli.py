@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     try:
-        plan = parse_config(args.config.read_text(encoding="utf-8"))
+        plan = parse_config(args.config.read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
@@ -61,6 +61,11 @@ def _cmd_run(args) -> int:
         return 2
     except ConfigurationError as exc:
         print(f"invalid config:\n{exc}", file=sys.stderr)
+        return 2
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     plan.base_seed = args.seed
     plan.out_dir = str(args.out)

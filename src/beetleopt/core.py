@@ -311,6 +311,18 @@ def nan_last(value: float) -> tuple:
     return (value != value, value)
 
 
+def improves(value: float, held: float) -> bool:
+    """Whether ``value`` replaces ``held`` (a best-so-far, leader, personal
+    best or greedy value): it is less, or ``held`` is NaN and it is below
+    +inf.  Greedy replacement also wants ``value`` finite."""
+    return value < held or held != held and value < math.inf
+
+
+def improved(values: Array, held: Array) -> Array:
+    """:func:`improves` elementwise."""
+    return values < np.fmin(held, math.inf)
+
+
 def bind(objective, rng: RandomStream, space: Optional[SearchSpace] = None) -> tuple:
     """``(evaluator, space)``: the evaluator of ``objective`` for a run on
     the stream ``rng``, and ``space`` or else the objective's own (or None).
@@ -392,10 +404,10 @@ class Group:
     by one block call of it, :meth:`shared_values`), all at once
     (:meth:`move_all`), run by run in chunks (:meth:`sweep`, over every run
     or some) or, for one run, agent by agent (:meth:`place`).  Only these
-    four write the runs' state (``x``, ``fitness``, ``best_x``,
-    ``best_f``): a step proposes, and may say how a chunk is evaluated.  A
-    step sets and reads further per-algorithm state on the group
-    (``velocities``, ``leaders`` ...).
+    four write the runs' state (``x``, ``fitness``, and ``best_x`` and
+    ``best_f`` through :meth:`_keep`): a step proposes, and may say how a
+    chunk is evaluated.  A step sets and reads further per-algorithm state
+    on the group (``velocities``, ``leaders`` ...).
 
     The constructor is the one place a run's state is created.  It takes,
     per run, a stream, an evaluator, a space, the ``(N, dim)`` positions
@@ -479,51 +491,49 @@ class Group:
                 values += owners[0].block(rows[start:stop], owners)
         return values
 
+    def _keep(self, r: int, i: int, value: float) -> None:
+        """Make agent ``i`` of run ``r``, already written to ``x[r, i]``
+        with ``value``, the run's best-so-far if ``value`` improves on it:
+        the one place a best-so-far changes."""
+        if improves(value, self.best_f[r]):
+            self.best_f[r] = value
+            self.best_x[r] = self.x[r, i]
+
     def move(self, i: int, rows: Array, greedy: bool = False) -> list:
         """Evaluate each run's row of ``rows`` as agent ``i``'s move and
         return the values.  The row replaces the agent outright, or with
         ``greedy`` only when its value is finite and improves on the
-        agent's.  The agent then becomes the best-so-far if it improves on
-        it.  A value improves on a held one when it is less, or when the
-        held one is NaN and it is below +inf.  An agent that keeps its value
-        was already weighed against the best-so-far."""
+        agent's (:func:`improves`).  An agent that keeps its value was
+        already weighed against the best-so-far."""
         agents = self.at[i]
         values = self.shared_values(rows)
         if not greedy:
             agents[...] = rows
-        best_f = self.best_f
         for r, (value, fitness) in enumerate(zip(values, self.fitness)):
             if greedy:
-                # ``>=`` is false against a NaN held value
-                if not math.isfinite(value) or value >= fitness[i]:
+                if not (math.isfinite(value) and improves(value, fitness[i])):
                     continue
                 agents[r] = rows[r]
             fitness[i] = value
-            best = best_f[r]
-            if value < best or best != best and value < math.inf:
-                best_f[r] = value
-                self.best_x[r] = agents[r]
+            self._keep(r, i, value)
         return values
 
     def place(self, r: int, i: int, row: Array) -> float:
-        """Evaluate ``row`` as agent ``i`` of run ``r`` alone, replace the
-        agent outright and track the best-so-far, as :meth:`move` does for
-        agent ``i`` of every run; return the value."""
+        """Evaluate ``row`` as agent ``i`` of run ``r`` alone and replace the
+        agent outright, as :meth:`move` does for agent ``i`` of every run;
+        return the value."""
         value = self.objectives[r](row)
         self.x[r, i] = row
         self.fitness[r][i] = value
-        best = self.best_f[r]
-        if value < best or best != best and value < math.inf:
-            self.best_f[r] = value
-            self.best_x[r] = row
+        self._keep(r, i, value)
         return value
 
     def move_all(self, moved: Array) -> None:
-        """Replace every agent of every run by ``moved`` ``(R, N, dim)``,
+        """Replace every agent of every run by ``moved`` ``(R, N, dim)`` and
         evaluate each segment's agents as one block (each run's rows in
-        agent order) and track the best-so-far in agent order."""
+        agent order), keeping the best-so-far in agent order."""
         self.x[...] = moved
-        n, best_f = self.n, self.best_f
+        n = self.n
         for start, stop, owners in self.segments:
             rows = moved[start:stop].reshape(-1, self.dim)
             values = owners[0].block(rows, [owner for owner in owners for _ in range(n)])
@@ -531,14 +541,11 @@ class Group:
                 fitness = self.fitness[r]
                 fitness[:] = values[(r - start) * n : (r - start + 1) * n]
                 for i, value in enumerate(fitness):
-                    best = best_f[r]
-                    if value < best or best != best and value < math.inf:
-                        best_f[r] = value
-                        self.best_x[r] = moved[r, i]
+                    self._keep(r, i, value)
 
     def sweep(self, propose, cut=None, committed=None, evaluate=None, runs=None) -> None:
         """Move every agent of every run (or of the runs listed in ``runs``)
-        once, in agent order, tracking the best-so-far as :meth:`move` does;
+        once, in agent order, keeping the best-so-far as :meth:`move` does;
         the one place a chunk commits.
 
         ``propose(r, start)`` returns the bounded proposals of agents
@@ -549,10 +556,10 @@ class Group:
         none is): by default each proposal as it is (:meth:`_commit_prefix`).
         ``below`` is the run's cut, ``cut(r)``: by default its best-so-far,
         and never below it, so that only the last agent committed can
-        improve the best.  A NaN cut reads as +inf, as a NaN best does for
-        :meth:`move`.  Those agents are committed, ``committed(r, i, value)``
-        sees the last, and the agents after it are proposed again from the
-        new state.
+        improve the best.  A NaN cut reads as +inf, as a NaN held value
+        does for :func:`improves`.  Those agents are committed,
+        ``committed(r, i, value)`` sees the last, and the agents after it
+        are proposed again from the new state.
         """
         evaluate = evaluate or self._commit_prefix
         n = self.n
@@ -567,10 +574,7 @@ class Group:
                 stop = start + len(values)
                 x[start:stop] = rows
                 fitness[start:stop] = values
-                value, best = values[-1], self.best_f[r]
-                if value < best or best != best and value < math.inf:
-                    self.best_f[r] = value
-                    self.best_x[r] = x[stop - 1]
+                self._keep(r, stop - 1, values[-1])
                 if committed is not None:
                     committed(r, stop - 1, values[-1])
                 start = stop

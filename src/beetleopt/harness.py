@@ -159,10 +159,12 @@ def parse_config(text: str) -> ExperimentPlan:
     defaults (all algorithms, all functions, 10 runs of 30 agents for 1000
     iterations).  A population below an algorithm's minimum (its entry's
     ``min_population``) is reported on the ``population`` line, whichever
-    line lists the algorithms.
+    line lists the algorithms.  A key given twice is reported on its second
+    line.
     """
     plan = ExperimentPlan()
     errors = []
+    first_lines = {}
     population_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -178,6 +180,10 @@ def parse_config(text: str) -> ExperimentPlan:
         if parse is None:
             errors.append(f"line {lineno}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
             continue
+        if key in first_lines:
+            errors.append(f"line {lineno}: duplicate key {key!r} (first on line {first_lines[key]})")
+            continue
+        first_lines[key] = lineno
         try:
             setattr(plan, key, parse(value))
         except ValueError as exc:

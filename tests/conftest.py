@@ -50,6 +50,27 @@ def hand_group(algorithm, config, x, fitness, objective, space, rng=None):
     return Group(algorithm, config, [rng], [bind(objective, rng, space)[0]], [space], [x], [fitness])
 
 
+class EvaluateOnly:
+    """Benchmark-spec proxy with only ``space`` and ``evaluate``, like a
+    timing wrapper, so that a run binds it as a :class:`CallEvaluator`;
+    it counts its ``calls`` and takes ``draws(call)`` extra draws from the
+    run's stream per evaluation."""
+
+    def __init__(self, spec, draws=lambda call: 0):
+        self._spec = spec
+        self._draws = draws
+        self.calls = 0
+
+    def space(self):
+        return self._spec.space()
+
+    def evaluate(self, position, rng=None):
+        for _ in range(self._draws(self.calls)):
+            rng.uniform()
+        self.calls += 1
+        return self._spec.evaluate(position, rng)
+
+
 class CheckedObjective:
     """Objective wrapper that counts calls and asserts in-bound arguments."""
 

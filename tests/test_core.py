@@ -12,10 +12,12 @@ from beetleopt.core import (
     RunConfig,
     SearchSpace,
     clamp_to_bounds,
+    improved,
+    improves,
     initialize_population,
 )
 
-from conftest import StubStream
+from conftest import EvaluateOnly, StubStream
 
 
 def cube(dim=2, lower=-100.0, upper=100.0):
@@ -176,6 +178,36 @@ class TestGroupBest:
         assert g.fitness == [[1.0, 2.0]] and g.velocities.shape == (1, 2, 1)
 
 
+#: ``(value, held, improves)``: a NaN held value reads as +inf, and NaN,
+#: an equal value or a zero of the other sign never improves
+IMPROVES = [
+    (1.0, 2.0, True),
+    (2.0, 1.0, False),
+    (1.0, 1.0, False),
+    (-0.0, 0.0, False),
+    (0.0, -0.0, False),
+    (-1.0, -0.0, True),
+    (5.0, math.inf, True),
+    (math.inf, math.inf, False),
+    (math.inf, 5.0, False),
+    (-math.inf, 5.0, True),
+    (-math.inf, -math.inf, False),
+    (1.0, math.nan, True),
+    (-math.inf, math.nan, True),
+    (math.inf, math.nan, False),
+    (math.nan, math.nan, False),
+    (math.nan, 1.0, False),
+    (math.nan, math.inf, False),
+    (math.nan, -math.inf, False),
+]
+
+
+def test_improves_and_improved_agree_on_every_kind_of_value():
+    values, held, expected = (list(column) for column in zip(*IMPROVES))
+    assert [improves(v, h) for v, h in zip(values, held)] == expected
+    assert improved(np.array(values), np.array(held)).tolist() == expected
+
+
 class TestRunConfig:
     def test_defaults_match_protocol(self):
         cfg = RunConfig(algorithm="bbo")
@@ -208,22 +240,6 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
             RunConfig(algorithm="bbo", seed=-1)
         assert RunConfig(algorithm="bbo", seed=0).seed == 0
-
-
-class EvaluateOnly:
-    """A spec proxy with ``space`` and ``evaluate`` but no ``bind``, shaped
-    like a timing proxy that wraps a registry entry."""
-
-    def __init__(self, spec):
-        self._spec = spec
-        self.calls = 0
-
-    def space(self):
-        return self._spec.space()
-
-    def evaluate(self, position, rng=None):
-        self.calls += 1
-        return self._spec.evaluate(position, rng)
 
 
 class TestRunPrologue:

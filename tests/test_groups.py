@@ -18,7 +18,9 @@ import beetleopt as bo
 from beetleopt import baselines, benchmarks, harness
 from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
 from beetleopt.cli import main as cli_main
-from beetleopt.core import CallEvaluator, ContractViolation, Group, RunConfig, drive, start_group
+from beetleopt.core import CallEvaluator, ContractViolation, Group, RandomStream, RunConfig, drive, start_group
+
+from conftest import EvaluateOnly
 
 #: registry functions by dimension (f7, the noisy one, is among the 30s)
 BY_DIM = {}
@@ -29,19 +31,6 @@ MODE_SETS = (
     dict(bound_mode="clamp", chaos_map="tent", predator_mode="global-best"),
     dict(bound_mode="reflect", chaos_map="chebyshev", predator_mode="random-agent"),
 )
-
-
-class EvaluateOnly:
-    """Benchmark-spec proxy with only ``space`` and ``evaluate``."""
-
-    def __init__(self, spec):
-        self._spec = spec
-
-    def space(self):
-        return self._spec.space()
-
-    def evaluate(self, position, rng=None):
-        return self._spec.evaluate(position, rng)
 
 
 ROUTES = ("spec", "proxy", "plain")
@@ -85,16 +74,14 @@ def _same(a, b):
 
 def _first_run_busy(runs):
     """A ``baselines._busy`` that holds for run 0 of a group of ``runs`` runs
-    alone: it is asked once per run, in run order, every iteration after
-    the first."""
+    alone: it is asked once per run, in run order, every iteration."""
     calls = itertools.count()
     return lambda changes, n: next(calls) % runs == 0
 
 
 #: gwo's and cdo's choice of path, as a ``baselines._busy`` for a group of
-#: ``runs`` runs: every run chunked after the first iteration, every run
-#: busy (lockstep, or a lone run stepping alone), run 0 busy and the others
-#: chunked, or the real rule
+#: ``runs`` runs: every run chunked, every run busy (lockstep, or a lone run
+#: stepping alone), run 0 busy and the others chunked, or the real rule
 LEADER_PATHS = {
     "chunks": lambda runs: lambda changes, n: False,
     "lockstep": lambda runs: lambda changes, n: True,
@@ -198,18 +185,31 @@ SLABS = {"inf-slab": poisoned("f9", 0.3, 0.4, math.inf), "nan-slab": poisoned("f
 )
 def test_leader_steps_give_the_same_records_on_either_path(algorithm, members):
     # an agent that changes no leader leaves the next proposals as they were,
-    # so chunks cut at the first leader change replay the lockstep loop
+    # so chunks cut at the first leader change replay the lockstep loop; on
+    # every path the first leader is the best-so-far, which is what lets a
+    # chunk cut at the third
     specs = {**BENCHMARKS, **SLABS}
     population, iterations = 16, 40
     configs = [
         RunConfig(algorithm=algorithm, benchmark=fid, population=population, iterations=iterations, seed=seed)
         for fid, _, seed in members
     ]
+    advance, checked = Group.advance, []
+
+    def checked_advance(self):
+        advance(self)
+        first = np.array([rank[0] for rank in self.leaders_f])
+        assert first.tobytes() == np.array(self.best_f).tobytes()
+        assert self.leaders[:, 0].tobytes() == self.best_x.tobytes()
+        checked.append(self.iteration)
+
     by_path = {}
     for path, rule in LEADER_PATHS.items():
         objectives, spaces = zip(*(_objective(fid, route, specs) for fid, route, _ in members))
         with mock.patch.object(baselines, "_busy", rule(len(members))):
-            by_path[path] = drive(harness.ENTRIES[algorithm], configs, objectives, spaces)
+            with mock.patch.object(Group, "advance", checked_advance):
+                by_path[path] = drive(harness.ENTRIES[algorithm], configs, objectives, spaces)
+    assert checked == list(range(1, iterations + 1)) * len(LEADER_PATHS)
     for records in zip(*by_path.values()):
         assert records[0].evaluations == population + population * iterations
         for other in records[1:]:
@@ -388,17 +388,32 @@ def test_an_outright_move_always_replaces_and_the_best_moves_only_below_it():
     assert g.best_f == [3.0, 2.5] and g.best_x.tolist() == [[0.0, 1.0], ROWS[1].tolist()]
 
 
-def test_a_nan_best_or_leader_reads_as_inf():
+def test_a_nan_best_or_leader_reads_as_inf(monkeypatch):
     # any value below +inf replaces a NaN best-so-far; +inf and NaN do not
     g = _two_runs((math.inf, 7.0))
     g.best_f = [math.nan, math.nan]
     g.move(0, ROWS)
     assert math.isnan(g.best_f[0]) and g.best_f[1] == 7.0
     assert g.best_x[1].tolist() == ROWS[1].tolist()
-    # a NaN leader makes the cut NaN, which a sweep reads as +inf
-    g.leaders_f = [[1.0, 2.0, math.nan], [1.0, 2.0, 3.0]]
-    g.best_f = [1.0, 1.0]
-    assert math.isnan(baselines._leader_cut(g, 0)) and baselines._leader_cut(g, 1) == 3.0
+    # a gwo chunk is cut below the third leader; a NaN one reads as +inf,
+    # so the first agent (10.0) takes its place and cuts the next chunk
+    cuts, commit = [], Group._commit_prefix
+
+    def spy(self, r, start, rows, cut):
+        cuts.append((r, start, cut))
+        return commit(self, r, start, rows, cut)
+
+    monkeypatch.setattr(Group, "_commit_prefix", spy)
+    space = bo.SearchSpace.cube(2, -100.0, 100.0)
+    config = RunConfig(algorithm="gwo", population=4, iterations=1)
+    positions = [[[float(r), float(i)] for i in range(4)] for r in range(2)]
+    evaluators = [CallEvaluator(lambda x: 10.0) for _ in range(2)]
+    fitness = [(1.0, 2.0, math.nan, math.nan), (1.0, 2.0, 3.0, 4.0)]
+    g = Group(baselines.GWO, config, [RandomStream(1), RandomStream(2)], evaluators, [space] * 2, positions, fitness)
+    g.leader_changes = [0, 0]  # both runs quiet: they sweep in chunks
+    g.advance()
+    assert cuts == [(0, 0, math.inf), (0, 1, 10.0), (1, 0, 3.0)]
+    assert g.leaders_f == [[1.0, 2.0, 10.0], [1.0, 2.0, 3.0]] and g.best_f == [1.0, 1.0]
 
 
 def test_a_protocol_shaped_leader_plan_steps_in_chunks(monkeypatch):
@@ -426,9 +441,9 @@ def test_a_protocol_shaped_leader_plan_steps_in_chunks(monkeypatch):
     plan = harness.parse_config("algorithms = gwo cdo\nfunctions = f1 f9 f21\nruns = 1\npopulation = 30\niterations = 50\n")
     result = harness.run_experiment(plan)
     assert not result.failures and not result.fallbacks
-    # two groups (f1 f9, f21) per algorithm, three runs, asked after each
-    # of the 49 iterations after the first
-    assert len(chosen) == 2 * 3 * 49
+    # two groups (f1 f9, f21) per algorithm, three runs, asked on each of
+    # the 50 iterations (every run is busy before the first)
+    assert len(chosen) == 2 * 3 * 50
     assert any(chosen) and not all(chosen)
     # the mixed path: f9 (run 1) chunked, then f1 (run 0) alone, agent by agent
     mixed = [k for k, step in enumerate(steps[:-30]) if step == ("sweep", [1])]

@@ -358,6 +358,28 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("config file is not UTF-8 text") and err.count("\n") == 1
 
+    def test_run_reads_a_plan_that_starts_with_a_byte_order_mark(self, tmp_path, capsys):
+        config = tmp_path / "plan.txt"
+        plan = "algorithms = pso\nfunctions = f16\nruns = 1\npopulation = 4\niterations = 2\n"
+        config.write_text(plan, encoding="utf-8-sig")
+        assert config.read_bytes().startswith(b"\xef\xbb\xbfalgorithms")
+        assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "convergence" / "pso_f16.csv").exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_run_refuses_an_output_directory_it_cannot_create_before_running(self, tmp_path, capsys, monkeypatch, out):
+        from beetleopt import harness
+
+        groups, execute_group = [], harness.execute_group
+        monkeypatch.setattr(harness, "execute_group", lambda *args: groups.append(args) or execute_group(*args))
+        config = tmp_path / "plan.txt"
+        config.write_text("algorithms = pso\nfunctions = f16\nruns = 1\npopulation = 4\niterations = 2\n")
+        (tmp_path / "file").write_text("not a directory\n")
+        assert cli_main(["run", str(config), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot create output directory") and err.count("\n") == 1
+        assert groups == []
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
         config = tmp_path / "plan.txt"

@@ -81,6 +81,20 @@ def test_value_errors_are_pinned(line, message):
     assert str(info.value) == message
 
 
+def test_a_key_given_twice_is_refused():
+    # the second value used to replace the first without a word
+    with pytest.raises(ConfigurationError) as info:
+        parse_config("runs = 1\nalgorithms = pso\n\nruns = 2\n")
+    assert str(info.value) == "line 4: duplicate key 'runs' (first on line 1)"
+    with pytest.raises(ConfigurationError) as info:
+        parse_config("runs = banana\nruns = 2\nruns = 3\n")
+    assert str(info.value).splitlines() == [
+        "line 1: runs must be an integer, got 'banana'",
+        "line 2: duplicate key 'runs' (first on line 1)",
+        "line 3: duplicate key 'runs' (first on line 1)",
+    ]
+
+
 #: the byte-compare and timing plans of ``tools/bench_pairs.py --plan``
 PLANS = sorted((Path(__file__).resolve().parent.parent / "tools" / "plans").glob("*.plan"))
 

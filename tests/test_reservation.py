@@ -12,7 +12,7 @@ from beetleopt.benchmarks import BENCHMARKS
 from beetleopt.baselines import PSO
 from beetleopt.core import CallEvaluator, ContractViolation, RandomStream, RunConfig
 
-from conftest import reserve
+from conftest import EvaluateOnly, reserve
 
 # A draw taken outside a reservation: a scalar (None) or a block of that size.
 outside_draws = st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=4)
@@ -137,25 +137,6 @@ def test_settling_after_taking_too_few_slots_raises():
     stream.take(2)
     with pytest.raises(ContractViolation):
         stream.settle()
-
-
-class EvaluateOnly:
-    """Benchmark-spec proxy with only ``space`` and ``evaluate``, like a
-    timing wrapper; ``draws(call)`` extra draws are taken per evaluation."""
-
-    def __init__(self, spec, draws=lambda call: 0):
-        self._spec = spec
-        self._draws = draws
-        self.calls = 0
-
-    def space(self):
-        return self._spec.space()
-
-    def evaluate(self, position, rng=None):
-        for _ in range(self._draws(self.calls)):
-            rng.uniform()
-        self.calls += 1
-        return self._spec.evaluate(position, rng)
 
 
 def _gap(objective):
