@@ -36,8 +36,6 @@ from .core import (
     Algorithm,
     Array,
     Group,
-    RunConfig,
-    bound_position,
     by_agent,
     improved,
     improves,
@@ -94,7 +92,7 @@ def _best_three(fitness: list) -> list:
     return sorted(range(len(fitness)), key=lambda i: nan_last(fitness[i]))[:3]
 
 
-def _leaders_init(g: Group, config: RunConfig) -> None:
+def _leaders_init(g: Group) -> None:
     """Each run's three best agents as its ``leaders`` ``(R, 3, dim)``, best
     first, with their values in ``leaders_f``, and every run busy
     (:func:`_busy`) before the first iteration: ``N`` ``leader_changes``.
@@ -133,7 +131,7 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
     """One iteration of a leader-guided step: reserve a row of ``width``
     draws per agent, turn them into ``terms(u)`` (``(R, N, ...)`` arrays),
     then move every agent of every run once, in agent order, to
-    ``guided(leaders, *terms_i, x_i)`` (bounded), made from the run's live
+    ``guided(leaders, *terms_i, x_i)``, made from the run's live
     leaders ``(..., 3, dim)`` (best first), the agent's rows of the terms
     and its position, and shift-insert it into the leaders.
 
@@ -153,28 +151,28 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
     g.leader_changes = [0] * len(g.rngs)
     if len(busy) > 1:
         for i, (x, *agent) in enumerate(zip(g.at, *map(by_agent, terms))):
-            for r, value in enumerate(g.move(i, g.bound(guided(g.leaders, *agent, x)))):
+            for r, value in enumerate(g.move(i, guided(g.leaders, *agent, x))):
                 _insert_leader(g, r, i, value)
         return
 
     def propose(r: int, start: int) -> Array:
-        return g.bound_run(r, guided(g.leaders[r], *(t[r, start:] for t in terms), g.x[r, start:]))
+        return guided(g.leaders[r], *(t[r, start:] for t in terms), g.x[r, start:])
 
     quiet = [r for r in range(len(g.rngs)) if r not in busy]
     g.sweep(propose, lambda r: g.leaders_f[r][2], functools.partial(_insert_leader, g), runs=quiet)
     for r in busy:
         x, leaders = g.x[r], g.leaders[r]
         for i, agent in enumerate(zip(*(t[r] for t in terms))):
-            _insert_leader(g, r, i, g.place(r, i, g.bound_run(r, guided(leaders, *agent, x[i]))))
+            _insert_leader(g, r, i, g.place(r, i, guided(leaders, *agent, x[i])))
 
 
-def _velocities_init(g: Group, config: RunConfig) -> None:
+def _velocities_init(g: Group) -> None:
     g.velocities = np.zeros_like(g.x)
 
 
-def _personal_init(g: Group, config: RunConfig) -> None:
+def _personal_init(g: Group) -> None:
     """Zero velocities, and every agent as its own personal best."""
-    _velocities_init(g, config)
+    _velocities_init(g)
     g.personal_best = g.x.copy()
     g.personal_best_f = np.array(g.fitness)
 
@@ -190,7 +188,7 @@ def _update_personal(g: Group) -> None:
 
 
 def _velocity_sweep(g: Group, memory: Array, social: Array) -> None:
-    """pso's and sso's move: sweep every agent to ``x + v`` (bounded), with
+    """pso's and sso's move: sweep every agent to ``x + v``, with
     ``v = memory + social * (best_x - x)`` from its run's live best-so-far
     (``memory``, ``social``: ``(R, N, ...)``), then update personal bests."""
 
@@ -199,7 +197,7 @@ def _velocity_sweep(g: Group, memory: Array, social: Array) -> None:
         v = memory[r, start:] + social[r, start:] * (g.best_x[r] - x)
         # an agent proposed again overwrites this with its committed velocity
         g.velocities[r, start:] = v
-        return g.bound_run(r, x + v)
+        return x + v
 
     g.sweep(propose)
     _update_personal(g)
@@ -440,7 +438,7 @@ def _bto_step(g: Group) -> None:
 
     def propose(r: int, start: int) -> Array:
         pulled = scales[r, start:] * g.best_x[r] - probabilities[r, start:]
-        return g.bound_run(r, pulled * anchor[r])
+        return pulled * anchor[r]
 
     g.sweep(propose)
 
@@ -502,7 +500,7 @@ def _gsa_step(g: Group) -> None:
     attractors on all agents of every run at once, then adds them to the
     accelerations one attractor at a time, so each agent still sums its
     pulls in attractor order.  Nothing reads a live evaluation, so every
-    velocity and bounded position is computed before the first evaluation,
+    velocity and position is computed before the first evaluation,
     and the moved population is evaluated at once
     (:meth:`~beetleopt.core.Group.move_all`).
     """
@@ -549,7 +547,7 @@ def _gsa_step(g: Group) -> None:
             accelerations += one
 
     g.velocities = damping * g.velocities + accelerations
-    g.move_all(bound_position(x + g.velocities, g.lower[:, None], g.upper[:, None], g.bound_mode))
+    g.move_all(x + g.velocities)
 
 
 GSA = Algorithm("gsa", 2, _velocities_init, _gsa_step)

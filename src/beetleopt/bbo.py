@@ -12,10 +12,10 @@ scalar draws it replaces: the ``e`` noise slots go to a noisy objective's
 own draws during the defense and escape evaluations.  The chaos state
 advances once per agent and consumes no draws.  The step advances a
 :class:`~beetleopt.core.Group` of runs, each in chunks with a global-best
-predator and all in lockstep with a random-agent one; it only proposes and
-evaluates, and the group commits what it keeps.  The optimizer is the
-:class:`~beetleopt.core.Algorithm` entry ``BBO``; :func:`bbo_run` is its
-``run`` method, a group of one run.
+predator and all in lockstep with a random-agent one; it proposes raw
+positions and evaluates, and the group bounds and commits.  The optimizer is
+the :class:`~beetleopt.core.Algorithm` entry ``BBO``; :func:`bbo_run` is
+its ``run`` method, a group of one run.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def defense_proposal(
     """Raw defense proposal ``(x + predator * area * reaction * x) / spray``.
 
     The loop keeps the area non-negative and the spray at or above
-    :data:`kernels.SPRAY_FLOOR`; bound handling happens at the call site,
-    before any evaluation.
+    :data:`kernels.SPRAY_FLOOR`; the group's writers bound the proposal
+    before it is evaluated.
     """
     return (position + predator_position * intersection_area * reaction * position) / spray_value
 
@@ -70,7 +70,8 @@ def _bbo_step(g: Group) -> None:
 
     Agents update sequentially in index order; the global-best predator is
     the live best-so-far, refreshed as soon as a replacement is accepted.
-    Every proposal is bound-handled before it is evaluated.  What reads only
+    Every proposal is bounded before it is evaluated, by the group (a
+    chunk's escapes by :func:`_defend_and_flee`).  What reads only
     an agent's draws and the iteration's start is worked out for all agents
     before the first proposal.  A global-best predator steps each run in
     chunks (:meth:`~beetleopt.core.Group.sweep`, evaluated by
@@ -94,7 +95,7 @@ def _bbo_step(g: Group) -> None:
 
         def defend(r: int, start: int) -> Array:
             x = g.x[r, start:]
-            return g.bound_run(r, defense_proposal(x, g.best_x[r], areas[r, start:], reactions[r, start:], sprays[r, start:]))
+            return defense_proposal(x, g.best_x[r], areas[r, start:], reactions[r, start:], sprays[r, start:])
 
         g.sweep(defend, evaluate=functools.partial(_defend_and_flee, g, hops))
     else:
@@ -106,9 +107,9 @@ def _bbo_step(g: Group) -> None:
         for i, x in enumerate(g.at):
             # Defense: spray scaled by the threat-circle overlap and reaction.
             defended = defense_proposal(x, agents[predators[i]], areas[i], reactions[i], sprays[i])
-            g.move(i, g.bound(defended), greedy=True)
+            g.move(i, defended, greedy=True)
             # Escape: signed per-dimension hop whose size decays with time.
-            g.move(i, g.bound(x + hops[i]), greedy=True)
+            g.move(i, x + hops[i], greedy=True)
 
 
 def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array, below: float) -> tuple:

@@ -62,14 +62,13 @@ def _cmd_run(args) -> int:
     except ConfigurationError as exc:
         print(f"invalid config:\n{exc}", file=sys.stderr)
         return 2
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
     plan.base_seed = args.seed
     plan.out_dir = str(args.out)
-    result = run_and_emit(plan, jobs=args.jobs)
+    try:
+        result = run_and_emit(plan, jobs=args.jobs)
+    except ConfigurationError as exc:  # the output directory cannot be created
+        print(exc, file=sys.stderr)
+        return 2
     for algorithm, functions, message in result.fallbacks:
         print(f"{algorithm} group {' '.join(functions)} raised and ran run by run: {message}", file=sys.stderr)
     print(f"{len(result.records)} runs completed, {len(result.failures)} failed")

@@ -40,25 +40,24 @@ class ContractViolation(RuntimeError):
 class RandomStream:
     """Seeded uniform random source backing a single run.
 
-    Every draw derives from one primitive (``Generator.random``), scaled
-    affinely for bounded ranges, so the consumption order is the full
-    determinism contract: same seed, same sequence of calls, same numbers.
-    :attr:`draws` counts the values drawn so far.
+    Every draw derives from one primitive (``Generator.random``), so the
+    consumption order is the full determinism contract: same seed, same
+    sequence of calls, same numbers.  :attr:`draws` counts them.
 
     An optimizer iteration takes all its draws at once with
     :meth:`reserve_into`.  A noisy objective draws from the same stream
     during the iteration; the reservation sets aside ``gap`` slots after each
     segment of a row for those draws, in the order they would have come from
-    the generator.  The run's evaluator states ``gap`` or measures it
-    (:func:`bind`); the stream knows nothing of evaluators.
+    the generator, and the stream hands them out itself.  The run's
+    evaluator states ``gap`` or measures it (:func:`bind`); the stream knows
+    nothing of evaluators.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._generator = np.random.default_rng(self.seed)
-        # what the draws below read: the generator, or the noise slots of an
-        # open reservation
-        self._gen = self._generator
+        self._slots = None  # the open reservation's noise slots, if any
+        self._next = 0
         self._draws = 0
 
     @property
@@ -67,14 +66,24 @@ class RandomStream:
         return self._draws
 
     def uniform(self, size=None):
-        """Uniform draw(s) in [0, 1).
+        """Uniform draw(s) in [0, 1): the generator's, or an open reservation's.
 
         ``Generator.random(k)`` yields the same doubles as ``k`` scalar draws,
         so one block draw consumes the stream exactly like ``k`` scalar calls.
         """
-        u = self._gen.random(size)
-        self._draws += 1 if size is None else u.size
-        return u
+        if self._slots is None:
+            u = self._generator.random(size)
+            self._draws += 1 if size is None else u.size
+            return u
+        start = self._next
+        stop = start + (1 if size is None else int(np.prod(size)))
+        if stop > len(self._slots):
+            raise ContractViolation("the objective took more draws during an iteration than its gap")
+        self._next = stop
+        self._draws += stop - start
+        if size is None:
+            return self._slots[start]
+        return np.array(self._slots[start:stop]).reshape(size)
 
     def reserve_into(self, out: Array, rows: int, widths, lead: int = 0, gap: int = 0) -> None:
         """Draw ``lead`` values, then ``rows`` rows, as one block into
@@ -86,11 +95,11 @@ class RandomStream:
         takes the next noise slot, so the objective's draws get the values
         the generator would have given them, and a draw past the last slot
         raises."""
-        if self._gen is not self._generator:
+        if self._slots is not None:
             raise ContractViolation("the previous reservation was not settled")
-        noise = []
         if gap == 0:
             self._generator.random(out=out)
+            self._slots = []
         else:
             block = self._generator.random(out.size + rows * gap * len(widths))
             grid = block[lead:].reshape(rows, -1)
@@ -102,31 +111,32 @@ class RandomStream:
                 start += gap
             out[:lead] = block[:lead]
             out[lead:].reshape(rows, -1)[...] = grid[:, segments]
-            noise = grid[:, ~segments].ravel().tolist()
-        self._gen = _NoiseSlots(noise)
+            self._slots = grid[:, ~segments].ravel().tolist()
+        self._next = 0
 
     def peek(self, k: int) -> Array:
         """The next ``k`` noise slots of the open reservation, left for the
         draws that take them."""
-        return self._open().peek(k)
+        if self._slots is None:
+            raise ContractViolation("no reservation is open")
+        if self._next + k > len(self._slots):
+            raise ContractViolation("a speculated evaluation read past the iteration's noise slots")
+        return np.array(self._slots[self._next : self._next + k])
 
     def take(self, m: int) -> None:
         """Take the next ``m`` noise slots of the open reservation, as ``m``
         draws would."""
-        self._open().take(m)
+        self.peek(m)
+        self._next += m
 
     def settle(self) -> None:
         """Close the open reservation; the objective must have taken exactly
         its noise slots."""
-        slots = self._open()
-        self._gen = self._generator
-        if not slots.used_up():
-            raise ContractViolation("the objective took fewer draws during an iteration than its gap")
-
-    def _open(self):
-        if self._gen is self._generator:
+        if self._slots is None:
             raise ContractViolation("no reservation is open")
-        return self._gen
+        slots, self._slots = self._slots, None
+        if self._next != len(slots):
+            raise ContractViolation("the objective took fewer draws during an iteration than its gap")
 
 
 def _split_reservation(block: Array, rows: int, widths, lead: int) -> list:
@@ -141,41 +151,6 @@ def _split_reservation(block: Array, rows: int, widths, lead: int) -> list:
         out.append(grid[..., start : start + width])
         start += width
     return out
-
-
-class _NoiseSlots:
-    """Generator stand-in during a reservation: hands out its slots in order
-    and refuses a draw beyond them.  A speculated block reads the next slots
-    (:meth:`peek`) and takes those of its committed rows at once
-    (:meth:`take`)."""
-
-    __slots__ = ("_values", "_next")
-
-    def __init__(self, values: list):
-        self._values = values
-        self._next = 0
-
-    def random(self, size=None):
-        start = self._next
-        stop = start + (1 if size is None else int(np.prod(size)))
-        if stop > len(self._values):
-            raise ContractViolation("the objective took more draws during an iteration than its gap")
-        self._next = stop
-        if size is None:
-            return self._values[start]
-        return np.array(self._values[start:stop]).reshape(size)
-
-    def peek(self, k: int) -> Array:
-        if self._next + k > len(self._values):
-            raise ContractViolation("a speculated evaluation read past the iteration's noise slots")
-        return np.array(self._values[self._next : self._next + k])
-
-    def take(self, m: int) -> None:
-        self.peek(m)
-        self._next += m
-
-    def used_up(self) -> bool:
-        return self._next == len(self._values)
 
 
 def signs_from_uniform(u: Array) -> Array:
@@ -405,14 +380,15 @@ class Group:
     (:meth:`move_all`), run by run in chunks (:meth:`sweep`, over every run
     or some) or, for one run, agent by agent (:meth:`place`).  Only these
     four write the runs' state (``x``, ``fitness``, and ``best_x`` and
-    ``best_f`` through :meth:`_keep`): a step proposes, and may say how a
-    chunk is evaluated.  A step sets and reads further per-algorithm state
-    on the group (``velocities``, ``leaders`` ...).
+    ``best_f`` through :meth:`_keep`), and they bound every proposal they
+    evaluate: a step proposes raw positions, and may say how a chunk is
+    evaluated.  A step sets and reads further per-algorithm state on the
+    group (``velocities``, ``leaders`` ...).
 
     The constructor is the one place a run's state is created.  It takes,
     per run, a stream, an evaluator, a space, the ``(N, dim)`` positions
     ``x`` and their evaluated ``fitness`` (:func:`start_group` draws and
-    evaluates them; a hand-built group may set any).  It reads the run
+    evaluates them; a hand-built group may set any).  It alone reads the run
     settings from ``config``, takes each run's first least value as its
     best-so-far (NaN last, :func:`nan_last`, so it is NaN only when every
     value is) and calls ``algorithm.init``, which may draw from the streams.
@@ -441,7 +417,7 @@ class Group:
         #: (``owners``, one per run) share one ``function``; a run whose
         #: evaluator has none is a segment of its own
         self.segments = _segments(self.objectives)
-        algorithm.init(self, config)
+        algorithm.init(self)
 
     @property
     def n(self) -> int:
@@ -450,10 +426,6 @@ class Group:
     @property
     def dim(self) -> int:
         return self.x.shape[2]
-
-    def bound(self, block: Array) -> Array:
-        """Bound an ``(R, dim)`` block of proposals, one row per run."""
-        return bound_position(block, self.lower, self.upper, self.bound_mode)
 
     def bound_run(self, r: int, rows: Array) -> Array:
         """Bound proposals ``(..., dim)`` of run ``r``."""
@@ -506,6 +478,7 @@ class Group:
         agent's (:func:`improves`).  An agent that keeps its value was
         already weighed against the best-so-far."""
         agents = self.at[i]
+        rows = bound_position(rows, self.lower, self.upper, self.bound_mode)
         values = self.shared_values(rows)
         if not greedy:
             agents[...] = rows
@@ -522,6 +495,7 @@ class Group:
         """Evaluate ``row`` as agent ``i`` of run ``r`` alone and replace the
         agent outright, as :meth:`move` does for agent ``i`` of every run;
         return the value."""
+        row = self.bound_run(r, row)
         value = self.objectives[r](row)
         self.x[r, i] = row
         self.fitness[r][i] = value
@@ -532,6 +506,7 @@ class Group:
         """Replace every agent of every run by ``moved`` ``(R, N, dim)`` and
         evaluate each segment's agents as one block (each run's rows in
         agent order), keeping the best-so-far in agent order."""
+        moved = bound_position(moved, self.lower[:, None], self.upper[:, None], self.bound_mode)
         self.x[...] = moved
         n = self.n
         for start, stop, owners in self.segments:
@@ -548,12 +523,12 @@ class Group:
         once, in agent order, keeping the best-so-far as :meth:`move` does;
         the one place a chunk commits.
 
-        ``propose(r, start)`` returns the bounded proposals of agents
-        ``start, ..., N - 1`` of run ``r`` as one ``(k, dim)`` array, made
-        from the live state.  ``evaluate(r, start, rows, below)`` returns the
-        rows and values the leading agents move to, each counted, up to and
-        including the first whose value is below ``below`` (all of them if
-        none is): by default each proposal as it is (:meth:`_commit_prefix`).
+        ``propose(r, start)`` returns the proposals of agents ``start, ...,
+        N - 1`` of run ``r`` as one ``(k, dim)`` array, made from the live
+        state.  ``evaluate(r, start, rows, below)`` returns the rows and
+        values the leading agents move to, each counted, up to and including
+        the first whose value is below ``below`` (all of them if none is): by
+        default each proposal as it is (:meth:`_commit_prefix`).
         ``below`` is the run's cut, ``cut(r)``: by default its best-so-far,
         and never below it, so that only the last agent committed can
         improve the best.  A NaN cut reads as +inf, as a NaN held value
@@ -570,7 +545,7 @@ class Group:
                 below = self.best_f[r] if cut is None else cut(r)
                 if below != below:
                     below = math.inf
-                rows, values = evaluate(r, start, propose(r, start), below)
+                rows, values = evaluate(r, start, self.bound_run(r, propose(r, start)), below)
                 stop = start + len(values)
                 x[start:stop] = rows
                 fitness[start:stop] = values
@@ -627,8 +602,8 @@ def by_agent(block: Array) -> list:
 @dataclass(frozen=True)
 class Algorithm:
     """One optimizer, as every run of it reads it: its ``id``, the smallest
-    population it runs with, ``init(group, config)``, which the
-    :class:`Group` constructor calls to set its state on the group, and
+    population it runs with, ``init(group)``, which the :class:`Group`
+    constructor calls to set its state on the group, and
     ``step(group)``, which moves every run of the group through one
     iteration, inside :meth:`Group.advance`.  Its public surface is
     :meth:`run` and :meth:`start`, each for a group of one run."""

@@ -449,14 +449,21 @@ def _write_block(root, block_name, functions, table, ranks_by_function, algorith
 
 
 def run_and_emit(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
-    """Execute the plan and write all artifacts under ``plan.out_dir``."""
+    """Execute the plan and write all artifacts under ``plan.out_dir``,
+    which is created first (:class:`ConfigurationError` before any run if it
+    cannot be); ``failures.csv`` holds this experiment's failures only."""
+    out_dir = Path(plan.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from None
     result = run_experiment(plan, jobs=jobs)
+    failures_path = out_dir / "failures.csv"
+    failures_path.unlink(missing_ok=True)
     if result.failures:
         # imported here: only an experiment with failures needs it
         import csv
 
-        failures_path = Path(plan.out_dir) / "failures.csv"
-        failures_path.parent.mkdir(parents=True, exist_ok=True)
         with failures_path.open("w", encoding="utf-8", newline="") as fh:
             # quoting keeps a message with commas or newlines in one field
             writer = csv.writer(fh, lineterminator="\n")

@@ -198,11 +198,11 @@ def make_chaos(map_id: str, initial: float) -> ChaosState:
     return ChaosState(map_id, float(_chaos_entry(map_id)[1](initial)), 0)
 
 
-def seed_chaos(group, config) -> None:
-    """Seed each run of a group with a chaos trajectory of
-    ``config.chaos_map`` from one draw of its own stream, taken right after
-    the ``N`` initial evaluations: the ``init`` of bto and bbo."""
-    group.chaos = [make_chaos(config.chaos_map, rng.uniform()).value for rng in group.rngs]
+def seed_chaos(group) -> None:
+    """Seed each run of a group with a chaos trajectory of the group's
+    ``chaos_map`` from one draw of its own stream, taken right after the
+    ``N`` initial evaluations: the ``init`` of bto and bbo."""
+    group.chaos = [make_chaos(group.chaos_map, rng.uniform()).value for rng in group.rngs]
 
 
 def chaos_rows(group) -> Array:

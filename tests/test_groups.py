@@ -18,9 +18,19 @@ import beetleopt as bo
 from beetleopt import baselines, benchmarks, harness
 from beetleopt.benchmarks import BENCHMARKS, BoundEvaluator
 from beetleopt.cli import main as cli_main
-from beetleopt.core import CallEvaluator, ContractViolation, Group, RandomStream, RunConfig, drive, start_group
+from beetleopt.core import (
+    BOUND_MODES,
+    CallEvaluator,
+    ContractViolation,
+    Group,
+    RandomStream,
+    RunConfig,
+    clamp_to_bounds,
+    drive,
+    start_group,
+)
 
-from conftest import EvaluateOnly
+from conftest import EvaluateOnly, hand_group
 
 #: registry functions by dimension (f7, the noisy one, is among the 30s)
 BY_DIM = {}
@@ -386,6 +396,33 @@ def test_an_outright_move_always_replaces_and_the_best_moves_only_below_it():
     g.move(1, ROWS)
     assert g.x[:, 1].tolist() == ROWS.tolist() and [f[1] for f in g.fitness] == [7.0, 2.5]
     assert g.best_f == [3.0, 2.5] and g.best_x.tolist() == [[0.0, 1.0], ROWS[1].tolist()]
+
+
+@pytest.mark.parametrize("mode", BOUND_MODES)
+def test_the_writers_bound_every_proposal_they_evaluate(mode):
+    # a step proposes raw positions; move, place, sweep and move_all store
+    # and evaluate them bounded in the group's mode
+    space = bo.SearchSpace.cube(2, -1.0, 1.0)
+    seen = []
+
+    def objective(x):
+        seen.append(x.tolist())
+        return 1.0  # above the best (0.0): a sweep commits its whole chunk
+
+    config = RunConfig(algorithm="pso", population=3, iterations=1, bound_mode=mode)
+    g = hand_group(baselines.PSO, config, np.zeros((3, 2)), [0.0] * 3, objective, space)
+    outside = np.array([[3.0, -1.5], [-2.5, 0.5], [0.25, 1.75]])
+    inside = [clamp_to_bounds(row, space, mode).tolist() for row in outside]
+    assert all(space.contains(np.array(row)) for row in inside) and inside != outside.tolist()
+    g.move(0, outside[:1])
+    assert g.x[0, 0].tolist() == inside[0]
+    g.place(0, 1, outside[1])
+    assert g.x[0, 1].tolist() == inside[1]
+    g.sweep(lambda r, start: outside[start:])
+    assert g.x[0].tolist() == inside
+    g.move_all(outside[None, ::-1])
+    assert g.x[0].tolist() == inside[::-1]
+    assert seen == [inside[0], inside[1], *inside, *inside[::-1]]
 
 
 def test_a_nan_best_or_leader_reads_as_inf(monkeypatch):

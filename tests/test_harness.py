@@ -172,6 +172,33 @@ class TestRunExperiment:
         ]
 
 
+    def test_an_output_directory_that_cannot_be_created_raises_before_any_group_runs(self, tmp_path, monkeypatch):
+        from beetleopt import harness
+
+        groups, execute_group = [], harness.execute_group
+        monkeypatch.setattr(harness, "execute_group", lambda *args: groups.append(args) or execute_group(*args))
+        (tmp_path / "file").write_text("not a directory\n")
+        with pytest.raises(ConfigurationError, match="cannot create output directory"):
+            run_and_emit(tiny_plan(out_dir=str(tmp_path / "file")))
+        assert groups == []
+
+    def test_a_clean_rerun_removes_the_failures_of_an_earlier_one(self, tmp_path, monkeypatch):
+        real = run_cell
+
+        def f16_fails(algorithm, function, config):
+            if function == "f16":
+                raise RuntimeError("boom")
+            return real(algorithm, function, config)
+
+        plan = tiny_plan(algorithms=("pso",), out_dir=str(tmp_path))
+        with monkeypatch.context() as patch:
+            swap_runs(patch, f16_fails)
+            assert len(run_and_emit(plan).failures) == 2
+        assert len((tmp_path / "failures.csv").read_text(encoding="utf-8").splitlines()) == 3
+        assert run_and_emit(plan).failures == []
+        assert not (tmp_path / "failures.csv").exists()
+
+
 class TestWorkerCount:
     def test_bounded_by_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -64,10 +64,20 @@ def test_reservation_consumes_the_scalar_draw_sequence(
 def test_a_draw_beyond_the_noise_slots_raises(gap):
     stream = RandomStream(4)
     reserve(stream, 2, (3,), gap=gap)
-    for _ in range(2 * gap):
+    last = RandomStream(4).uniform(size=2 * (3 + gap))[-1]
+    for _ in range(2 * gap - 1):
         stream.uniform()
+    drawn = stream.draws
+    # a refused draw takes nothing: the last slot is still the next one
+    with pytest.raises(ContractViolation):
+        stream.uniform(size=2)
+    assert stream.draws == drawn
+    if gap:
+        assert stream.uniform() == last
     with pytest.raises(ContractViolation):
         stream.uniform()
+    assert stream.draws == drawn + (1 if gap else 0)
+    stream.settle()
 
 
 @pytest.mark.parametrize("gap", [1, 2])
@@ -107,10 +117,13 @@ def test_peeking_past_the_noise_slots_raises():
     with pytest.raises(ContractViolation):
         stream.peek(4)
     stream.take(2)
+    slot, drawn = stream.peek(1).tolist(), stream.draws
     with pytest.raises(ContractViolation):
         stream.peek(2)
     with pytest.raises(ContractViolation):
         stream.take(2)
+    # a refused peek or take takes nothing
+    assert stream.peek(1).tolist() == slot and stream.draws == drawn
     stream.take(1)
     stream.settle()
     with pytest.raises(ContractViolation):
