@@ -448,30 +448,48 @@ def _write_block(root, block_name, functions, table, ranks_by_function, algorith
     return [csv_path, txt_path]
 
 
+def _remove_stale(out_dir: Path, written: Sequence[Path]) -> None:
+    """Remove what an earlier plan left in ``out_dir``: the files with the
+    harness's own artifact names (a known cell's convergence csv, a summary
+    block, ``ranks.csv``, ``failures.csv``) that this plan did not write.
+    Any other file stays."""
+    kept = {path.name for path in written}  # no artifact name is used in two folders
+    for folder, names in (
+        (out_dir / "convergence", {f"{a}_{f}.csv" for a in ALGORITHMS for f in benchmarks.ids()}),
+        (out_dir / "summary", {f"{block}.{ext}" for block, _ in SUMMARY_BLOCKS for ext in ("csv", "txt")}),
+        (out_dir, {"ranks.csv", "failures.csv"}),
+    ):
+        if folder.is_dir():
+            for name in names.intersection(os.listdir(folder)).difference(kept):
+                (folder / name).unlink()
+
+
 def run_and_emit(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     """Execute the plan and write all artifacts under ``plan.out_dir``,
     which is created first (:class:`ConfigurationError` before any run if it
-    cannot be); ``failures.csv`` holds this experiment's failures only."""
+    cannot be).  The artifacts are this experiment's only: an earlier plan's
+    ``failures.csv``, convergence files, summary blocks and ``ranks.csv``
+    that this one does not write are removed."""
     out_dir = Path(plan.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from None
     result = run_experiment(plan, jobs=jobs)
-    failures_path = out_dir / "failures.csv"
-    failures_path.unlink(missing_ok=True)
+    written = []
     if result.failures:
         # imported here: only an experiment with failures needs it
         import csv
 
+        failures_path = out_dir / "failures.csv"
+        written.append(failures_path)
         with failures_path.open("w", encoding="utf-8", newline="") as fh:
             # quoting keeps a message with commas or newlines in one field
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("algorithm", "function", "run", "error"))
             writer.writerows(result.failures)
     if result.records:
-        emit_convergence(result.records, plan.out_dir)
-        emit_summary(
-            result.records, plan.out_dir, plan.rank_statistic, plan.algorithms, plan.functions
-        )
+        written += emit_convergence(result.records, out_dir)
+        written += emit_summary(result.records, out_dir, plan.rank_statistic, plan.algorithms, plan.functions)
+    _remove_stale(out_dir, written)
     return result

@@ -198,6 +198,23 @@ class TestRunExperiment:
         assert run_and_emit(plan).failures == []
         assert not (tmp_path / "failures.csv").exists()
 
+    def test_a_rerun_removes_the_artifacts_of_an_earlier_plan_and_nothing_else(self, tmp_path):
+        run_and_emit(tiny_plan(algorithms=("pso",), out_dir=str(tmp_path)))
+        for name in ("notes.txt", "convergence/mine.csv", "summary/f24.csv"):
+            (tmp_path / name).write_text("kept\n")
+        run_and_emit(tiny_plan(algorithms=("pso",), functions=("f1",), out_dir=str(tmp_path)))
+        files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+        assert files == [
+            "convergence/mine.csv",
+            "convergence/pso_f1.csv",
+            "notes.txt",
+            "ranks.csv",
+            "summary/f1-f7.csv",
+            "summary/f1-f7.txt",
+            "summary/f24.csv",
+        ]
+        assert (tmp_path / "ranks.csv").read_text(encoding="utf-8") == "algorithm,sum_rank,mean_rank\npso,1,1.00\n"
+
 
 class TestWorkerCount:
     def test_bounded_by_cpus_and_tasks(self, monkeypatch):

@@ -114,7 +114,9 @@ def test_bench_pairs_reports_the_host_class():
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    host = bench_pairs.host()
+    host = bench_pairs.host({"change": bench_pairs.ROOT})
     assert host["numpy"] == np.__version__
     assert host["libc"] == list(platform.libc_ver())
     assert isinstance(host["cpu_features"], list) and all(isinstance(name, str) for name in host["cpu_features"])
+    assert set(host["blas_threads"]) == {"change"}
+    assert set(host["blas_threads"]["change"]) == {"OPENBLAS_NUM_THREADS", "threads"}

@@ -25,8 +25,11 @@ sides' artifact trees differ in any file name or byte in any pair.
 Either report has a top-level ``host`` block naming the host class whose
 bits the runs produced: the NumPy version, its enabled CPU dispatch targets
 and the C library.  Golden bits differ between, say, NumPy's AVX2 and
-AVX-512 loops.  Standard library only; the block is read by a child of the
-running interpreter, which imports NumPy.
+AVX-512 loops.  Its ``blas_threads`` holds, per side, the
+``OPENBLAS_NUM_THREADS`` and the OS thread count of a fresh interpreter
+after ``import beetleopt``, so a report says whether NumPy's BLAS pool was
+pinned to one thread.  Standard library only; the block is read by children
+of the running interpreter, which import NumPy.
 """
 
 import argparse
@@ -111,10 +114,32 @@ print(json.dumps({
 """
 
 
-def host():
-    """The host class of this interpreter (see ``_HOST``)."""
+#: print as JSON ``OPENBLAS_NUM_THREADS`` and the OS thread count (None off Linux) after
+#: ``import beetleopt`` from the ``src`` given
+_BLAS_THREADS = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import beetleopt
+print(json.dumps({
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+}))
+"""
+
+
+def host(trees):
+    """The host class of this interpreter (see ``_HOST``), and per side of ``trees`` the BLAS
+    threading a run starts with (see ``_BLAS_THREADS``)."""
     proc = subprocess.run([sys.executable, "-c", _HOST], capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    report = json.loads(proc.stdout)
+    report["blas_threads"] = {}
+    for side, tree in trees.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS, os.path.join(tree, "src")],
+            capture_output=True, text=True, check=True,
+        )
+        report["blas_threads"][side] = json.loads(proc.stdout)
+    return report
 
 
 def tree_bytes(root):
@@ -210,7 +235,7 @@ def main(argv=None):
             report, ok = plan_pairs(args, trees, scratch)
         else:
             report, ok = workload_pairs(args, trees), True
-    report.update(parent=parent_sha, change="working tree", host=host())
+        report.update(parent=parent_sha, change="working tree", host=host(trees))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
