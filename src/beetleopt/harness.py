@@ -16,8 +16,9 @@ function, run) before emission, and number formatting is fixed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -251,8 +252,11 @@ def worker_count(jobs: int, tasks: int) -> int:
 
     Never more than the CPUs this process may run on (its affinity mask,
     where the platform has one, else the CPU count) or the groups there
-    are; 1 means the serial path.
+    are; 1 means the serial path.  Workers are forked, so off Linux (no
+    ``os.fork`` on Windows, and macOS does not fork by default) it is 1.
     """
+    if not sys.platform.startswith("linux"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -260,15 +264,152 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, cpus, tasks))
 
 
+#: bytes of a group index, on the index pipe and on a worker's result pipe
+_INDEX = 4
+#: bytes of a result frame's length prefix
+_LENGTH = 8
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(groups, index_fd: int, result_fd: int) -> None:
+    """A forked worker's life; it never returns.
+
+    It takes one group index at a time from the shared index pipe, names it
+    on its own result pipe, runs the group and sends its outcome as one
+    frame: the pickle's length, then the pickle.  A failed run travels as a
+    plain ``Exception`` with the same text, since its own class may not
+    pickle (one defined inside a function, say).  It exits with status 0
+    once the index pipe is empty, and with 1 if anything escapes.
+    """
+    status = 1
+    try:
+        while True:
+            taken = os.read(index_fd, _INDEX)
+            if not taken:
+                break
+            _write_all(result_fd, taken)
+            outcomes, fallback = execute_group(*groups[int.from_bytes(taken, "little")])
+            outcomes = [Exception(str(o)) if isinstance(o, Exception) else o for o in outcomes]
+            frame = pickle.dumps((outcomes, fallback), pickle.HIGHEST_PROTOCOL)
+            _write_all(result_fd, len(frame).to_bytes(_LENGTH, "little") + frame)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Worker:
+    """The parent's view of one forked worker: its pid, the read end of its
+    result pipe, what has arrived there, and the group it is running."""
+
+    def __init__(self, pid: int, fd: int):
+        self.pid = pid
+        self.fd = fd
+        self.index = None
+        self.buffer = bytearray()
+
+    def feed(self, chunk: bytes) -> list:
+        """Take ``chunk`` from the result pipe; returns ``(index, outcome)``
+        of each group it completes."""
+        buffer = self.buffer
+        buffer += chunk
+        done = []
+        while True:
+            if self.index is None:
+                if len(buffer) < _INDEX:
+                    return done
+                self.index = int.from_bytes(buffer[:_INDEX], "little")
+                del buffer[:_INDEX]
+            if len(buffer) < _LENGTH:
+                return done
+            end = _LENGTH + int.from_bytes(buffer[:_LENGTH], "little")
+            if len(buffer) < end:
+                return done
+            done.append((self.index, pickle.loads(buffer[_LENGTH:end])))
+            del buffer[:end]
+            self.index = None
+
+
+def _run_forked(groups, workers: int) -> list:
+    """Each group's ``execute_group`` outcome, in order, from ``workers``
+    forked worker processes.
+
+    Every group index is written to one pipe before the first fork, and the
+    workers drain it (:func:`_serve`).  Result pipes are read as data arrives,
+    since a group's frame can be larger than a pipe holds.  A worker that
+    dies while running a group costs that group alone: each of its runs
+    fails with the worker's exit status, and a replacement worker is forked
+    if groups remain.  No worker outlives the call, even if it raises.
+    """
+    import select
+
+    outcomes = [None] * len(groups)
+    index_read, index_write = os.pipe()
+    _write_all(index_write, b"".join(i.to_bytes(_INDEX, "little") for i in range(len(groups))))
+    os.close(index_write)
+    live = {}
+
+    def fork():
+        result_read, result_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _serve(groups, index_read, result_write)
+        # closed at once, so that no later worker holds it open
+        os.close(result_write)
+        live[result_read] = _Worker(pid, result_read)
+
+    try:
+        for _ in range(workers):
+            fork()
+        while live:
+            for fd in select.select(list(live), [], [])[0]:
+                worker = live[fd]
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    for index, outcome in worker.feed(chunk):
+                        outcomes[index] = outcome
+                    continue
+                del live[fd]
+                os.close(fd)
+                _, status = os.waitpid(worker.pid, 0)
+                if worker.index is None:
+                    continue
+                code = os.waitstatus_to_exitcode(status)
+                ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                lost = RuntimeError(f"the worker process running this group {ended}")
+                outcomes[worker.index] = ([lost] * len(groups[worker.index][1]), None)
+                running = sum(w.index is not None for w in live.values())
+                if outcomes.count(None) > running:
+                    fork()
+    finally:
+        if live:
+            import signal  # only a call that raised has workers left
+
+            for worker in live.values():
+                os.kill(worker.pid, signal.SIGKILL)
+                os.waitpid(worker.pid, 0)
+                os.close(worker.fd)
+        os.close(index_read)
+    # a group no worker named: its worker died before naming it, or every
+    # worker died before taking it
+    unrun = RuntimeError("no worker process reported this group")
+    return [([unrun] * len(runs), None) if o is None else o for o, (_, runs) in zip(outcomes, groups)]
+
+
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     """Execute every cell x run of the plan.
 
     Runs of one algorithm whose functions share a dimension form a group
     (:func:`plan_groups`) that runs in lockstep, and ``jobs > 1`` fans the
-    groups out to worker processes (at most :func:`worker_count` of them);
-    results are merged by (algorithm, function, run) and are identical
-    regardless of grouping and scheduling.  A failing run is recorded and
-    skipped rather than aborting the experiment; a group that fell back to
+    groups out to forked worker processes (at most :func:`worker_count` of
+    them); results are merged by (algorithm, function, run) and are
+    identical regardless of grouping and scheduling.  A failing run is
+    recorded and skipped rather than aborting the experiment, and a worker
+    that dies costs only the runs of its group; a group that fell back to
     solo runs is listed in ``fallbacks``.
     """
     groups = plan_groups(plan)
@@ -276,14 +417,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     if workers == 1:
         outcomes = [execute_group(algorithm, runs) for algorithm, runs in groups]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(execute_group, algorithm, runs) for algorithm, runs in groups]
-            outcomes = []
-            for future, (_, runs) in zip(futures, groups):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # a worker lost: every run of its group failed
-                    outcomes.append(([exc] * len(runs), None))
+        outcomes = _run_forked(groups, workers)
 
     records: List[RunRecord] = []
     failures: List[Tuple[str, str, int, str]] = []

@@ -3,10 +3,11 @@ together give every run the record it gets alone, through every route an
 objective can take, a failing run costs only itself, and the harness sends
 one task per group."""
 
-import concurrent.futures
 import dataclasses
 import itertools
 import math
+import os
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -552,10 +553,8 @@ def test_a_group_that_falls_back_is_recorded(monkeypatch, jobs):
         return FailInBlockOnSeed(spec, seed=8, after=20) if fid == "f9" else spec
 
     monkeypatch.setattr(benchmarks, "get", get)
-    if jobs > 1:
-        FakePool.tasks = []
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    # two CPUs, so that jobs = 2 forks two workers on any host
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     result = harness.run_experiment(plan, jobs=jobs)
     assert result.fallbacks == [("pso", ("f1", "f9"), "objective broke")]
     assert result.failures == [("pso", "f9", 1, "objective broke")]
@@ -657,42 +656,35 @@ def test_a_run_failing_inside_a_shared_block_costs_only_itself(monkeypatch):
         _same(a, b)
 
 
-class FakePool:
-    """Synchronous stand-in for ``ProcessPoolExecutor`` that keeps the tasks."""
+def record_groups(monkeypatch, folder):
+    """Make every ``execute_group`` call, in whichever forked worker runs
+    it, leave its ``(algorithm, runs)`` in a file of its own under
+    ``folder``; returns a reader of all calls so far."""
+    execute_group = harness.execute_group
 
-    tasks = []
+    def recorded(algorithm, runs):
+        name = f"{os.getpid()}-{algorithm}-{runs[0][0]}"
+        (folder / name).write_bytes(pickle.dumps((algorithm, runs)))
+        return execute_group(algorithm, runs)
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        FakePool.tasks.append(args)
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    monkeypatch.setattr(harness, "execute_group", recorded)
+    return lambda: [pickle.loads(path.read_bytes()) for path in folder.iterdir()]
 
 
-def test_jobs_submit_one_task_per_algorithm_and_dimension(monkeypatch):
+def test_jobs_submit_one_task_per_algorithm_and_dimension(monkeypatch, tmp_path):
     plan = _plan(algorithms=("gwo", "bto"), functions=("f1", "f9", "f14", "f15", "f21"))
     serial = harness.run_experiment(plan)
-    FakePool.tasks = []
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    tasks = record_groups(monkeypatch, tmp_path)
     pooled = harness.run_experiment(plan, jobs=2)
 
     keys = []
-    for algorithm, runs in FakePool.tasks:
+    for algorithm, runs in tasks():
         dims = {BENCHMARKS[function].dim for function, _ in runs}
         assert len(dims) == 1 and all(config.algorithm == algorithm for _, config in runs)
         keys.append((algorithm, dims.pop()))
     assert sorted(keys) == sorted((a, d) for a in plan.algorithms for d in (30, 2, 4))
-    assert sum(len(runs) for _, runs in FakePool.tasks) == len(plan.cells()) * plan.runs
+    assert sum(len(runs) for _, runs in tasks()) == len(plan.cells()) * plan.runs
     assert not pooled.failures and len(pooled.records) == len(serial.records)
     for a, b in zip(serial.records, pooled.records):
         _same(a, b)

@@ -241,14 +241,19 @@ class TestWorkerCount:
         assert worker_count(8, 21) == 1
 
     def test_single_worker_takes_the_serial_path(self, monkeypatch):
-        import concurrent.futures
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("os.fork", no_fork)
         result = run_experiment(tiny_plan(algorithms=("pso",), functions=("f1",), runs=1), jobs=64)
         assert len(result.records) == 1 and not result.failures
+
+    @pytest.mark.parametrize("platform, workers", [("linux", 2), ("darwin", 1), ("win32", 1), ("freebsd14", 1)])
+    def test_only_linux_forks_workers(self, monkeypatch, platform, workers):
+        # macOS does not fork by default and Windows cannot
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr("sys.platform", platform)
+        assert worker_count(8, 21) == workers
 
 
 class TestEmission:
