@@ -32,15 +32,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .core import (
-    Algorithm,
-    Array,
-    Group,
-    by_agent,
-    improved,
-    improves,
-    nan_last,
-)
+from .core import Algorithm, Array, Group, by_agent, improved
 
 # PSO constants: cognitive/social factors are fixed at 2; the inertia weight
 # decays linearly between the defaults below.
@@ -86,40 +78,6 @@ GSA_ALPHA = 20.0
 _GSA_EPS = 1e-12
 
 
-def _best_three(fitness: list) -> list:
-    """Indices of the three best values, ties in index order and NaN after
-    every other value."""
-    return sorted(range(len(fitness)), key=lambda i: nan_last(fitness[i]))[:3]
-
-
-def _leaders_init(g: Group) -> None:
-    """Each run's three best agents as its ``leaders`` ``(R, 3, dim)``, best
-    first, with their values in ``leaders_f``, and every run busy
-    (:func:`_busy`) before the first iteration: ``N`` ``leader_changes``.
-    The first leader is the best-so-far, and stays it, as both change
-    under :func:`~beetleopt.core.improves`."""
-    best = [_best_three(fitness) for fitness in g.fitness]
-    g.leaders = np.array([x[i] for x, i in zip(g.x, best)])
-    g.leaders_f = [[fitness[k] for k in i] for fitness, i in zip(g.fitness, best)]
-    g.leader_changes = [g.n] * len(g.rngs)
-
-
-def _insert_leader(g: Group, r: int, i: int, value: float) -> None:
-    """Shift-insert agent ``i`` of run ``r`` into its leaders, so they stay
-    the three best evaluations seen, and count a change in the run's
-    ``leader_changes``.  Leaders rank NaN last."""
-    rank = g.leaders_f[r]
-    if not improves(value, rank[2]):
-        return
-    k = 0 if improves(value, rank[0]) else 1 if improves(value, rank[1]) else 2
-    rank[k + 1 :] = rank[k:2]
-    rank[k] = value
-    leaders = g.leaders[r]
-    leaders[k + 1 :] = leaders[k:2]
-    leaders[k] = g.x[r, i]
-    g.leader_changes[r] += 1
-
-
 def _busy(changes: int, n: int) -> bool:
     """Whether a run whose leaders changed ``changes`` times in the previous
     iteration steps agent by agent in this one: its expected chunks, ``changes
@@ -133,17 +91,16 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
     then move every agent of every run once, in agent order, to
     ``guided(leaders, *terms_i, x_i)``, made from the run's live
     leaders ``(..., 3, dim)`` (best first), the agent's rows of the terms
-    and its position, and shift-insert it into the leaders.
+    and its position; the group shift-inserts it into the leaders.
 
     An agent that changes no leader leaves the next agents' proposals as
     they were.  So a run whose leaders changed rarely in the previous
     iteration (not :func:`_busy`) sweeps in chunks
     (:meth:`~beetleopt.core.Group.sweep`), each cut at its first agent that
-    changes a leader, whose value improves on the third (the first is the
-    best-so-far).  A busy run steps agent by agent: alone, one proposal and
-    one evaluation per agent, when it is the only busy one, and otherwise
-    with every run of the group in lockstep.  Every path gives the same
-    records.
+    changes a leader, whose value improves on the third.  A busy run steps
+    agent by agent: alone, one proposal and one evaluation per agent, when
+    it is the only busy one, and otherwise with every run of the group in
+    lockstep.  Every path gives the same records.
     """
     (u,) = g.reserve((width,))
     terms = terms(u)
@@ -151,19 +108,17 @@ def _leaders_step(g: Group, width: int, terms, guided) -> None:
     g.leader_changes = [0] * len(g.rngs)
     if len(busy) > 1:
         for i, (x, *agent) in enumerate(zip(g.at, *map(by_agent, terms))):
-            for r, value in enumerate(g.move(i, guided(g.leaders, *agent, x))):
-                _insert_leader(g, r, i, value)
+            g.move(i, guided(g.leaders, *agent, x))
         return
 
     def propose(r: int, start: int) -> Array:
         return guided(g.leaders[r], *(t[r, start:] for t in terms), g.x[r, start:])
 
-    quiet = [r for r in range(len(g.rngs)) if r not in busy]
-    g.sweep(propose, lambda r: g.leaders_f[r][2], functools.partial(_insert_leader, g), runs=quiet)
+    g.sweep(propose, runs=[r for r in range(len(g.rngs)) if r not in busy])
     for r in busy:
         x, leaders = g.x[r], g.leaders[r]
         for i, agent in enumerate(zip(*(t[r] for t in terms))):
-            _insert_leader(g, r, i, g.place(r, i, guided(leaders, *agent, x[i])))
+            g.place(r, i, guided(leaders, *agent, x[i]))
 
 
 def _velocities_init(g: Group) -> None:
@@ -294,8 +249,12 @@ def _gwo_step(g: Group) -> None:
     _leaders_step(g, 6 * g.dim, lambda u: _gwo_coefficients(u, coefficient), _gwo_guided)
 
 
+def _no_state(g: Group) -> None:
+    """gwo's and cdo's ``init``: they read only the group's leaders."""
+
+
 #: gwo and cdo steer every agent by the three best
-GWO = Algorithm("gwo", 3, _leaders_init, _gwo_step)
+GWO = Algorithm("gwo", 3, _no_state, _gwo_step, leaders=3)
 run_gwo = GWO.run
 
 
@@ -369,7 +328,7 @@ def _cdo_step(g: Group) -> None:
     _leaders_step(g, low.size, terms, _cdo_descent)
 
 
-CDO = Algorithm("cdo", 3, _leaders_init, _cdo_step)
+CDO = Algorithm("cdo", 3, _no_state, _cdo_step, leaders=3)
 run_cdo = CDO.run
 
 

@@ -21,7 +21,6 @@ its ``run`` method, a group of one run.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -30,9 +29,9 @@ from .core import (
     Algorithm,
     Array,
     Group,
+    accepted,
+    accepts,
     by_agent,
-    improved,
-    improves,
     index_from_uniform,
     signs_from_uniform,
 )
@@ -116,10 +115,10 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
     """:meth:`~beetleopt.core.Group.sweep`'s ``evaluate`` for a chunk of run
     ``r`` from agent ``start``: both phases of each agent, the defense
     ``proposals`` and then the escape by ``hops`` from the position kept,
-    each kept only if its value is finite and improves on the value held
-    (:func:`~beetleopt.core.improves`).  Returns the positions and values
-    kept, up to and including the first agent whose value is below
-    ``below``, and counts 2 evaluations per agent returned.
+    each kept only if :func:`~beetleopt.core.accepts` takes its value over
+    the value held.  Returns the positions and values kept, up to and
+    including the first agent whose value is below ``below``, and counts 2
+    evaluations per agent returned.
 
     A speculative evaluator evaluates both phases of the whole chunk as two
     blocks, the escapes from the speculated defense acceptances.  Any other
@@ -131,12 +130,12 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
         held = np.array(held)
         # each agent evaluates its defense, then its escape
         values = objective.speculate(proposals, 0, 2)
-        took = np.isfinite(values) & improved(values, held)
+        took = accepted(values, held)
         kept = np.where(took[:, None], proposals, x)
         kept_f = np.where(took, values, held)
         escapes = g.bound_run(r, kept + hops)
         values = objective.speculate(escapes, 1, 2)
-        fled = np.isfinite(values) & improved(values, kept_f)
+        fled = accepted(values, kept_f)
         kept = np.where(fled[:, None], escapes, kept)
         kept_f = np.where(fled, values, kept_f)
         cut = kept_f < below
@@ -147,11 +146,11 @@ def _defend_and_flee(g: Group, hops: Array, r: int, start: int, proposals: Array
     kept, kept_f = [], []
     for proposal, position, value, hop in zip(proposals, x, held, hops):
         defended = objective(proposal)
-        if math.isfinite(defended) and improves(defended, value):
+        if accepts(defended, value):
             position, value = proposal, defended
         escape = g.bound_run(r, position + hop)
         fled = objective(escape)
-        if math.isfinite(fled) and improves(fled, value):
+        if accepts(fled, value):
             position, value = escape, fled
         kept.append(position)
         kept_f.append(value)

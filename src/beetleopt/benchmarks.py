@@ -553,7 +553,7 @@ def get(fid: str) -> BenchmarkSpec:
     try:
         return BENCHMARKS[fid]
     except KeyError:
-        raise KeyError(f"unknown benchmark id {fid!r}; known: f1..f23") from None
+        raise KeyError(f"unknown benchmark id {fid!r}; known: {', '.join(BENCHMARKS)}") from None
 
 
 def known_optimum(fid: str) -> float:
@@ -562,4 +562,4 @@ def known_optimum(fid: str) -> float:
 
 
 def ids() -> list:
-    return [f"f{i}" for i in range(1, 24)]
+    return list(BENCHMARKS)

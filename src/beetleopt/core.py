@@ -287,15 +287,25 @@ def nan_last(value: float) -> tuple:
 
 
 def improves(value: float, held: float) -> bool:
-    """Whether ``value`` replaces ``held`` (a best-so-far, leader, personal
-    best or greedy value): it is less, or ``held`` is NaN and it is below
-    +inf.  Greedy replacement also wants ``value`` finite."""
+    """Whether ``value`` replaces ``held`` (a leader, personal best or
+    greedy value): it is less, or ``held`` is NaN and it is below +inf."""
     return value < held or held != held and value < math.inf
 
 
 def improved(values: Array, held: Array) -> Array:
     """:func:`improves` elementwise."""
     return values < np.fmin(held, math.inf)
+
+
+def accepts(value: float, held: float) -> bool:
+    """Whether greedy selection replaces an agent holding ``held`` by a move
+    to ``value``: ``value`` is finite and :func:`improves` on it."""
+    return math.isfinite(value) and improves(value, held)
+
+
+def accepted(values: Array, held: Array) -> Array:
+    """:func:`accepts` elementwise."""
+    return np.isfinite(values) & improved(values, held)
 
 
 def bind(objective, rng: RandomStream, space: Optional[SearchSpace] = None) -> tuple:
@@ -368,30 +378,34 @@ class Group:
     """R runs of one algorithm and one dimension, stepped in lockstep.
 
     Agent positions live in one C-contiguous ``(R, N, dim)`` array ``x`` and
-    the best-so-far positions in ``best_x`` ``(R, dim)``, so a step's vector
+    each run's ``k`` leaders (``algorithm.leaders``), the best agents it has
+    evaluated, best first, in ``leaders`` ``(R, k, dim)``, so a step's vector
     operations run once on the ``(R, dim)`` block of agent ``i`` of every
     run; every operation is elementwise, so each row holds the bits a run of
-    its own computes.  What a run decides on stays its own Python floats
-    (``fitness[r][i]``, ``best_f[r]``), and each run keeps its stream and its
-    evaluator (:func:`bind`).  A step moves the runs' agents either agent by
-    agent in lockstep (:meth:`move`, outright or under greedy selection,
-    where consecutive runs whose evaluators share a function are evaluated
-    by one block call of it, :meth:`shared_values`), all at once
-    (:meth:`move_all`), run by run in chunks (:meth:`sweep`, over every run
-    or some) or, for one run, agent by agent (:meth:`place`).  Only these
-    four write the runs' state (``x``, ``fitness``, and ``best_x`` and
-    ``best_f`` through :meth:`_keep`), and they bound every proposal they
-    evaluate: a step proposes raw positions, and may say how a chunk is
-    evaluated.  A step sets and reads further per-algorithm state on the
-    group (``velocities``, ``leaders`` ...).
+    its own computes.  The first leader is the best-so-far: ``best_x`` is
+    the live view ``leaders[:, 0]`` and ``best_f`` its values.  What a run
+    decides on stays its own Python floats (``fitness[r][i]``,
+    ``leaders_f[r]``), and each run keeps its stream and its evaluator
+    (:func:`bind`).  A step moves the runs' agents either agent by agent in
+    lockstep (:meth:`move`, outright or under greedy selection, where
+    consecutive runs whose evaluators share a function are evaluated by one
+    block call of it, :meth:`shared_values`), all at once (:meth:`move_all`),
+    run by run in chunks (:meth:`sweep`, over every run or some) or, for one
+    run, agent by agent (:meth:`place`).  Only these four write the runs'
+    state (``x``, ``fitness``, and the leaders through :meth:`_keep`), and
+    they bound every proposal they evaluate: a step proposes raw positions,
+    and may say how a chunk is evaluated.  A step sets and reads further
+    per-algorithm state on the group (``velocities``, ``personal_best`` ...).
 
     The constructor is the one place a run's state is created.  It takes,
     per run, a stream, an evaluator, a space, the ``(N, dim)`` positions
     ``x`` and their evaluated ``fitness`` (:func:`start_group` draws and
     evaluates them; a hand-built group may set any).  It alone reads the run
-    settings from ``config``, takes each run's first least value as its
-    best-so-far (NaN last, :func:`nan_last`, so it is NaN only when every
-    value is) and calls ``algorithm.init``, which may draw from the streams.
+    settings from ``config``, takes each run's ``k`` first least values as
+    its leaders (NaN last, :func:`nan_last`, so the best-so-far is NaN only
+    when every value is), counts the ``N`` initial evaluations as each run's
+    ``leader_changes`` and calls ``algorithm.init``, which may draw from the
+    streams.
     """
 
     def __init__(self, algorithm: Algorithm, config: RunConfig, rngs, evaluators, spaces, x, fitness):
@@ -405,9 +419,13 @@ class Group:
         self.objectives = list(evaluators)
         self.x = np.array(x, dtype=float)
         self.fitness = [list(values) for values in fitness]
-        best = [min(range(len(values)), key=lambda i: nan_last(values[i])) for values in self.fitness]
-        self.best_x = self.x[range(len(best)), best]
-        self.best_f = [values[i] for values, i in zip(self.fitness, best)]
+        k = algorithm.leaders
+        ranks = [sorted(range(len(values)), key=lambda i: nan_last(values[i]))[:k] for values in self.fitness]
+        self.leaders = self.x[np.arange(len(ranks))[:, None], ranks]
+        self.leaders_f = [[values[i] for i in rank] for values, rank in zip(self.fitness, ranks)]
+        self.best_x = self.leaders[:, 0]
+        #: each run's leader changes since a step last reset them
+        self.leader_changes = [self.n] * len(self.rngs)
         self.lower = np.array([space.lower for space in spaces])
         self.upper = np.array([space.upper for space in spaces])
         self.width = self.upper - self.lower
@@ -418,6 +436,11 @@ class Group:
         #: evaluator has none is a segment of its own
         self.segments = _segments(self.objectives)
         algorithm.init(self)
+
+    @property
+    def best_f(self) -> list:
+        """Each run's best-so-far value, its first leader's."""
+        return [rank[0] for rank in self.leaders_f]
 
     @property
     def n(self) -> int:
@@ -464,19 +487,30 @@ class Group:
         return values
 
     def _keep(self, r: int, i: int, value: float) -> None:
-        """Make agent ``i`` of run ``r``, already written to ``x[r, i]``
-        with ``value``, the run's best-so-far if ``value`` improves on it:
-        the one place a best-so-far changes."""
-        if improves(value, self.best_f[r]):
-            self.best_f[r] = value
-            self.best_x[r] = self.x[r, i]
+        """Shift-insert agent ``i`` of run ``r``, already written to
+        ``x[r, i]`` with ``value``, into the run's leaders where ``value``
+        improves on one (:func:`improves`), so they stay the best
+        evaluations seen, and count the change: the one place a leader, and
+        so the best-so-far, changes."""
+        rank = self.leaders_f[r]
+        if not improves(value, rank[-1]):
+            return
+        k = 0
+        while not improves(value, rank[k]):
+            k += 1
+        rank[k + 1 :] = rank[k:-1]
+        rank[k] = value
+        leaders = self.leaders[r]
+        leaders[k + 1 :] = leaders[k:-1]
+        leaders[k] = self.x[r, i]
+        self.leader_changes[r] += 1
 
     def move(self, i: int, rows: Array, greedy: bool = False) -> list:
         """Evaluate each run's row of ``rows`` as agent ``i``'s move and
         return the values.  The row replaces the agent outright, or with
-        ``greedy`` only when its value is finite and improves on the
-        agent's (:func:`improves`).  An agent that keeps its value was
-        already weighed against the best-so-far."""
+        ``greedy`` only when :func:`accepts` takes its value over the
+        agent's.  An agent that keeps its value was already weighed against
+        the leaders."""
         agents = self.at[i]
         rows = bound_position(rows, self.lower, self.upper, self.bound_mode)
         values = self.shared_values(rows)
@@ -484,7 +518,7 @@ class Group:
             agents[...] = rows
         for r, (value, fitness) in enumerate(zip(values, self.fitness)):
             if greedy:
-                if not (math.isfinite(value) and improves(value, fitness[i])):
+                if not accepts(value, fitness[i]):
                     continue
                 agents[r] = rows[r]
             fitness[i] = value
@@ -505,7 +539,7 @@ class Group:
     def move_all(self, moved: Array) -> None:
         """Replace every agent of every run by ``moved`` ``(R, N, dim)`` and
         evaluate each segment's agents as one block (each run's rows in
-        agent order), keeping the best-so-far in agent order."""
+        agent order), keeping the leaders in agent order."""
         moved = bound_position(moved, self.lower[:, None], self.upper[:, None], self.bound_mode)
         self.x[...] = moved
         n = self.n
@@ -518,23 +552,22 @@ class Group:
                 for i, value in enumerate(fitness):
                     self._keep(r, i, value)
 
-    def sweep(self, propose, cut=None, committed=None, evaluate=None, runs=None) -> None:
+    def sweep(self, propose, evaluate=None, runs=None) -> None:
         """Move every agent of every run (or of the runs listed in ``runs``)
-        once, in agent order, keeping the best-so-far as :meth:`move` does;
-        the one place a chunk commits.
+        once, in agent order, keeping the leaders as :meth:`move` does; the
+        one place a chunk commits.
 
         ``propose(r, start)`` returns the proposals of agents ``start, ...,
         N - 1`` of run ``r`` as one ``(k, dim)`` array, made from the live
         state.  ``evaluate(r, start, rows, below)`` returns the rows and
         values the leading agents move to, each counted, up to and including
         the first whose value is below ``below`` (all of them if none is): by
-        default each proposal as it is (:meth:`_commit_prefix`).
-        ``below`` is the run's cut, ``cut(r)``: by default its best-so-far,
-        and never below it, so that only the last agent committed can
-        improve the best.  A NaN cut reads as +inf, as a NaN held value
-        does for :func:`improves`.  Those agents are committed,
-        ``committed(r, i, value)`` sees the last, and the agents after it
-        are proposed again from the new state.
+        default each proposal as it is (:meth:`_commit_prefix`).  ``below``
+        is the run's last leader, so that only the last agent committed can
+        change a leader: the best-so-far with one leader, the third with
+        three.  A NaN leader reads as +inf, as a NaN held value does for
+        :func:`improves`.  Those agents are committed, and the agents after
+        the last are proposed again from the new state.
         """
         evaluate = evaluate or self._commit_prefix
         n = self.n
@@ -542,7 +575,7 @@ class Group:
             x, fitness = self.x[r], self.fitness[r]
             start = 0
             while start < n:
-                below = self.best_f[r] if cut is None else cut(r)
+                below = self.leaders_f[r][-1]
                 if below != below:
                     below = math.inf
                 rows, values = evaluate(r, start, self.bound_run(r, propose(r, start)), below)
@@ -550,8 +583,6 @@ class Group:
                 x[start:stop] = rows
                 fitness[start:stop] = values
                 self._keep(r, stop - 1, values[-1])
-                if committed is not None:
-                    committed(r, stop - 1, values[-1])
                 start = stop
 
     def _commit_prefix(self, r: int, start: int, rows: Array, cut: float) -> tuple:
@@ -603,15 +634,17 @@ def by_agent(block: Array) -> list:
 class Algorithm:
     """One optimizer, as every run of it reads it: its ``id``, the smallest
     population it runs with, ``init(group)``, which the :class:`Group`
-    constructor calls to set its state on the group, and
-    ``step(group)``, which moves every run of the group through one
-    iteration, inside :meth:`Group.advance`.  Its public surface is
-    :meth:`run` and :meth:`start`, each for a group of one run."""
+    constructor calls to set its state on the group, ``step(group)``,
+    which moves every run of the group through one iteration, inside
+    :meth:`Group.advance`, and how many ``leaders`` (best agents) each run
+    keeps.  Its public surface is :meth:`run` and :meth:`start`, each for a
+    group of one run."""
 
     id: str
     min_population: int
     init: Callable
     step: Callable
+    leaders: int = 1
 
     def check_population(self, n: int) -> None:
         if n < self.min_population:
@@ -639,7 +672,7 @@ def start_group(algorithm: Algorithm, configs, objectives, spaces) -> Group:
     Each run binds its evaluator (:func:`bind`) to its own stream, draws its
     initial positions (:func:`initialize_population`) and evaluates them as
     one block; the :class:`Group` constructor then takes the runs'
-    best-so-far and calls the algorithm's ``init``.  The configs must name
+    leaders and calls the algorithm's ``init``.  The configs must name
     ``algorithm`` and differ only in benchmark and seed, and the spaces
     share one dimension.
     """

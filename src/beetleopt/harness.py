@@ -488,11 +488,6 @@ def _algorithms_in(records: Sequence[RunRecord], planned: Sequence[str] = ()) ->
     return ordered
 
 
-def _function_order(functions) -> List[str]:
-    known = {f: i for i, f in enumerate(benchmarks.ids())}
-    return sorted(functions, key=lambda f: (known.get(f, len(known)), f))
-
-
 def emit_summary(
     records: Sequence[RunRecord],
     out_dir,
@@ -558,7 +553,6 @@ def _row_values(row: SummaryRow, statistic: str) -> str:
 
 
 def _write_block(root, block_name, functions, table, ranks_by_function, algorithms):
-    functions = _function_order(functions)
     block_ranks = {f: ranks_by_function[f] for f in functions}
     aggregate = stats.aggregate_ranks(block_ranks)
 

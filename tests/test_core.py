@@ -11,6 +11,8 @@ from beetleopt.core import (
     RandomStream,
     RunConfig,
     SearchSpace,
+    accepted,
+    accepts,
     clamp_to_bounds,
     improved,
     improves,
@@ -178,34 +180,37 @@ class TestGroupBest:
         assert g.fitness == [[1.0, 2.0]] and g.velocities.shape == (1, 2, 1)
 
 
-#: ``(value, held, improves)``: a NaN held value reads as +inf, and NaN,
-#: an equal value or a zero of the other sign never improves
+#: ``(value, held, improves, accepts)``: a NaN held value reads as +inf,
+#: NaN, an equal value or a zero of the other sign never improves, and
+#: greedy selection accepts only a finite value that improves
 IMPROVES = [
-    (1.0, 2.0, True),
-    (2.0, 1.0, False),
-    (1.0, 1.0, False),
-    (-0.0, 0.0, False),
-    (0.0, -0.0, False),
-    (-1.0, -0.0, True),
-    (5.0, math.inf, True),
-    (math.inf, math.inf, False),
-    (math.inf, 5.0, False),
-    (-math.inf, 5.0, True),
-    (-math.inf, -math.inf, False),
-    (1.0, math.nan, True),
-    (-math.inf, math.nan, True),
-    (math.inf, math.nan, False),
-    (math.nan, math.nan, False),
-    (math.nan, 1.0, False),
-    (math.nan, math.inf, False),
-    (math.nan, -math.inf, False),
+    (1.0, 2.0, True, True),
+    (2.0, 1.0, False, False),
+    (1.0, 1.0, False, False),
+    (-0.0, 0.0, False, False),
+    (0.0, -0.0, False, False),
+    (-1.0, -0.0, True, True),
+    (5.0, math.inf, True, True),
+    (math.inf, math.inf, False, False),
+    (math.inf, 5.0, False, False),
+    (-math.inf, 5.0, True, False),
+    (-math.inf, -math.inf, False, False),
+    (1.0, math.nan, True, True),
+    (-math.inf, math.nan, True, False),
+    (math.inf, math.nan, False, False),
+    (math.nan, math.nan, False, False),
+    (math.nan, 1.0, False, False),
+    (math.nan, math.inf, False, False),
+    (math.nan, -math.inf, False, False),
 ]
 
 
 def test_improves_and_improved_agree_on_every_kind_of_value():
-    values, held, expected = (list(column) for column in zip(*IMPROVES))
+    values, held, expected, greedy = (list(column) for column in zip(*IMPROVES))
     assert [improves(v, h) for v, h in zip(values, held)] == expected
     assert improved(np.array(values), np.array(held)).tolist() == expected
+    assert [accepts(v, h) for v, h in zip(values, held)] == greedy
+    assert accepted(np.array(values), np.array(held)).tolist() == greedy
 
 
 class TestRunConfig:

@@ -72,6 +72,8 @@ def test_public_run_and_step_are_the_entrys_methods(algorithm):
     module, run = PUBLIC[algorithm]
     entry = harness.ENTRIES[algorithm]
     assert isinstance(entry, Algorithm) and entry.id == algorithm
+    # gwo and cdo steer by a run's three best agents, the rest by its best
+    assert entry.leaders == (3 if algorithm in ("gwo", "cdo") else 1)
     assert getattr(module, run) == entry.run == harness.ALGORITHMS[algorithm]
     assert getattr(bo, run) == entry.run
     assert list(inspect.signature(getattr(module, run)).parameters) == ["config", "objective", "space"]
@@ -146,3 +148,28 @@ def test_a_run_refuses_a_config_that_names_another_algorithm(algorithm):
         harness.ENTRIES[algorithm].run(config, bo.BENCHMARKS["f1"])
     record = harness.ENTRIES[algorithm].run(dataclasses.replace(config, algorithm=algorithm), bo.BENCHMARKS["f1"])
     assert record.algorithm == algorithm
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module's top-level imports bind that nothing in it reads;
+    a name listed in ``__all__`` is read."""
+    tree = ast.parse(source)
+    bound, read = [], {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    sample = "import os\nimport sys as system, math\nfrom . import a\n__all__ = ['a']\nsystem.exit\n"
+    assert _unused_imports(sample) == ["os", "math"]
+    unused = {
+        path.name: _unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "beetleopt").glob("*.py"))
+    }
+    assert not {name: names for name, names in unused.items() if names}

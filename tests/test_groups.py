@@ -197,8 +197,7 @@ SLABS = {"inf-slab": poisoned("f9", 0.3, 0.4, math.inf), "nan-slab": poisoned("f
 def test_leader_steps_give_the_same_records_on_either_path(algorithm, members):
     # an agent that changes no leader leaves the next proposals as they were,
     # so chunks cut at the first leader change replay the lockstep loop; on
-    # every path the first leader is the best-so-far, which is what lets a
-    # chunk cut at the third
+    # every path best_x and best_f stay the first leader's
     specs = {**BENCHMARKS, **SLABS}
     population, iterations = 16, 40
     configs = [
@@ -286,7 +285,11 @@ def test_a_nan_agent_ranks_after_every_leader():
     least = np.argsort(np.where(np.isnan(values), np.inf, values), kind="stable")[:3]
     assert group.leaders_f[0] == values[least].tolist()
     assert np.array_equal(group.leaders[0], group.x[0][least])
-    assert baselines._best_three([math.nan, 2.0, math.nan, 1.0, math.inf]) == [3, 1, 4]
+    # NaN ranks after +inf: agents 3, 1 and 4 lead a hand-built group
+    config = RunConfig(algorithm="gwo", population=5, iterations=1)
+    values, space = [math.nan, 2.0, math.nan, 1.0, math.inf], bo.SearchSpace.cube(1, -9.0, 9.0)
+    g = hand_group(baselines.GWO, config, np.arange(5.0)[:, None], values, abs, space)
+    assert g.leaders_f == [[1.0, 2.0, math.inf]] and g.leaders[0].tolist() == [[3.0], [1.0], [4.0]]
 
 
 class NanFirst:
@@ -429,7 +432,7 @@ def test_the_writers_bound_every_proposal_they_evaluate(mode):
 def test_a_nan_best_or_leader_reads_as_inf(monkeypatch):
     # any value below +inf replaces a NaN best-so-far; +inf and NaN do not
     g = _two_runs((math.inf, 7.0))
-    g.best_f = [math.nan, math.nan]
+    g.leaders_f = [[math.nan], [math.nan]]
     g.move(0, ROWS)
     assert math.isnan(g.best_f[0]) and g.best_f[1] == 7.0
     assert g.best_x[1].tolist() == ROWS[1].tolist()
